@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .configfile import parse_config_text
+from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .encoder import forward
 from .errors import ConfigError, KgalignError
@@ -126,18 +126,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    path = Path(args.config)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    flat = parse_config_text(text, source=str(path))
+    flat = read_config_file(args.config)
     axes = {
         key[len("grid."):]: values
         for key, values in flat.items()
         if key.startswith("grid.")
     }
-    base = RunConfig.from_flat(flat, source=str(path))
+    base = RunConfig.from_flat(flat, source=args.config)
     result = run_grid(
         base,
         Path(args.runs_root),
@@ -157,14 +152,9 @@ def cmd_grid(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    path = Path(args.config)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    flat = parse_config_text(text, source=str(path))
+    flat = read_config_file(args.config)
     dataset_keys = flat.get("ablate.datasets")
-    base = RunConfig.from_flat(flat, source=str(path))
+    base = RunConfig.from_flat(flat, source=args.config)
     if dataset_keys:
         descriptors = []
         for token in dataset_keys:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .configfile import FLAT_KEY
 from .errors import ConfigError, DataFormatError
 from .graphs import AlignmentSet, AttributeTable, GraphPair, KnowledgeGraph, Role
 
@@ -89,7 +90,7 @@ ATTRIBUTE_VOCABULARY_SIZE = 1000
 class DatasetDescriptor:
     family: str
     subset: str
-    root_path: Path | None = None
+    root_path: Path | None = field(default=None, metadata={FLAT_KEY: "root"})
 
     def __post_init__(self):
         subset = SUBSET_ALIASES.get(self.subset, self.subset)

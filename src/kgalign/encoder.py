@@ -13,28 +13,31 @@ trainable state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configfile import FLAT_KEY
 from .errors import ConfigError, NumericError
 from .linalg import SparseMatrix, row_l2_normalize, row_norms, spmm
 
 INIT_PRESETS = ("unit", "scaled")
 
 
-def resolve_init_std(preset: str, dim: int) -> float:
-    """Embedding initialization std for a named preset.
+def resolve_init_std(init: str | float, dim: int) -> float:
+    """Embedding initialization std for a named preset or a literal std.
 
     'unit' is the standard normal; 'scaled' shrinks with the embedding
     width as dim**-0.5 (reading the width as the scaling variable and
     the quantity as a standard deviation).
     """
-    if preset == "unit":
+    if not isinstance(init, str):
+        return float(init)
+    if init == "unit":
         return 1.0
-    if preset == "scaled":
+    if init == "scaled":
         return float(dim) ** -0.5
-    raise ConfigError(f"unknown init preset {preset!r}; expected one of {INIT_PRESETS}")
+    raise ConfigError(f"unknown init preset {init!r}; expected one of {INIT_PRESETS}")
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,23 @@ class EncoderConfig:
     n_layers: int = 2
     dim: int = 200
     use_weights: bool = False
-    init_std: float = 1.0
-    init_preset: str | None = "unit"  # informational; recorded in reports
+    init: str | float = "unit"  # a preset of INIT_PRESETS or a literal std
     normalize_features: bool = True
-    seed: int = 0
+    # per run, derived from RunConfig.seed; not part of the flat form
+    seed: int = field(default=0, metadata={FLAT_KEY: None})
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         if not 1 <= self.n_layers <= 4:
             raise ConfigError(f"n_layers must be in 1..4, got {self.n_layers}")
+        if not isinstance(self.init, str):
+            object.__setattr__(self, "init", float(self.init))
+        resolve_init_std(self.init, self.dim)  # rejects unknown presets
 
-    @classmethod
-    def with_preset(cls, preset: str, **kwargs) -> EncoderConfig:
-        dim = kwargs.get("dim", 200)
-        return cls(init_std=resolve_init_std(preset, dim), init_preset=preset, **kwargs)
+    @property
+    def init_std(self) -> float:
+        return resolve_init_std(self.init, self.dim)
 
 
 @dataclass
@@ -83,21 +88,6 @@ class EmbeddingState:
             features_right=self.features_right.copy(),
             weights=None if self.weights is None else [w.copy() for w in self.weights],
         )
-
-
-@dataclass
-class Gradients:
-    """Gradients mirroring EmbeddingState's parameter layout."""
-
-    features_left: np.ndarray
-    features_right: np.ndarray
-    weights: list[np.ndarray] | None = None
-
-    def parameters(self) -> list[np.ndarray]:
-        params = [self.features_left, self.features_right]
-        if self.weights is not None:
-            params.extend(self.weights)
-        return params
 
 
 def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
@@ -228,8 +218,9 @@ def backward(
     tape: ForwardTape,
     cfg: EncoderConfig,
     state: EmbeddingState,
-) -> Gradients:
-    """Exact reverse-mode gradients of forward() wrt all parameters.
+) -> EmbeddingState:
+    """Exact reverse-mode gradients of forward() wrt all parameters, in
+    the parameter layout of the state.
 
     The tape must come from a forward() call with the same config and
     state; the shared weight matrices accumulate gradient from both
@@ -244,4 +235,4 @@ def backward(
         grad_weights = [np.zeros_like(w) for w in state.weights]
     gl = _backward_one(grad_out_left, tape.left, state.weights, grad_weights, cfg)
     gr = _backward_one(grad_out_right, tape.right, state.weights, grad_weights, cfg)
-    return Gradients(features_left=gl, features_right=gr, weights=grad_weights)
+    return EmbeddingState(features_left=gl, features_right=gr, weights=grad_weights)

@@ -25,8 +25,6 @@ CANDIDATE_POLICIES = ("test-only", "all-entities")
 @dataclass(frozen=True)
 class ScoreConfig:
     beta: float = 1.0  # weight of the structure distance; 1 - beta on attributes
-    d: int | None = None  # structure embedding width (inferred when None)
-    d_prime: int | None = None  # attribute embedding width (inferred when None)
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -49,19 +47,15 @@ def score(
     s_r = np.asarray(s_r, dtype=np.float64)
     if s_l.shape != s_r.shape:
         raise ValueError(f"embedding shapes differ: {s_l.shape} vs {s_r.shape}")
-    d = cfg.d if cfg.d is not None else s_l.shape[-1]
-    if s_l.shape[-1] != d:
-        raise ValueError(f"structure embeddings have width {s_l.shape[-1]}, config says {d}")
-    total = cfg.beta * np.abs(s_l - s_r).sum() / d
+    total = cfg.beta * np.abs(s_l - s_r).sum() / s_l.shape[-1]
     if cfg.beta < 1.0:
         if a_l is None or a_r is None:
             raise ConfigError("beta < 1 requires attribute embeddings")
         a_l = np.asarray(a_l, dtype=np.float64)
         a_r = np.asarray(a_r, dtype=np.float64)
-        d_prime = cfg.d_prime if cfg.d_prime is not None else a_l.shape[-1]
-        if a_l.shape != a_r.shape or a_l.shape[-1] != d_prime:
-            raise ValueError("attribute embedding shapes inconsistent with config")
-        total += (1.0 - cfg.beta) * np.abs(a_l - a_r).sum() / d_prime
+        if a_l.shape != a_r.shape:
+            raise ValueError(f"attribute embedding shapes differ: {a_l.shape} vs {a_r.shape}")
+        total += (1.0 - cfg.beta) * np.abs(a_l - a_r).sum() / a_l.shape[-1]
     return float(-total)
 
 
@@ -209,7 +203,7 @@ def _ranks_one_direction(
     """
     truths = np.asarray(truths, dtype=np.int64)
     nq = query_emb.shape[0]
-    d = cfg.d if cfg.d is not None else query_emb.shape[1]
+    d = query_emb.shape[1]
     truth_pos = np.searchsorted(candidates, truths)
     in_range = truth_pos < len(candidates)
     if not (in_range.all() and np.array_equal(candidates[truth_pos], truths)):
@@ -223,8 +217,7 @@ def _ranks_one_direction(
         hi = min(lo + block, nq)
         dist = cfg.beta / d * cdist(query_emb[lo:hi], cand_emb, "cityblock")
         if cfg.beta < 1.0:
-            d_prime = cfg.d_prime if cfg.d_prime is not None else query_attr.shape[1]
-            dist += (1.0 - cfg.beta) / d_prime * cdist(
+            dist += (1.0 - cfg.beta) / query_attr.shape[1] * cdist(
                 query_attr[lo:hi], cand_attr, "cityblock"
             )
         scores = -dist

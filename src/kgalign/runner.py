@@ -20,14 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .adjacency import AdjacencyConfig
-from .configfile import format_config, parse_config_text
+from .configfile import config_from_flat, config_to_flat, format_config, read_config_file
 from .datasets import DatasetDescriptor, load, split
-from .encoder import (
-    EmbeddingState,
-    EncoderConfig,
-    forward,
-    resolve_init_std,
-)
+from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
 from .evaluation import MetricsReport, ScoreConfig, evaluate
 from .graphs import GraphPair, Role, require_valid
@@ -66,118 +61,15 @@ class RunConfig:
 
     def to_flat(self) -> dict:
         """Flat dotted-key mapping; the canonical serialized form."""
-        flat = {
-            "dataset.family": self.dataset.family,
-            "dataset.subset": self.dataset.subset,
-            "adjacency.variant": self.adjacency.variant,
-            "adjacency.clamp": self.adjacency.clamp,
-            "adjacency.clamp_floor": self.adjacency.clamp_floor,
-            "adjacency.normalization": self.adjacency.normalization,
-            "adjacency.add_self_loops": self.adjacency.add_self_loops,
-            "encoder.n_layers": self.encoder.n_layers,
-            "encoder.dim": self.encoder.dim,
-            "encoder.use_weights": self.encoder.use_weights,
-            "encoder.normalize_features": self.encoder.normalize_features,
-            "training.optimizer": self.training.optimizer,
-            "training.learning_rate": self.training.learning_rate,
-            "training.n_negatives": self.training.n_negatives,
-            "training.n_epochs": self.training.n_epochs,
-            "training.margin": self.training.margin,
-            "score.beta": self.score.beta,
-            "candidate_policy": self.candidate_policy,
-            "seed": self.seed,
-            "n_seeds": self.n_seeds,
-            "split_seed": self.split_seed,
-            "train_fraction": self.train_fraction,
-            "val_fraction": self.val_fraction,
-            "save_state": self.save_state,
-            "evaluate_test": self.evaluate_test,
-        }
-        if self.dataset.root_path is not None:
-            flat["dataset.root"] = str(self.dataset.root_path)
-        if self.encoder.init_preset is not None:
-            flat["encoder.init"] = self.encoder.init_preset
-        else:
-            flat["encoder.init"] = self.encoder.init_std
-        if self.attribute_margin is not None:
-            flat["attribute_margin"] = self.attribute_margin
-        return flat
+        return config_to_flat(self)
 
     @classmethod
     def from_flat(cls, flat: dict, source: str = "<config>") -> RunConfig:
-        flat = dict(flat)
-
-        def take(key, default=None, required=False):
-            if key in flat:
-                return flat.pop(key)
-            if required:
-                raise ConfigError(f"{source}: missing required key {key!r}")
-            return default
-
-        dataset = DatasetDescriptor(
-            family=str(take("dataset.family", required=True)),
-            subset=str(take("dataset.subset", required=True)),
-            root_path=(lambda r: Path(r) if r is not None else None)(take("dataset.root")),
-        )
-        adjacency = AdjacencyConfig(
-            variant=take("adjacency.variant", "count"),
-            clamp=bool(take("adjacency.clamp", False)),
-            clamp_floor=float(take("adjacency.clamp_floor", 0.3)),
-            normalization=take("adjacency.normalization", "row"),
-            add_self_loops=bool(take("adjacency.add_self_loops", True)),
-        )
-        dim = int(take("encoder.dim", 200))
-        init = take("encoder.init", "unit")
-        if isinstance(init, str):
-            init_preset, init_std = init, resolve_init_std(init, dim)
-        else:
-            init_preset, init_std = None, float(init)
-        encoder = EncoderConfig(
-            n_layers=int(take("encoder.n_layers", 2)),
-            dim=dim,
-            use_weights=bool(take("encoder.use_weights", False)),
-            init_std=init_std,
-            init_preset=init_preset,
-            normalize_features=bool(take("encoder.normalize_features", True)),
-        )
-        training = TrainConfig(
-            optimizer=take("training.optimizer", "adam"),
-            learning_rate=float(take("training.learning_rate", 1.0)),
-            n_negatives=int(take("training.n_negatives", 50)),
-            n_epochs=int(take("training.n_epochs", 2000)),
-            margin=float(take("training.margin", 3.0)),
-        )
-        score = ScoreConfig(beta=float(take("score.beta", 1.0)))
-        attr_margin = take("attribute_margin")
-        cfg = cls(
-            dataset=dataset,
-            adjacency=adjacency,
-            encoder=encoder,
-            training=training,
-            score=score,
-            candidate_policy=str(take("candidate_policy", "test-only")),
-            seed=int(take("seed", 0)),
-            n_seeds=int(take("n_seeds", 5)),
-            split_seed=int(take("split_seed", 0)),
-            train_fraction=float(take("train_fraction", 0.3)),
-            val_fraction=float(take("val_fraction", 0.2)),
-            attribute_margin=None if attr_margin is None else float(attr_margin),
-            save_state=bool(take("save_state", True)),
-            evaluate_test=bool(take("evaluate_test", True)),
-        )
-        unknown = [k for k in flat if not k.startswith(("grid.", "ablate."))]
-        if unknown:
-            raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
-        return cfg
+        return config_from_flat(cls, flat, source)
 
     @classmethod
     def from_file(cls, path: Path) -> RunConfig:
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_flat(parse_config_text(text, source=str(path)), source=str(path))
+        return cls.from_flat(read_config_file(path), source=str(path))
 
     def canonical_text(self) -> str:
         return format_config(self.to_flat())
@@ -303,9 +195,7 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair):
         if pair.attributes_left is None or pair.attributes_right is None:
             raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
         attr_dim = pair.attributes_left.attribute_dim
-        attr_enc = replace(
-            cfg.encoder, dim=attr_dim, seed=attr_enc_seed, init_preset=None, init_std=1.0
-        )
+        attr_enc = replace(cfg.encoder, dim=attr_dim, seed=attr_enc_seed, init=1.0)
         attr_train = replace(
             cfg.training,
             seed=attr_train_seed,
@@ -474,9 +364,9 @@ def run_grid(
         try:
             for run_hash, h1, err in outcomes:
                 cfg = by_hash[run_hash]
-                cell = (cfg.encoder.use_weights, cfg.encoder.init_preset)
+                cell = (cfg.encoder.use_weights, cfg.encoder.init)
                 ledger.write(
-                    f"{run_hash}\t{cfg.encoder.use_weights}\t{cfg.encoder.init_preset}"
+                    f"{run_hash}\t{cfg.encoder.use_weights}\t{cfg.encoder.init}"
                     f"\t{'' if h1 is None else repr(h1)}\t{err or ''}\n"
                 )
                 ledger.flush()

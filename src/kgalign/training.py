@@ -7,11 +7,12 @@ at its boundary. Negatives are resampled fresh every epoch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adjacency import AdjacencyConfig, build_adjacency
+from .configfile import FLAT_KEY
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
@@ -35,7 +36,8 @@ class TrainConfig:
     n_negatives: int = 50
     n_epochs: int = 2000
     margin: float = 3.0
-    seed: int = 0
+    # per run, derived from RunConfig.seed; not part of the flat form
+    seed: int = field(default=0, metadata={FLAT_KEY: None})
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):

@@ -21,7 +21,7 @@ from kgalign.adjacency import (
     build_adjacency_unnormalized,
 )
 from kgalign.datasets import DatasetDescriptor, statistics_for
-from kgalign.encoder import EncoderConfig, backward, forward, init_state, resolve_init_std
+from kgalign.encoder import EncoderConfig, backward, forward, init_state
 from kgalign.evaluation import metrics_from_ranks, rank_of
 from kgalign.runner import (
     DEFAULT_GRID_AXES,
@@ -110,8 +110,7 @@ def test_criterion_2_end_to_end_gradients():
                     n_layers=n_layers,
                     dim=4,
                     use_weights=use_weights,
-                    init_std=resolve_init_std(preset, 4),
-                    init_preset=preset,
+                    init=preset,
                     seed=11,
                 )
                 state = init_state(enc, 8, 8)

@@ -90,6 +90,20 @@ def test_train_bad_config_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+def test_train_badly_typed_value_exit_code(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(
+        TOY_CONFIG.replace("encoder.use_weights = false", "encoder.use_weights = no"),
+        encoding="utf-8",
+    )
+    runs = tmp_path / "runs"
+    assert main(["train", str(config), "--runs-root", str(runs)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "encoder.use_weights" in err["message"]
+    assert not runs.exists() or not any(runs.iterdir())
+
+
 def test_evaluate_missing_state_errors(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")

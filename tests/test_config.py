@@ -1,0 +1,85 @@
+"""The flat run-config form: typed coercion and pinned run hashes."""
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from kgalign.configfile import parse_config_text
+from kgalign.encoder import EncoderConfig
+from kgalign.errors import ConfigError
+from kgalign.runner import RunConfig, enumerate_grid
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+TOY_DATASET = "dataset.family = toy\ndataset.subset = cycle-8-4\n"
+
+# Each of these once parsed silently into a different value (or escaped
+# as a raw ValueError) instead of being rejected.
+MALFORMED = [
+    ("encoder.use_weights", "no"),
+    ("save_state", "off"),
+    ("encoder.dim", "16.9"),
+    ("seed", "1.7"),
+    ("score.beta", "yes"),
+]
+
+
+@pytest.mark.parametrize("key, token", MALFORMED)
+def test_malformed_value_rejected_naming_its_key(key, token):
+    flat = parse_config_text(TOY_DATASET + f"{key} = {token}\n")
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        RunConfig.from_flat(flat)
+
+
+def test_typed_values_accepted():
+    cfg = RunConfig.from_flat(parse_config_text(
+        TOY_DATASET
+        + "encoder.use_weights = true\nencoder.dim = 16.0\n"
+        + "training.learning_rate = 1\nencoder.init = 1\nattribute_margin = 2\n"
+    ))
+    assert cfg.encoder.use_weights is True
+    assert cfg.encoder.dim == 16 and isinstance(cfg.encoder.dim, int)
+    assert cfg.training.learning_rate == 1.0 and isinstance(cfg.training.learning_rate, float)
+    assert cfg.encoder.init == 1.0 and isinstance(cfg.encoder.init, float)
+    assert cfg.to_flat()["attribute_margin"] == 2.0
+    assert "dataset.root" not in cfg.to_flat()
+
+
+def test_encoder_init_derives_the_std():
+    scaled = EncoderConfig(dim=100, init="scaled")
+    assert scaled.init_std == pytest.approx(0.1)
+    assert replace(scaled, dim=25).init_std == pytest.approx(0.2)
+    assert EncoderConfig(init=2).init == 2.0
+    with pytest.raises(ConfigError, match="unknown init preset"):
+        EncoderConfig(init="uniform")
+
+
+# Existing run directories are named by these hashes; a change to the
+# flat form would orphan them.
+def test_golden_run_hashes():
+    assert RunConfig.from_file(CONFIGS / "toy.cfg").run_hash() == "5c42739817e88c34"
+    assert (
+        RunConfig.from_file(CONFIGS / "dbp15k-jape-zh-en.cfg").run_hash()
+        == "50f22b5904358ad1"
+    )
+    grid = enumerate_grid(RunConfig.from_file(CONFIGS / "grid-zh-en.cfg"))
+    hashes = sorted({cfg.run_hash() for cfg in grid})
+    assert len(hashes) == 1440
+    digest = hashlib.sha256("\n".join(hashes).encode("utf-8")).hexdigest()[:16]
+    assert digest == "2657ec14d2ae7467"
+    every_optional_key = {
+        "dataset.family": "dbp15k-jape",
+        "dataset.subset": "zh-en",
+        "dataset.root": "data/x",
+        "encoder.init": 0.05,
+        "attribute_margin": 1.5,
+        "score.beta": 0.9,
+        "adjacency.variant": "functionality",
+        "adjacency.clamp": True,
+        "adjacency.normalization": "symmetric",
+        "encoder.use_weights": True,
+        "encoder.normalize_features": False,
+        "training.optimizer": "sgd",
+    }
+    assert RunConfig.from_flat(every_optional_key).run_hash() == "6da5efb5588c371f"

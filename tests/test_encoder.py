@@ -7,7 +7,6 @@ from kgalign.encoder import (
     backward,
     forward,
     init_state,
-    resolve_init_std,
 )
 from kgalign.errors import ConfigError, NumericError
 from kgalign.linalg import SparseMatrix, row_l2_normalize
@@ -30,7 +29,7 @@ def test_init_deterministic():
 
 
 def test_unit_preset_empirical_std():
-    cfg = EncoderConfig(dim=100, init_std=resolve_init_std("unit", 100), seed=0)
+    cfg = EncoderConfig(dim=100, init="unit", seed=0)
     state = init_state(cfg, 10_000, 1)
     std = state.features_left.std()
     assert abs(std - 1.0) < 0.05
@@ -38,7 +37,7 @@ def test_unit_preset_empirical_std():
 
 def test_scaled_preset_empirical_std():
     # width 100 shrinks the std to 100 ** -0.5 = 0.1
-    cfg = EncoderConfig(dim=100, init_std=resolve_init_std("scaled", 100), seed=0)
+    cfg = EncoderConfig(dim=100, init="scaled", seed=0)
     state = init_state(cfg, 10_000, 1)
     std = state.features_left.std()
     assert abs(std - 0.1) < 0.005

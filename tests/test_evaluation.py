@@ -19,7 +19,7 @@ def test_score_identical_embeddings_is_zero():
 
 
 def test_score_blend_hand_computation():
-    cfg = ScoreConfig(beta=0.5, d=2, d_prime=2)
+    cfg = ScoreConfig(beta=0.5)
     s_l, s_r = np.array([0.0, 0.0]), np.array([1.0, 1.0])  # L1 distance 2
     a_l, a_r = np.array([0.0, 0.0]), np.array([2.0, 2.0])  # L1 distance 4
     assert score(s_l, s_r, cfg, a_l, a_r) == pytest.approx(-1.5)

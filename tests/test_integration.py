@@ -33,7 +33,7 @@ def _isomorphic_instance(n=600, m_triples=2400, n_train=180, seed=3):
 def test_alignment_emerges_on_midsize_isomorphic_graphs():
     pair = _isomorphic_instance()
     adj_cfg = AdjacencyConfig()
-    enc = EncoderConfig(n_layers=2, dim=32, use_weights=False, init_std=1.0, seed=0)
+    enc = EncoderConfig(n_layers=2, dim=32, use_weights=False, init=1.0, seed=0)
     tc = TrainConfig(optimizer="adam", learning_rate=1.0, n_negatives=25,
                      n_epochs=120, seed=1)
     state, losses = train(pair, adj_cfg, enc, tc)

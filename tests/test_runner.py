@@ -163,7 +163,7 @@ def test_enumerate_grid_single_point_gives_one_per_cell():
     cfg = toy_config()
     configs = enumerate_grid(cfg, {"training.n_epochs": [5]})
     assert len(configs) == 4
-    cells = {(c.encoder.use_weights, c.encoder.init_preset) for c in configs}
+    cells = {(c.encoder.use_weights, c.encoder.init) for c in configs}
     assert cells == set(ABLATION_CELLS)
 
 
