@@ -34,7 +34,7 @@ from .graphs import (
     Role,
     validate_pair,
 )
-from .linalg import SparseMatrix, degree_normalize, row_l2_normalize, spmm
+from .linalg import degree_normalize, row_l2_normalize
 from .runner import RunConfig, enumerate_grid, run_ablation, run_grid, run_single
 from .training import (
     OptimizerState,
@@ -68,7 +68,6 @@ __all__ = [
     "Role",
     "RunConfig",
     "ScoreConfig",
-    "SparseMatrix",
     "TrainConfig",
     "backward",
     "build_adjacency",
@@ -89,7 +88,6 @@ __all__ = [
     "sample_negatives",
     "score",
     "split",
-    "spmm",
     "statistics",
     "symmetrize_wk3l",
     "toy_cycle_pair",

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
 from .graphs import KnowledgeGraph
-from .linalg import SparseMatrix, degree_normalize
+from .linalg import degree_normalize
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def build_adjacency_unnormalized(
     g: KnowledgeGraph,
     cfg: AdjacencyConfig,
     relation_weights: RelationWeights | None = None,
-) -> SparseMatrix:
+) -> sp.csr_array:
     """A-hat before degree normalization: edge weights plus self-loops.
 
     relation_weights overrides the computed functionality scores; useful
@@ -115,14 +116,16 @@ def build_adjacency_unnormalized(
         cols = np.concatenate([cols, diag])
         vals = np.concatenate([vals, np.ones(n)])
 
-    return SparseMatrix.from_coo(rows, cols, vals, (n, n))
+    a = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a.sum_duplicates()  # also sorts the column indices of every row
+    return a
 
 
 def build_adjacency(
     g: KnowledgeGraph,
     cfg: AdjacencyConfig,
     relation_weights: RelationWeights | None = None,
-) -> SparseMatrix:
+) -> sp.csr_array:
     """Normalized propagation matrix of one graph.
 
     Returns degree-normalized A-hat where A-hat = A + I (self-loops) and

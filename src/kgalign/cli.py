@@ -9,18 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+from .adjacency import build_adjacency
 from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
-from .encoder import forward
 from .errors import ConfigError, KgalignError
 from .evaluation import evaluate
 from .graphs import Role
 from .runner import (
     RunConfig,
     ablation_table,
+    encode,
     load_state,
     prepare_pair,
     run_ablation,
@@ -97,20 +97,11 @@ def cmd_evaluate(args) -> int:
     cfg = RunConfig.from_file(config_path)
     pair = prepare_pair(cfg)
     state, attr_state = load_state(state_path)
-
-    from .adjacency import build_adjacency
-
-    adj = (build_adjacency(pair.left, cfg.adjacency), build_adjacency(pair.right, cfg.adjacency))
-    enc_cfg = replace(cfg.encoder, use_weights=state.weights is not None)
-    out_l, out_r, _ = forward(*adj, state, enc_cfg)
-    a_l = a_r = None
-    if attr_state is not None:
-        attr_enc = replace(
-            enc_cfg,
-            dim=attr_state.features_left.shape[1],
-            use_weights=attr_state.weights is not None,
-        )
-        a_l, a_r, _ = forward(*adj, attr_state, attr_enc)
+    adjacencies = (
+        build_adjacency(pair.left, cfg.adjacency),
+        build_adjacency(pair.right, cfg.adjacency),
+    )
+    (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
     report = evaluate(
         out_l, out_r, pair, cfg.score,
         policy=args.policy or cfg.candidate_policy,

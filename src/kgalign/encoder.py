@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .configfile import FLAT_KEY
 from .errors import ConfigError, NumericError
-from .linalg import SparseMatrix, row_l2_normalize, row_norms, spmm
+from .linalg import row_l2_normalize, row_norms
 
 INIT_PRESETS = ("unit", "scaled")
 
@@ -82,13 +83,6 @@ class EmbeddingState:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def copy(self) -> EmbeddingState:
-        return EmbeddingState(
-            features_left=self.features_left.copy(),
-            features_right=self.features_right.copy(),
-            weights=None if self.weights is None else [w.copy() for w in self.weights],
-        )
-
 
 def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
     """Fresh trainable state, fully determined by cfg.seed.
@@ -115,7 +109,7 @@ class _GraphTape:
     h0: np.ndarray  # layer-0 input (normalized features)
     relu_masks: list[np.ndarray]  # one bool mask per non-final layer
     propagated: list[np.ndarray] | None  # A_hat @ H_i per layer, weighted runs only
-    adj: SparseMatrix
+    adj: sp.csr_array
 
 
 @dataclass
@@ -126,9 +120,9 @@ class ForwardTape:
 
 
 def _forward_one(
-    adj: SparseMatrix, features: np.ndarray, weights, cfg: EncoderConfig
+    adj: sp.csr_array, features: np.ndarray, weights, cfg: EncoderConfig
 ) -> tuple[np.ndarray, _GraphTape]:
-    if adj.n_cols != features.shape[0]:
+    if adj.shape[1] != features.shape[0]:
         raise ValueError(
             f"adjacency is {adj.shape} but features have {features.shape[0]} rows"
         )
@@ -146,7 +140,7 @@ def _forward_one(
     masks: list[np.ndarray] = []
     propagated: list[np.ndarray] | None = [] if cfg.use_weights else None
     for layer in range(cfg.n_layers):
-        p = spmm(adj, h)
+        p = adj @ h
         if cfg.use_weights:
             propagated.append(p)
             p = p @ weights[layer]
@@ -162,8 +156,8 @@ def _forward_one(
 
 
 def forward(
-    adj_left: SparseMatrix,
-    adj_right: SparseMatrix,
+    adj_left: sp.csr_array,
+    adj_right: sp.csr_array,
     state: EmbeddingState,
     cfg: EncoderConfig,
     keep_tape: bool = False,
@@ -185,12 +179,12 @@ def forward(
 def _backward_one(
     grad_out: np.ndarray, tape: _GraphTape, weights, grad_weights, cfg: EncoderConfig
 ) -> np.ndarray:
-    if grad_out.shape != (tape.adj.n_rows, cfg.dim):
+    if grad_out.shape != (tape.adj.shape[0], cfg.dim):
         raise ValueError(
             f"upstream gradient shape {grad_out.shape} does not match "
-            f"forward output ({tape.adj.n_rows}, {cfg.dim})"
+            f"forward output ({tape.adj.shape[0]}, {cfg.dim})"
         )
-    adj_t = tape.adj.transpose()
+    adj_t = tape.adj.T  # a CSC view, no copy
     g = grad_out
     for layer in range(cfg.n_layers - 1, -1, -1):
         if layer < cfg.n_layers - 1:
@@ -198,7 +192,7 @@ def _backward_one(
         if cfg.use_weights:
             grad_weights[layer] += tape.propagated[layer].T @ g
             g = g @ weights[layer].T
-        g = spmm(adj_t, g)
+        g = adj_t @ g
 
     if tape.norms is None:
         return g

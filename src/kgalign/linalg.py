@@ -1,9 +1,8 @@
-"""Minimal numeric kernel: canonical CSR matrices and the few dense ops
-the encoder needs.
+"""The few numeric helpers the encoder and trainer need.
 
-Dense matrices are plain float64 numpy arrays throughout. The CSR type
-keeps the classic three-array layout; scipy provides the compiled
-product kernels behind this surface.
+Dense matrices are plain float64 numpy arrays throughout; propagation
+matrices are canonical ``scipy.sparse.csr_array`` (duplicates summed,
+column indices sorted within each row).
 """
 from __future__ import annotations
 
@@ -11,123 +10,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericError
-
-
-class SparseMatrix:
-    """Immutable CSR matrix with canonical structure.
-
-    Canonical means: within each row the column indices are strictly
-    increasing, and duplicate (row, col) coordinate entries have been
-    merged by summation at construction time.
-    """
-
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_csr", "_t")
-
-    def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        if self.row_offsets.shape != (self.n_rows + 1,):
-            raise ValueError("row_offsets must have length n_rows + 1")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != len(self.values):
-            raise ValueError("row_offsets must start at 0 and end at nnz")
-        if len(self.col_indices) != len(self.values):
-            raise ValueError("col_indices and values must have equal length")
-        for arr in (self.row_offsets, self.col_indices, self.values):
-            arr.flags.writeable = False
-        self._csr = sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.n_rows, self.n_cols),
-        )
-        self._t = None
-
-    @classmethod
-    def from_coo(cls, rows, cols, values, shape) -> SparseMatrix:
-        """Build from coordinate triplets; duplicates are summed."""
-        n_rows, n_cols = shape
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError("row index out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-            raise ValueError("column index out of range")
-        m = sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n_rows, n_cols, m.indptr, m.indices, m.data)
-
-    @classmethod
-    def identity(cls, n) -> SparseMatrix:
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    @classmethod
-    def from_dense(cls, dense) -> SparseMatrix:
-        dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(dense)
-        return cls.from_coo(rows, cols, dense[rows, cols], dense.shape)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self._csr.sum(axis=1)).ravel()
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def transpose(self) -> SparseMatrix:
-        """Transposed copy; cached, since adjacency transposes are reused
-        every backward pass."""
-        if self._t is None:
-            t = self._csr.T.tocsr()
-            t.sort_indices()
-            self._t = SparseMatrix(self.n_cols, self.n_rows, t.indptr, t.indices, t.data)
-        return self._t
-
-    def scale_rows(self, factors) -> SparseMatrix:
-        """Multiply row i by factors[i]."""
-        factors = np.asarray(factors, dtype=np.float64)
-        counts = np.diff(self.row_offsets)
-        values = self.values * np.repeat(factors, counts)
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets, self.col_indices, values)
-
-    def scale_cols(self, factors) -> SparseMatrix:
-        """Multiply column j by factors[j]."""
-        factors = np.asarray(factors, dtype=np.float64)
-        values = self.values * factors[self.col_indices]
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets, self.col_indices, values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def spmm(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse-dense product ``a @ b``; output shape (a.n_rows, b.n_cols)."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(f"dense operand must be 2-D, got shape {b.shape}")
-    if a.n_cols != b.shape[0]:
-        raise ValueError(f"dimension mismatch: ({a.n_rows}, {a.n_cols}) @ {b.shape}")
-    return a._csr @ b
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -142,28 +24,29 @@ def row_norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(m, dtype=np.float64), axis=1)
 
 
-def degree_normalize(a: SparseMatrix, mode: str) -> SparseMatrix:
-    """Degree-normalize a square matrix with D_ii = sum_j a_ij.
+def degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:
+    """Degree-normalize a square CSR matrix with D_ii = sum_j a_ij.
 
     mode 'symmetric' returns D^-1/2 A D^-1/2; mode 'row' returns D^-1 A,
     whose rows each sum to one. Rows with non-positive degree raise,
-    which signals a missing self-loop.
+    which signals a missing self-loop. The sparsity structure is kept.
     """
-    if a.n_rows != a.n_cols:
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
     if mode not in ("symmetric", "row"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    deg = a.row_sums()
+    deg = a.sum(axis=1)
     if np.any(deg <= 0.0):
         bad = int(np.flatnonzero(deg <= 0.0)[0])
         raise NumericError(
             f"row {bad} has degree {deg[bad]}; cannot normalize "
             "(missing self-loop?)"
         )
-    if mode == "row":
-        return a.scale_rows(1.0 / deg)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return a.scale_rows(inv_sqrt).scale_cols(inv_sqrt)
+    f = 1.0 / deg if mode == "row" else 1.0 / np.sqrt(deg)
+    data = a.data * np.repeat(f, np.diff(a.indptr))
+    if mode == "symmetric":
+        data = data * f[a.indices]
+    return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
 def scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjacency import AdjacencyConfig
+from .adjacency import AdjacencyConfig, build_adjacency
 from .configfile import config_from_flat, config_to_flat, format_config, read_config_file
 from .datasets import DatasetDescriptor, load, split
 from .encoder import EmbeddingState, EncoderConfig, forward
@@ -171,14 +173,34 @@ def prepare_pair(cfg: RunConfig) -> GraphPair:
     return dataclasses.replace(pair, alignment=alignment)
 
 
+def _attribute_encoder(cfg: RunConfig, pair: GraphPair) -> EncoderConfig:
+    """The attribute pathway's encoder: the structure encoder at the
+    attribute width."""
+    if pair.attributes_left is None or pair.attributes_right is None:
+        raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
+    return replace(cfg.encoder, dim=pair.attributes_left.attribute_dim)
+
+
+def encode(cfg: RunConfig, pair: GraphPair, adjacencies, state, attr_state=None):
+    """Final embeddings of trained states: ((out_l, out_r), (a_l, a_r)).
+
+    The attribute embeddings are (None, None) without an attribute
+    state. A state whose layout disagrees with the config raises
+    ConfigError.
+    """
+    out_l, out_r, _ = forward(*adjacencies, state, cfg.encoder)
+    if attr_state is None:
+        return (out_l, out_r), (None, None)
+    a_l, a_r, _ = forward(*adjacencies, attr_state, _attribute_encoder(cfg, pair))
+    return (out_l, out_r), (a_l, a_r)
+
+
 def _train_pathways(cfg: RunConfig, pair: GraphPair):
     """Structure training plus the optional independent attribute run.
 
     The propagation matrices contain no trainable parameters, so they
     are built once here and shared by training and final encoding.
     """
-    from .adjacency import build_adjacency
-
     adjacencies = (
         build_adjacency(pair.left, cfg.adjacency),
         build_adjacency(pair.right, cfg.adjacency),
@@ -187,15 +209,10 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair):
     enc_cfg = replace(cfg.encoder, seed=enc_seed)
     train_cfg = replace(cfg.training, seed=train_seed)
     state, losses = train(pair, cfg.adjacency, enc_cfg, train_cfg, adjacencies=adjacencies)
-    out_l, out_r, _ = forward(*adjacencies, state, enc_cfg)
 
     attr_state = None
-    attr_emb = (None, None)
     if cfg.score.beta < 1.0:
-        if pair.attributes_left is None or pair.attributes_right is None:
-            raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
-        attr_dim = pair.attributes_left.attribute_dim
-        attr_enc = replace(cfg.encoder, dim=attr_dim, seed=attr_enc_seed, init=1.0)
+        attr_enc = replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0)
         attr_train = replace(
             cfg.training,
             seed=attr_train_seed,
@@ -212,31 +229,54 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair):
             ),
             adjacencies=adjacencies,
         )
-        a_l, a_r, _ = forward(*adjacencies, attr_state, attr_enc)
-        attr_emb = (a_l, a_r)
-    return state, attr_state, losses, (out_l, out_r), attr_emb
+    return (state, attr_state, losses, *encode(cfg, pair, adjacencies, state, attr_state))
+
+
+def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
+    """The result persisted in run_dir, or None when there is none.
+
+    A report that cannot be read, or was written in another report
+    format, counts as absent: a warning names the reason and the run
+    is recomputed.
+    """
+    report_path = run_dir / "report.json"
+    if not report_path.is_file():
+        return None
+    try:
+        data = json.loads(report_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        warnings.warn(f"{report_path} cannot be read ({exc}); recomputing the run")
+        return None
+    if data.get("format") != REPORT_FORMAT:
+        warnings.warn(
+            f"{report_path} has report format {data.get('format')!r}, "
+            f"expected {REPORT_FORMAT}; recomputing the run"
+        )
+        return None
+    return RunResult(
+        config=cfg,
+        run_dir=run_dir,
+        validation=_opt_report(data["validation"]),
+        test=_opt_report(data["test"]),
+        final_loss=data["final_loss"],
+        resumed=True,
+    )
 
 
 def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResult:
     """Execute one run end to end and persist its artifacts.
 
     Returns the cached result when the run directory already holds a
-    report (unless force is set). Failures persist an error record in
-    the run directory and re-raise.
+    usable report (unless force is set). Failures persist an error
+    record in the run directory and re-raise; a later success removes
+    it.
     """
     runs_root = Path(runs_root)
     run_dir = runs_root / cfg.run_hash()
-    report_path = run_dir / "report.json"
-    if report_path.is_file() and not force:
-        data = json.loads(report_path.read_text(encoding="utf-8"))
-        return RunResult(
-            config=cfg,
-            run_dir=run_dir,
-            validation=_opt_report(data["validation"]),
-            test=_opt_report(data["test"]),
-            final_loss=data["final_loss"],
-            resumed=True,
-        )
+    if not force:
+        cached = _resume(cfg, run_dir)
+        if cached is not None:
+            return cached
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     try:
@@ -268,10 +308,14 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             test=test,
             final_loss=losses[-1] if losses else None,
         )
-        report_path.write_text(
+        # the report marks a complete run, so it appears whole or not at all
+        report_tmp = run_dir / f".report.json.{os.getpid()}.tmp"
+        report_tmp.write_text(
             json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+        os.replace(report_tmp, run_dir / "report.json")
+        (run_dir / "error.json").unlink(missing_ok=True)
         return result
     except Exception as exc:
         category = exc.category if isinstance(exc, KgalignError) else "internal"

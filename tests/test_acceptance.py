@@ -301,7 +301,7 @@ def test_criterion_8_adjacency_variant_equivalence():
             relation_weights=forced,
         )
         count = build_adjacency_unnormalized(g, AdjacencyConfig(variant="count"))
-        worst = max(worst, np.abs(func.to_dense() - count.to_dense()).max())
+        worst = max(worst, np.abs(func.toarray() - count.toarray()).max())
     _check(8, worst <= 1e-12,
            f"unit-score functionality adjacency equals symmetrized counts "
            f"(max abs diff {worst:.1e} over 50 graphs)")

@@ -85,6 +85,14 @@ def test_evaluate_cli_uses_attribute_state(tmp_path, attr_dataset, capsys):
     assert written == result.test.to_dict()
 
 
+def test_evaluate_cli_reproduces_blended_report_test_block(tmp_path, attr_dataset, capsys):
+    result = run_single(attr_config(attr_dataset), tmp_path)
+    assert main(["evaluate", str(result.run_dir)]) == 0
+    written = json.loads((result.run_dir / "evaluation-test-only-test.json").read_text())
+    report = json.loads((result.run_dir / "report.json").read_text())
+    assert written == report["test"]
+
+
 def test_grid_with_worker_pool_matches_sequential(tmp_path):
     flat = {
         "dataset.family": "toy",

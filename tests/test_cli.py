@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
+
+import kgalign
 from kgalign.cli import main
 
 TOY_CONFIG = """\
@@ -116,6 +121,38 @@ def test_evaluate_missing_state_errors(tmp_path, capsys):
     assert "state.npz" in err["message"]
 
 
+def _train_toy(tmp_path, capsys):
+    config = tmp_path / "toy.cfg"
+    config.write_text(TOY_CONFIG, encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["train", str(config), "--runs-root", str(runs)]) == 0
+    capsys.readouterr()
+    return next(p for p in runs.iterdir() if p.is_dir())
+
+
+def test_evaluate_reproduces_report_test_block(tmp_path, capsys):
+    run_dir = _train_toy(tmp_path, capsys)
+    assert main(["evaluate", str(run_dir)]) == 0
+    written = json.loads((run_dir / "evaluation-test-only-test.json").read_text())
+    report = json.loads((run_dir / "report.json").read_text())
+    assert written == report["test"]
+
+
+def test_evaluate_rejects_state_that_disagrees_with_config(tmp_path, capsys):
+    run_dir = _train_toy(tmp_path, capsys)
+    state_path = run_dir / "state.npz"
+    with np.load(state_path) as data:
+        arrays = dict(data)
+    arrays["weight_0"] = np.eye(16)
+    arrays["weight_1"] = np.eye(16)
+    np.savez_compressed(state_path, **arrays)
+    assert main(["evaluate", str(run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "weights" in err["message"]
+    assert not (run_dir / "evaluation-test-only-test.json").exists()
+
+
 def test_grid_command(tmp_path, capsys):
     config = tmp_path / "grid.cfg"
     config.write_text(
@@ -147,11 +184,16 @@ def test_ablate_command(tmp_path, capsys):
 
 
 def test_cli_subprocess_entrypoint(tmp_path):
-    # one end-to-end smoke test through a real process
+    # one end-to-end smoke test through a real process, importing the
+    # same package this test process imported
+    src = str(Path(kgalign.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "kgalign", "stats", "toy", "cycle-6-3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "alignments: 6" in result.stdout

@@ -8,7 +8,7 @@ import pytest
 from kgalign.configfile import parse_config_text
 from kgalign.encoder import EncoderConfig
 from kgalign.errors import ConfigError
-from kgalign.runner import RunConfig, enumerate_grid
+from kgalign.runner import RunConfig, enumerate_grid, run_single
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,3 +83,19 @@ def test_golden_run_hashes():
         "training.optimizer": "sgd",
     }
     assert RunConfig.from_flat(every_optional_key).run_hash() == "6da5efb5588c371f"
+
+
+# The seeded toy run's artifacts, byte for byte; numeric refactors must
+# leave them unchanged.
+def test_golden_toy_run_outputs(tmp_path):
+    result = run_single(RunConfig.from_file(CONFIGS / "toy.cfg"), tmp_path)
+
+    def sha256(name):
+        return hashlib.sha256((result.run_dir / name).read_bytes()).hexdigest()
+
+    assert sha256("report.json") == (
+        "d3a4e468fb3a4d0ca34ab295a34d4ec6d6d82783497d0e872f27391f4c596aee"
+    )
+    assert sha256("loss_trace.tsv") == (
+        "e99bb8d357f94fe0c24201b9d84f157a9d39d88fae22ad44756632272a8894b8"
+    )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
 from kgalign.encoder import (
@@ -9,7 +10,7 @@ from kgalign.encoder import (
     init_state,
 )
 from kgalign.errors import ConfigError, NumericError
-from kgalign.linalg import SparseMatrix, row_l2_normalize
+from kgalign.linalg import row_l2_normalize
 
 from conftest import random_graph
 
@@ -60,7 +61,7 @@ def test_weightless_parameter_count():
 
 
 def test_single_node_identity_propagation():
-    adj = SparseMatrix.identity(1)
+    adj = sp.eye_array(1, format="csr")
     cfg = EncoderConfig(n_layers=1, dim=3, seed=1)
     state = init_state(cfg, 1, 1)
     out_l, _, _ = forward(adj, adj, state, cfg)
@@ -68,7 +69,7 @@ def test_single_node_identity_propagation():
 
 
 def test_fully_mixed_two_nodes_average():
-    adj = SparseMatrix.from_dense(np.full((2, 2), 0.5))
+    adj = sp.csr_array(np.full((2, 2), 0.5))
     cfg = EncoderConfig(n_layers=1, dim=4, seed=2)
     state = init_state(cfg, 2, 2)
     out_l, _, _ = forward(adj, adj, state, cfg)
@@ -99,12 +100,10 @@ def test_activation_schedule_relu_then_identity():
     state = init_state(cfg, 7, 7)
     out_l, _, _ = forward(adj, adj, state, cfg)
 
-    from kgalign.linalg import spmm
-
     h0 = row_l2_normalize(state.features_left)
-    h1 = np.maximum(spmm(adj, h0), 0.0)
+    h1 = np.maximum(adj @ h0, 0.0)
     assert np.all(h1 >= 0.0)
-    expected = spmm(adj, h1)  # identity activation on the last layer
+    expected = adj @ h1  # identity activation on the last layer
     assert np.allclose(out_l, expected, atol=1e-12)
 
 
@@ -118,7 +117,7 @@ def test_permutation_equivariance():
 
     perm = rng.permutation(8)
     p_dense = np.eye(8)[perm]  # row i of output is row perm[i] of input
-    adj_p = SparseMatrix.from_dense(p_dense @ adj.to_dense() @ p_dense.T)
+    adj_p = sp.csr_array(p_dense @ adj.toarray() @ p_dense.T)
     state_p = init_state(cfg, 8, 8)
     state_p.features_left = state.features_left[perm]
     out_lp, _, _ = forward(adj_p, adj, state_p, cfg)
@@ -126,7 +125,7 @@ def test_permutation_equivariance():
 
 
 def test_shape_mismatch_errors():
-    adj = SparseMatrix.identity(3)
+    adj = sp.eye_array(3, format="csr")
     cfg = EncoderConfig(n_layers=1, dim=4, seed=0)
     state = init_state(cfg, 4, 3)  # left features have 4 rows, adj is 3x3
     with pytest.raises(ValueError, match="rows"):
@@ -134,7 +133,7 @@ def test_shape_mismatch_errors():
 
 
 def test_non_finite_output_errors():
-    adj = SparseMatrix.identity(2)
+    adj = sp.eye_array(2, format="csr")
     cfg = EncoderConfig(n_layers=1, dim=2, normalize_features=False, seed=0)
     state = init_state(cfg, 2, 2)
     state.features_left[0, 0] = np.inf
@@ -155,7 +154,7 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradient():
 
 
 def test_single_node_normalization_jacobian():
-    adj = SparseMatrix.identity(1)
+    adj = sp.eye_array(1, format="csr")
     cfg = EncoderConfig(n_layers=1, dim=3, seed=8)
     state = init_state(cfg, 1, 1)
     out_l, out_r, tape = forward(adj, adj, state, cfg, keep_tape=True)
@@ -168,7 +167,7 @@ def test_single_node_normalization_jacobian():
 
 
 def test_tape_config_mismatch_errors():
-    adj = SparseMatrix.identity(2)
+    adj = sp.eye_array(2, format="csr")
     cfg = EncoderConfig(n_layers=1, dim=2, seed=9)
     state = init_state(cfg, 2, 2)
     out_l, out_r, tape = forward(adj, adj, state, cfg, keep_tape=True)
@@ -178,7 +177,7 @@ def test_tape_config_mismatch_errors():
 
 
 def test_state_weights_config_consistency():
-    adj = SparseMatrix.identity(2)
+    adj = sp.eye_array(2, format="csr")
     cfg_w = EncoderConfig(n_layers=1, dim=2, use_weights=True, seed=0)
     state_plain = init_state(EncoderConfig(n_layers=1, dim=2, seed=0), 2, 2)
     with pytest.raises(ConfigError):

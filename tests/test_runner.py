@@ -146,6 +146,52 @@ def test_run_single_persists_failure_record(tmp_path):
     assert "attribute" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda text: text[: len(text) // 2], "cannot be read"),
+        (lambda text: text.replace('"format": 1', '"format": 0'), "format"),
+    ],
+    ids=["truncated", "other-format"],
+)
+def test_run_single_recomputes_unusable_report(tmp_path, damage, reason):
+    cfg = toy_config()
+    first = run_single(cfg, tmp_path)
+    report_path = first.run_dir / "report.json"
+    good = report_path.read_text(encoding="utf-8")
+    report_path.write_text(damage(good), encoding="utf-8")
+    with pytest.warns(UserWarning, match=reason):
+        second = run_single(cfg, tmp_path)
+    assert not second.resumed
+    assert report_path.read_text(encoding="utf-8") == good
+    assert second.test.to_dict() == first.test.to_dict()
+
+
+def test_run_single_leaves_only_its_artifacts(tmp_path):
+    result = run_single(toy_config(), tmp_path)
+    names = sorted(p.name for p in result.run_dir.iterdir())
+    assert names == ["config.txt", "loss_trace.tsv", "report.json", "state.npz"]
+
+
+def test_run_single_clears_stale_error_record(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+
+    cfg = toy_config()
+
+    def broken(_cfg):
+        raise RuntimeError("dataset went away")
+
+    monkeypatch.setattr(runner, "prepare_pair", broken)
+    with pytest.raises(RuntimeError):
+        run_single(cfg, tmp_path)
+    error_path = tmp_path / cfg.run_hash() / "error.json"
+    assert json.loads(error_path.read_text())["category"] == "internal"
+    monkeypatch.undo()
+    result = run_single(cfg, tmp_path, force=True)
+    assert not error_path.exists()
+    assert (result.run_dir / "report.json").is_file()
+
+
 def test_different_seeds_get_different_run_dirs(tmp_path):
     a = toy_config(seed=0)
     b = toy_config(seed=1)
