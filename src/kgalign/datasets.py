@@ -9,9 +9,9 @@ All on-disk files are UTF-8 text with tab-separated columns:
   attributes (optional):  entity_id <TAB> attribute_predicate_label
 
 Trailing whitespace is tolerated; blank lines and wrong column counts are
-rejected with the file and line number. Each dataset family carries a
-manifest of expected file names so that a directory with a drifted
-layout fails loudly instead of loading the wrong thing.
+rejected with the file and line number. FAMILIES lists the file names
+each family ships, so that a directory with a drifted layout fails
+loudly instead of loading the wrong thing.
 
 Entities and relations are re-indexed densely per graph side in id-map
 file order; raw ids survive only inside the label maps.
@@ -19,6 +19,7 @@ file order; raw ids survive only inside the label maps.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,59 +30,28 @@ from .configfile import FLAT_KEY
 from .errors import ConfigError, DataFormatError
 from .graphs import AlignmentSet, AttributeTable, GraphPair, KnowledgeGraph, Role
 
+# The six graph files every family ships.
+_GRAPH_FILES = ("triples_1", "triples_2", "ent_ids_1", "ent_ids_2", "rel_ids_1", "rel_ids_2")
+_SHIPPED_SPLIT = ("sup_ent_ids", "ref_ent_ids")  # train, test
+_WK3L_ALIGNMENT = ("align_1to2", "align_2to1", "triple_align")
+_ATTRIBUTES = ("attrs_1", "attrs_2")
+
+# family -> (subsets, alignment files, optional files). The graph files
+# and the alignment files are required, the optional files may be absent,
+# and any other file is rejected. Checksums, when pinned in a local
+# manifest.json next to the data, are verified as well.
 FAMILIES = {
-    "dbp15k-full": ("fr-en", "ja-en", "zh-en"),
-    "dbp15k-jape": ("fr-en", "ja-en", "zh-en"),
-    "wk3l-15k": ("en-de", "en-fr"),
-    "wk3l-120k": ("en-de", "en-fr"),
-    "dwy100k": ("dbp-wd", "dbp-yg"),
+    "dbp15k-full": (("fr-en", "ja-en", "zh-en"), ("ill_ent_ids",), _ATTRIBUTES),
+    "dbp15k-jape": (("fr-en", "ja-en", "zh-en"), _SHIPPED_SPLIT, _ATTRIBUTES),
+    "wk3l-15k": (("en-de", "en-fr"), _WK3L_ALIGNMENT, ()),
+    "wk3l-120k": (("en-de", "en-fr"), _WK3L_ALIGNMENT, ()),
+    "dwy100k": (("dbp-wd", "dbp-yg"), _SHIPPED_SPLIT, _ATTRIBUTES),
 }
 
 # Table-style shorthand for the dwy100k subsets.
 SUBSET_ALIASES = {"wd": "dbp-wd", "yg": "dbp-yg"}
 
 _TOY_SUBSET = re.compile(r"^cycle-(\d+)-(\d+)$")
-
-# Expected file names per family. 'optional' files may be absent; any
-# other layout is rejected. Checksums, when pinned in a local
-# manifest.json next to the data, are verified as well.
-MANIFEST = {
-    "dbp15k-jape": {
-        "required": [
-            "triples_1", "triples_2", "ent_ids_1", "ent_ids_2",
-            "rel_ids_1", "rel_ids_2", "sup_ent_ids", "ref_ent_ids",
-        ],
-        "optional": ["attrs_1", "attrs_2"],
-    },
-    "dbp15k-full": {
-        "required": [
-            "triples_1", "triples_2", "ent_ids_1", "ent_ids_2",
-            "rel_ids_1", "rel_ids_2", "ill_ent_ids",
-        ],
-        "optional": ["attrs_1", "attrs_2"],
-    },
-    "dwy100k": {
-        "required": [
-            "triples_1", "triples_2", "ent_ids_1", "ent_ids_2",
-            "rel_ids_1", "rel_ids_2", "sup_ent_ids", "ref_ent_ids",
-        ],
-        "optional": ["attrs_1", "attrs_2"],
-    },
-    "wk3l-15k": {
-        "required": [
-            "triples_1", "triples_2", "ent_ids_1", "ent_ids_2",
-            "rel_ids_1", "rel_ids_2", "align_1to2", "align_2to1", "triple_align",
-        ],
-        "optional": [],
-    },
-    "wk3l-120k": {
-        "required": [
-            "triples_1", "triples_2", "ent_ids_1", "ent_ids_2",
-            "rel_ids_1", "rel_ids_2", "align_1to2", "align_2to1", "triple_align",
-        ],
-        "optional": [],
-    },
-}
 
 ATTRIBUTE_VOCABULARY_SIZE = 1000
 
@@ -105,9 +75,10 @@ class DatasetDescriptor:
             return
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown dataset family {self.family!r}")
-        if subset not in FAMILIES[self.family]:
+        subsets = FAMILIES[self.family][0]
+        if subset not in subsets:
             raise ConfigError(
-                f"family {self.family!r} has subsets {FAMILIES[self.family]}, got {subset!r}"
+                f"family {self.family!r} has subsets {subsets}, got {subset!r}"
             )
 
     @property
@@ -146,12 +117,22 @@ class DatasetStatistics:
         }
 
 
-def _read_rows(path: Path, n_cols: int) -> list[tuple]:
-    """Tab-separated integer rows; last column may be text for id maps."""
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataFormatError("file not found", path=path)
+    except UnicodeDecodeError as exc:
+        line_no = exc.object[: exc.start].count(b"\n") + 1
+        raise DataFormatError("not valid UTF-8", path=path, line_no=line_no)
+
+
+def _read_rows(path: Path, n_cols: int) -> list[list[str]]:
+    """The columns of each line, the whole file checked up front.
+
+    Blank lines are rejected, so row i is line i + 1.
+    """
+    text = _read_text(path)
     rows = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if raw == "" and line_no == text.count("\n") + 1:
@@ -166,80 +147,54 @@ def _read_rows(path: Path, n_cols: int) -> list[tuple]:
                 path=path,
                 line_no=line_no,
             )
-        rows.append((line_no, parts))
+        rows.append(parts)
     return rows
 
 
-def _parse_int(token: str, path: Path, line_no: int) -> int:
+def _read_ids(path: Path, columns, labelled: bool = False) -> list[list]:
+    """The columns of an integer table, each a list in file order.
+
+    A column is None, which keeps the raw integer, or an (id map,
+    message) pair, which replaces each raw id by its dense index and
+    rejects an id the map lacks with the message. With labelled, each
+    row ends in one more, free-text column, returned last as is. The
+    first offending line raises; within a line every id is parsed before
+    any is looked up.
+    """
+    rows = _read_rows(path, len(columns) + labelled)
     try:
-        return int(token)
-    except ValueError:
-        raise DataFormatError(f"non-integer id {token!r}", path=path, line_no=line_no)
+        out = []
+        for j, column in enumerate(columns):
+            values = list(map(int, (parts[j] for parts in rows)))
+            out.append(values if column is None else list(map(column[0].__getitem__, values)))
+    except (ValueError, KeyError):  # find the first offending line
+        for line_no, parts in enumerate(rows, start=1):
+            values = []
+            for token in parts[: len(columns)]:
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    raise DataFormatError(f"non-integer id {token!r}", path=path, line_no=line_no)
+            for value, column in zip(values, columns):
+                if column is not None and value not in column[0]:
+                    raise DataFormatError(f"{column[1]} {value}", path=path, line_no=line_no)
+        raise
+    if labelled:
+        out.append([parts[-1] for parts in rows])
+    return out
 
 
 def _load_id_map(path: Path) -> tuple[dict[int, int], dict[int, str]]:
     """Raw id -> dense index (file order) and dense index -> label."""
+    raw_ids, labels = _read_ids(path, [None], labelled=True)
     raw_to_dense: dict[int, int] = {}
-    labels: dict[int, str] = {}
-    for line_no, parts in _read_rows(path, 2):
-        raw = _parse_int(parts[0], path, line_no)
+    for dense, raw in enumerate(raw_ids):
         if raw in raw_to_dense:
-            raise DataFormatError(f"duplicate id {raw}", path=path, line_no=line_no)
-        dense = len(raw_to_dense)
+            raise DataFormatError(f"duplicate id {raw}", path=path, line_no=dense + 1)
         raw_to_dense[raw] = dense
-        labels[dense] = parts[1]
     if not raw_to_dense:
         raise DataFormatError("empty id map", path=path)
-    return raw_to_dense, labels
-
-
-def _load_triples(path: Path, ent_map: dict[int, int], rel_map: dict[int, int]) -> np.ndarray:
-    rows = _read_rows(path, 3)
-    if not rows:
-        raise DataFormatError("empty triples file", path=path)
-    out = np.empty((len(rows), 3), dtype=np.int64)
-    for i, (line_no, parts) in enumerate(rows):
-        h = _parse_int(parts[0], path, line_no)
-        r = _parse_int(parts[1], path, line_no)
-        t = _parse_int(parts[2], path, line_no)
-        try:
-            out[i, 0] = ent_map[h]
-        except KeyError:
-            raise DataFormatError(f"unknown entity id {h}", path=path, line_no=line_no)
-        try:
-            out[i, 1] = rel_map[r]
-        except KeyError:
-            raise DataFormatError(f"unknown relation id {r}", path=path, line_no=line_no)
-        try:
-            out[i, 2] = ent_map[t]
-        except KeyError:
-            raise DataFormatError(f"unknown entity id {t}", path=path, line_no=line_no)
-    return out
-
-
-def _load_alignment_file(
-    path: Path, left_map: dict[int, int], right_map: dict[int, int]
-) -> list[tuple[int, int]]:
-    pairs = []
-    for line_no, parts in _read_rows(path, 2):
-        l = _parse_int(parts[0], path, line_no)
-        r = _parse_int(parts[1], path, line_no)
-        if l not in left_map:
-            raise DataFormatError(f"dangling alignment id {l}", path=path, line_no=line_no)
-        if r not in right_map:
-            raise DataFormatError(f"dangling alignment id {r}", path=path, line_no=line_no)
-        pairs.append((left_map[l], right_map[r]))
-    return pairs
-
-
-def _load_attributes(path: Path, ent_map: dict[int, int]) -> dict[int, list[str]]:
-    by_entity: dict[int, list[str]] = {}
-    for line_no, parts in _read_rows(path, 2):
-        e = _parse_int(parts[0], path, line_no)
-        if e not in ent_map:
-            raise DataFormatError(f"unknown entity id {e}", path=path, line_no=line_no)
-        by_entity.setdefault(ent_map[e], []).append(parts[1])
-    return by_entity
+    return raw_to_dense, dict(enumerate(labels))
 
 
 def build_attribute_tables(
@@ -285,15 +240,16 @@ def build_attribute_tables(
 
 
 def _verify_manifest(desc: DatasetDescriptor, root: Path) -> None:
-    expected = MANIFEST[desc.family]
-    missing = [name for name in expected["required"] if not (root / name).is_file()]
+    _, alignment_files, optional_files = FAMILIES[desc.family]
+    required = [*_GRAPH_FILES, *alignment_files]
+    missing = [name for name in required if not (root / name).is_file()]
     if missing:
         raise DataFormatError(
             f"dataset layout for family {desc.family!r} requires files "
-            f"{expected['required']}; missing {missing}",
+            f"{required}; missing {missing}",
             path=root,
         )
-    known = set(expected["required"]) | set(expected["optional"]) | {"manifest.json"}
+    known = {*required, *optional_files, "manifest.json"}
     extras = sorted(
         p.name for p in root.iterdir() if p.is_file() and p.name not in known
     )
@@ -303,24 +259,33 @@ def _verify_manifest(desc: DatasetDescriptor, root: Path) -> None:
             "guess a drifted layout",
             path=root,
         )
-    checksums = _local_checksums(root)
-    for name, expected in checksums.items():
-        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
-        if actual != expected:
+    for name, pinned in _local_checksums(root).items():
+        if not (root / name).is_file():
             raise DataFormatError(
-                f"checksum mismatch for {name}: manifest pins {expected}, file has {actual}",
+                f"pins a checksum for {name}, which is missing", path=root / "manifest.json"
+            )
+        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        if actual != pinned:
+            raise DataFormatError(
+                f"checksum mismatch for {name}: manifest pins {pinned}, file has {actual}",
                 path=root,
             )
 
 
-def _local_checksums(root: Path) -> dict[str, str]:
-    manifest = root / "manifest.json"
-    if not manifest.is_file():
+def _local_checksums(root: Path) -> dict:
+    path = root / "manifest.json"
+    if not path.is_file():
         return {}
-    import json
-
-    data = json.loads(manifest.read_text(encoding="utf-8"))
-    return dict(data.get("sha256", {}))
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"not valid JSON: {exc.msg}", path=path, line_no=exc.lineno)
+    checksums = data.get("sha256", {}) if isinstance(data, dict) else None
+    if not isinstance(checksums, dict):
+        raise DataFormatError(
+            'expected a JSON object whose "sha256" maps file names to digests', path=path
+        )
+    return checksums
 
 
 def symmetrize_wk3l(
@@ -378,26 +343,6 @@ def symmetrize_wk3l(
     return AlignmentSet.from_records((l, r, Role.TRAIN) for l, r in kept)
 
 
-def _load_aligned_triples(path: Path, left_map, right_map):
-    out = []
-    for line_no, parts in _read_rows(path, 6):
-        vals = [_parse_int(p, path, line_no) for p in parts]
-        h1, r1, t1, h2, r2, t2 = vals
-        for e in (h1, t1):
-            if e not in left_map:
-                raise DataFormatError(f"dangling entity id {e}", path=path, line_no=line_no)
-        for e in (h2, t2):
-            if e not in right_map:
-                raise DataFormatError(f"dangling entity id {e}", path=path, line_no=line_no)
-        out.append(
-            (
-                (left_map[h1], r1, left_map[t1]),
-                (right_map[h2], r2, right_map[t2]),
-            )
-        )
-    return out
-
-
 def load(desc: DatasetDescriptor) -> GraphPair:
     """Load a dataset into a densely re-indexed GraphPair.
 
@@ -415,47 +360,51 @@ def load(desc: DatasetDescriptor) -> GraphPair:
         raise DataFormatError("dataset directory does not exist", path=root)
     _verify_manifest(desc, root)
 
-    ent_map_1, ent_labels_1 = _load_id_map(root / "ent_ids_1")
-    ent_map_2, ent_labels_2 = _load_id_map(root / "ent_ids_2")
-    rel_map_1, rel_labels_1 = _load_id_map(root / "rel_ids_1")
-    rel_map_2, rel_labels_2 = _load_id_map(root / "rel_ids_2")
-    left = KnowledgeGraph(
-        entity_count=len(ent_map_1),
-        relation_count=len(rel_map_1),
-        triples=_load_triples(root / "triples_1", ent_map_1, rel_map_1),
-        entity_labels=ent_labels_1,
-        relation_labels=rel_labels_1,
-    )
-    right = KnowledgeGraph(
-        entity_count=len(ent_map_2),
-        relation_count=len(rel_map_2),
-        triples=_load_triples(root / "triples_2", ent_map_2, rel_map_2),
-        entity_labels=ent_labels_2,
-        relation_labels=rel_labels_2,
-    )
+    ents = [_load_id_map(root / f"ent_ids_{k}") for k in (1, 2)]
+    rels = [_load_id_map(root / f"rel_ids_{k}") for k in (1, 2)]
+    graphs = []
+    for k, (ent_map, ent_labels), (rel_map, rel_labels) in zip((1, 2), ents, rels):
+        path = root / f"triples_{k}"
+        entity = (ent_map, "unknown entity id")
+        triples = np.transpose(_read_ids(path, [entity, (rel_map, "unknown relation id"), entity]))
+        if len(triples) == 0:
+            raise DataFormatError("empty triples file", path=path)
+        graphs.append(KnowledgeGraph(len(ent_map), len(rel_map), triples, ent_labels, rel_labels))
+    left, right = graphs
+    (ent_1, ent_labels_1), (ent_2, ent_labels_2) = ents
 
-    if desc.family in ("dbp15k-jape", "dwy100k"):
-        train = _load_alignment_file(root / "sup_ent_ids", ent_map_1, ent_map_2)
-        test = _load_alignment_file(root / "ref_ent_ids", ent_map_1, ent_map_2)
-        records = [(l, r, Role.TRAIN) for l, r in train]
-        records += [(l, r, Role.TEST) for l, r in test]
-        alignment = AlignmentSet.from_records(records)
-    elif desc.family == "dbp15k-full":
-        pairs = _load_alignment_file(root / "ill_ent_ids", ent_map_1, ent_map_2)
-        alignment = AlignmentSet.from_records((l, r, Role.TRAIN) for l, r in pairs)
-    else:  # wk3l families
-        lr = _load_alignment_file(root / "align_1to2", ent_map_1, ent_map_2)
-        rl = _load_alignment_file(root / "align_2to1", ent_map_2, ent_map_1)
-        triples = _load_aligned_triples(root / "triple_align", ent_map_1, ent_map_2)
-        alignment = symmetrize_wk3l(lr, rl, triples, ent_labels_1, ent_labels_2)
+    def pairs(name, left_map=ent_1, right_map=ent_2):
+        dangling = "dangling alignment id"
+        return list(zip(*_read_ids(root / name, [(left_map, dangling), (right_map, dangling)])))
+
+    alignment_files = FAMILIES[desc.family][1]
+    if alignment_files == _WK3L_ALIGNMENT:
+        lr = pairs("align_1to2")
+        rl = pairs("align_2to1", ent_2, ent_1)
+        h, t = (ent_1, "dangling entity id"), (ent_2, "dangling entity id")
+        h1, r1, t1, h2, r2, t2 = _read_ids(root / "triple_align", [h, None, h, t, None, t])
+        aligned_triples = list(zip(zip(h1, r1, t1), zip(h2, r2, t2)))
+        alignment = symmetrize_wk3l(lr, rl, aligned_triples, ent_labels_1, ent_labels_2)
+    else:  # a shipped train/test split, or one unsplit file of train pairs
+        alignment = AlignmentSet.from_records(
+            (l, r, role)
+            for name, role in zip(alignment_files, (Role.TRAIN, Role.TEST))
+            for l, r in pairs(name)
+        )
 
     attrs_left = attrs_right = None
-    if (root / "attrs_1").is_file() and (root / "attrs_2").is_file():
+    if all((root / name).is_file() for name in _ATTRIBUTES):
+        by_entity = []
+        for name, ent_map in zip(_ATTRIBUTES, (ent_1, ent_2)):
+            attrs: dict[int, list[str]] = {}
+            entities, predicates = _read_ids(
+                root / name, [(ent_map, "unknown entity id")], labelled=True
+            )
+            for e, predicate in zip(entities, predicates):
+                attrs.setdefault(e, []).append(predicate)
+            by_entity.append(attrs)
         attrs_left, attrs_right = build_attribute_tables(
-            _load_attributes(root / "attrs_1", ent_map_1),
-            _load_attributes(root / "attrs_2", ent_map_2),
-            left.entity_count,
-            right.entity_count,
+            *by_entity, left.entity_count, right.entity_count
         )
     return GraphPair(
         left=left,

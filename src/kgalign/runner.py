@@ -278,6 +278,8 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
         if cached is not None:
             return cached
     run_dir.mkdir(parents=True, exist_ok=True)
+    # a recompute that fails must not leave the old report to resume from
+    (run_dir / "report.json").unlink(missing_ok=True)
     (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
     try:
         pair = prepare_pair(cfg)
@@ -506,15 +508,12 @@ def run_ablation(
     runs_root: Path,
     n_seeds: int | None = None,
     cells=ABLATION_CELLS,
-    cell_overrides: dict | None = None,
     use_tuned: bool = True,
 ) -> list[AblationCell]:
     """Seed-aggregated results for every dataset and ablation cell.
 
     Hyperparameters per cell come from the tuned presets unless
-    use_tuned is off (then the base config's values apply everywhere);
-    cell_overrides maps (use_weights, init_preset) to extra dotted-key
-    overrides, letting grid winners replace the presets.
+    use_tuned is off (then the base config's values apply everywhere).
     """
     runs_root = Path(runs_root)
     n = n_seeds if n_seeds is not None else base.n_seeds
@@ -550,8 +549,6 @@ def run_ablation(
                         "encoder.n_layers": params["n_layers"],
                     },
                 )
-            if cell_overrides and (use_weights, init_preset) in cell_overrides:
-                cfg = apply_overrides(cfg, cell_overrides[(use_weights, init_preset)])
             reports = []
             hashes = []
             for s in range(n):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kgalign
 from kgalign.cli import main
@@ -50,6 +51,26 @@ def test_stats_missing_dataset_exit_code(capsys):
     assert code == 3  # dataset category
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "dataset"
+
+
+@pytest.mark.parametrize(
+    "name, content, culprit",
+    [
+        ("ent_ids_1", b"10\te:\xff\n", "ent_ids_1:1"),
+        ("manifest.json", b"{not json", "manifest.json"),
+        ("manifest.json", b"[]", "manifest.json"),
+        ("manifest.json", b'{"sha256": ["triples_1"]}', "manifest.json"),
+        ("manifest.json", b'{"sha256": {"attrs_1": "00"}}', "attrs_1"),
+    ],
+    ids=["non-utf8", "manifest-not-json", "manifest-not-object",
+         "manifest-sha256-not-mapping", "manifest-pins-absent-file"],
+)
+def test_stats_unreadable_dataset_file_exit_code(jape_style_dir, capsys, name, content, culprit):
+    (jape_style_dir / name).write_bytes(content)
+    code = main(["stats", "dbp15k-jape", "zh-en", "--root", str(jape_style_dir)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["error"] == "dataset"
+    assert culprit in err["message"]
 
 
 def test_train_and_evaluate_cycle(tmp_path, capsys):

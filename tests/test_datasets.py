@@ -164,6 +164,61 @@ def test_load_wk3l_symmetrizes(tmp_path):
     assert validate_pair(pair) == []
 
 
+def test_load_dwy100k_shipped_split(jape_style_dir):
+    # dwy100k ships the same sup/ref split files as dbp15k-jape
+    pair = load(DatasetDescriptor("dwy100k", "wd", root_path=jape_style_dir))
+    assert validate_pair(pair) == []
+    assert pair.alignment.train_pairs.tolist() == [[0, 0], [1, 1]]
+    assert pair.alignment.test_pairs.tolist() == [[2, 2], [3, 3]]
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("ent_ids_1", "10\te:a\n11\te:b\n10\te:c\n", r"ent_ids_1:3: duplicate id 10$"),
+        ("rel_ids_2", "", r"rel_ids_2: empty id map$"),
+        ("triples_1", "10\t100\t11\n11\t100\t99\n", r"triples_1:2: unknown entity id 99$"),
+        ("triples_1", "10\t100\t11\n11\t999\t12\n", r"triples_1:2: unknown relation id 999$"),
+        ("attrs_1", "10\tpop\n77\tpop\n", r"attrs_1:2: unknown entity id 77$"),
+    ],
+    ids=["duplicate-id", "empty-id-map", "unknown-entity", "unknown-relation", "attribute-entity"],
+)
+def test_load_bad_id_names_file_and_line(jape_style_dir, name, text, message):
+    (jape_style_dir / "attrs_1").write_text("10\tpop\n", encoding="utf-8")
+    (jape_style_dir / "attrs_2").write_text("20\tpop\n", encoding="utf-8")
+    (jape_style_dir / name).write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message):
+        load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
+
+
+def test_load_wk3l_dangling_triple_alignment_errors(tmp_path):
+    root = _wk3l_dir(tmp_path)
+    (root / "triple_align").write_text("1\t0\t2\t11\t5\t99\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"triple_align:1: dangling entity id 99$"):
+        load(DatasetDescriptor("wk3l-15k", "en-de", root_path=root))
+
+
+def test_load_crlf_files_like_lf(jape_style_dir, tmp_path):
+    (jape_style_dir / "attrs_1").write_text("10\tpop\n11\tarea\n", encoding="utf-8")
+    (jape_style_dir / "attrs_2").write_text("20\tpop\n", encoding="utf-8")
+    crlf_dir = tmp_path / "crlf"
+    crlf_dir.mkdir()
+    for path in jape_style_dir.iterdir():
+        text = path.read_text(encoding="utf-8")
+        (crlf_dir / path.name).write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf = load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
+    crlf = load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=crlf_dir))
+    for side in ("left", "right"):
+        a, b = getattr(lf, side), getattr(crlf, side)
+        assert np.array_equal(a.triples, b.triples)
+        assert a.entity_labels == b.entity_labels
+        assert a.relation_labels == b.relation_labels
+    assert np.array_equal(lf.alignment.pairs, crlf.alignment.pairs)
+    assert np.array_equal(lf.alignment.roles, crlf.alignment.roles)
+    assert np.array_equal(lf.attributes_left.features, crlf.attributes_left.features)
+    assert lf.attributes_left.column_labels == crlf.attributes_left.column_labels == ("area", "pop")
+
+
 def test_symmetrize_orientation_merge():
     # (a -> x) in one file and (x -> a) in the other is one pair
     out = symmetrize_wk3l([(0, 5)], [(5, 0)], [])

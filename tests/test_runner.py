@@ -192,6 +192,24 @@ def test_run_single_clears_stale_error_record(tmp_path, monkeypatch):
     assert (result.run_dir / "report.json").is_file()
 
 
+def test_failed_forced_rerun_does_not_leave_stale_report(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+
+    cfg = toy_config()
+    first = run_single(cfg, tmp_path)
+
+    def broken(_cfg):
+        raise RuntimeError("dataset went away")
+
+    monkeypatch.setattr(runner, "prepare_pair", broken)
+    with pytest.raises(RuntimeError):
+        run_single(cfg, tmp_path, force=True)
+    assert not (first.run_dir / "report.json").exists()
+    assert (first.run_dir / "error.json").is_file()
+    monkeypatch.undo()
+    assert run_single(cfg, tmp_path).resumed is False
+
+
 def test_different_seeds_get_different_run_dirs(tmp_path):
     a = toy_config(seed=0)
     b = toy_config(seed=1)
