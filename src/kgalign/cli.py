@@ -19,6 +19,7 @@ from .evaluation import evaluate
 from .graphs import Role
 from .runner import (
     RunConfig,
+    _write_atomic,
     ablation_table,
     encode,
     load_state,
@@ -111,7 +112,7 @@ def cmd_evaluate(args) -> int:
     )
     print(report.to_text())
     out_name = f"evaluation-{report.candidate_policy}-{report.split}.json"
-    (run_dir / out_name).write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_atomic(run_dir / out_name, report.to_json() + "\n")
     print(f"written: {run_dir / out_name}")
     return 0
 

@@ -393,7 +393,13 @@ def load(desc: DatasetDescriptor) -> GraphPair:
         )
 
     attrs_left = attrs_right = None
-    if all((root / name).is_file() for name in _ATTRIBUTES):
+    present = [(root / name).is_file() for name in _ATTRIBUTES]
+    if any(present) and not all(present):
+        lone, partner = _ATTRIBUTES if present[0] else _ATTRIBUTES[::-1]
+        raise DataFormatError(
+            f"{lone} needs its partner file {partner}, which is missing", path=root
+        )
+    if all(present):
         by_entity = []
         for name, ent_map in zip(_ATTRIBUTES, (ent_1, ent_2)):
             attrs: dict[int, list[str]] = {}

@@ -10,6 +10,8 @@ much tie placement could move the mean rank.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +201,11 @@ def _ranks_one_direction(
     the full query-candidate distance matrix is never materialized.
 
     candidates must be sorted ascending by entity index. Returns the
-    deterministic ranks plus optimistic/pessimistic tie bounds.
+    deterministic ranks plus optimistic/pessimistic tie bounds. The
+    blocks are independent and cdist releases the GIL, so they run on a
+    thread pool with one thread per core of the process's CPU affinity
+    (per CPU where the platform has no affinity call). The result does
+    not depend on the thread count.
     """
     truths = np.asarray(truths, dtype=np.int64)
     nq = query_emb.shape[0]
@@ -210,24 +216,41 @@ def _ranks_one_direction(
         bad = int(np.flatnonzero(~in_range | (candidates[np.minimum(truth_pos, len(candidates) - 1)] != truths))[0])
         raise ValueError(f"truth entity {truths[bad]} missing from candidate set")
 
+    # candidates are sorted, so "candidate index < truth" is "column < truth_pos"
+    columns = np.arange(len(candidates))
     ranks = np.empty(nq, dtype=np.int64)
     optimistic = np.empty(nq, dtype=np.int64)
     pessimistic = np.empty(nq, dtype=np.int64)
-    for lo in range(0, nq, block):
+
+    def rank_block(lo):
         hi = min(lo + block, nq)
-        dist = cfg.beta / d * cdist(query_emb[lo:hi], cand_emb, "cityblock")
+        dist = cdist(query_emb[lo:hi], cand_emb, "cityblock")
+        dist *= cfg.beta / d
         if cfg.beta < 1.0:
-            dist += (1.0 - cfg.beta) / query_attr.shape[1] * cdist(
-                query_attr[lo:hi], cand_attr, "cityblock"
-            )
-        scores = -dist
-        s_t = scores[np.arange(hi - lo), truth_pos[lo:hi]]
-        better = (scores > s_t[:, None]).sum(axis=1)
-        tied = scores == s_t[:, None]  # includes the truth itself
-        tied_before = (tied & (candidates[None, :] < truths[lo:hi, None])).sum(axis=1)
+            attr = cdist(query_attr[lo:hi], cand_attr, "cityblock")
+            attr *= (1.0 - cfg.beta) / query_attr.shape[1]
+            dist += attr
+        # a higher score is a smaller distance: -a > -b is exactly a < b
+        d_t = dist[np.arange(hi - lo), truth_pos[lo:hi]][:, None]
+        better = (dist < d_t).sum(axis=1)
+        tied = dist == d_t  # includes the truth itself
+        tied_before = (tied & (columns < truth_pos[lo:hi, None])).sum(axis=1)
         ranks[lo:hi] = better + tied_before + 1
         optimistic[lo:hi] = better + 1
         pessimistic[lo:hi] = better + tied.sum(axis=1)
+
+    starts = range(0, nq, block)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # the affinity call is absent on macOS and Windows
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(starts))
+    if workers <= 1:
+        for lo in starts:
+            rank_block(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(rank_block, starts))  # re-raises a block's exception
     return ranks, optimistic, pessimistic
 
 

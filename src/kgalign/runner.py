@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -263,6 +264,14 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     )
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary sibling and os.replace, so
+    a reader sees the old file or the whole new one, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResult:
     """Execute one run end to end and persist its artifacts.
 
@@ -311,12 +320,10 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             final_loss=losses[-1] if losses else None,
         )
         # the report marks a complete run, so it appears whole or not at all
-        report_tmp = run_dir / f".report.json.{os.getpid()}.tmp"
-        report_tmp.write_text(
+        _write_atomic(
+            run_dir / "report.json",
             json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
-        os.replace(report_tmp, run_dir / "report.json")
         (run_dir / "error.json").unlink(missing_ok=True)
         return result
     except Exception as exc:
@@ -325,9 +332,10 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             "category": category,
             "message": str(exc),
             "config": cfg.to_flat(),
+            "traceback": traceback.format_exc(),
         }
-        (run_dir / "error.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        _write_atomic(
+            run_dir / "error.json", json.dumps(record, indent=2, sort_keys=True) + "\n"
         )
         raise
 
@@ -429,18 +437,11 @@ def run_grid(
         cell: apply_overrides(cfg, {"save_state": True, "evaluate_test": True})
         for cell, (_, cfg) in best.items()
     }
-    best_path = runs_root / "grid_best.json"
-    best_path.write_text(
-        json.dumps(
-            {
-                f"weights={int(c[0])},init={c[1]}": cfg.to_flat()
-                for c, cfg in best_cfgs.items()
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    best_flat = {
+        f"weights={int(c[0])},init={c[1]}": cfg.to_flat() for c, cfg in best_cfgs.items()
+    }
+    _write_atomic(
+        runs_root / "grid_best.json", json.dumps(best_flat, indent=2, sort_keys=True) + "\n"
     )
     return GridResult(
         best_per_cell=best_cfgs,

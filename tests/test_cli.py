@@ -73,6 +73,18 @@ def test_stats_unreadable_dataset_file_exit_code(jape_style_dir, capsys, name, c
     assert culprit in err["message"]
 
 
+@pytest.mark.parametrize(
+    "lone, partner", [("attrs_1", "attrs_2"), ("attrs_2", "attrs_1")],
+    ids=["attrs_1-only", "attrs_2-only"],
+)
+def test_stats_lone_attribute_file_exit_code(jape_style_dir, capsys, lone, partner):
+    (jape_style_dir / lone).write_text("10\tpop\n", encoding="utf-8")
+    code = main(["stats", "dbp15k-jape", "zh-en", "--root", str(jape_style_dir)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["error"] == "dataset"
+    assert f"{lone} needs its partner file {partner}" in err["message"]
+
+
 def test_train_and_evaluate_cycle(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG, encoding="utf-8")

@@ -222,3 +222,118 @@ def test_evaluate_blended_matches_per_query_scores():
     expected = metrics_from_ranks(np.array(ranks))
     assert report.left_to_right.mean_rank == pytest.approx(expected.mean_rank)
     assert report.left_to_right.mrr == pytest.approx(expected.mrr)
+
+
+def _tied_pair(n=1400, n_test=1300, seed=12):
+    """A pair whose test split spans three 512-row ranking blocks, with
+    integer-valued embeddings so that ties are common. The widths (4 and
+    2) and the betas used with it are powers of two or exact binary
+    fractions, so every distance is exact whatever the order of the
+    arithmetic, and the oracle and the kernel see the same ties."""
+    rng = np.random.default_rng(seed)
+    left = KnowledgeGraph(n, 1, [(0, 0, 1)])
+    right = KnowledgeGraph(n, 1, [(0, 0, 1)])
+    order = rng.permutation(n)
+    right_ids = rng.permutation(n)
+    records = [
+        (int(i), int(right_ids[i]), Role.TEST if k < n_test else Role.TRAIN)
+        for k, i in enumerate(order)
+    ]
+    pair = GraphPair(left, right, AlignmentSet.from_records(records))
+    emb = [rng.integers(0, 3, size=(n, 4)).astype(float) for _ in range(2)]
+    attr = [rng.integers(0, 2, size=(n, 2)).astype(float) for _ in range(2)]
+    return pair, emb, attr
+
+
+def _oracle_direction(queries, truths, candidates, emb_q, emb_c, attr_q, attr_c, cfg):
+    """Per-query rank_of over scores that follow score()'s formula, plus
+    the tie bounds counted from the same scores."""
+    ranks, optimistic, pessimistic = [], [], []
+    for q, t in zip(queries, truths):
+        scores = -(cfg.beta * np.abs(emb_q[q] - emb_c[candidates]).sum(axis=1) / emb_q.shape[1])
+        if cfg.beta < 1.0:
+            scores -= (1.0 - cfg.beta) * np.abs(attr_q[q] - attr_c[candidates]).sum(axis=1) / attr_q.shape[1]
+        ranks.append(rank_of(q, t, candidates, scores))
+        s_t = scores[np.flatnonzero(candidates == t)[0]]
+        better = int((scores > s_t).sum())
+        optimistic.append(better + 1)
+        pessimistic.append(better + int((scores == s_t).sum()))
+    return ranks, np.array(optimistic), np.array(pessimistic)
+
+
+def _assert_matches_oracle(report, pair, emb, attr, cfg, policy):
+    test_pairs = pair.alignment.test_pairs
+    (emb_l, emb_r), (attr_l, attr_r) = emb, attr
+    for name, q_col, t_col, embs, attrs, n_cand in (
+        ("left_to_right", 0, 1, (emb_l, emb_r), (attr_l, attr_r), pair.right.entity_count),
+        ("right_to_left", 1, 0, (emb_r, emb_l), (attr_r, attr_l), pair.left.entity_count),
+    ):
+        if policy == "test-only":
+            candidates = np.unique(test_pairs[:, t_col])
+        else:
+            candidates = np.arange(n_cand)
+        # the scalar reference agrees with the vectorized oracle scores
+        q, c = test_pairs[0, q_col], candidates[-1]
+        assert score(embs[0][q], embs[1][c], cfg, attrs[0][q], attrs[1][c]) == -(
+            cfg.beta * np.abs(embs[0][q] - embs[1][c]).sum() / 4
+            + (1.0 - cfg.beta) * np.abs(attrs[0][q] - attrs[1][c]).sum() / 2
+        )
+        ranks, optimistic, pessimistic = _oracle_direction(
+            test_pairs[:, q_col], test_pairs[:, t_col], candidates, *embs, *attrs, cfg
+        )
+        assert report.direction(name).to_dict() == metrics_from_ranks(np.array(ranks)).to_dict()
+        assert report.tie_diagnostics[name] == {
+            "mean_rank_optimistic": float(optimistic.mean()),
+            "mean_rank_pessimistic": float(pessimistic.mean()),
+        }
+        assert (pessimistic > optimistic).any()  # ties do occur
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.75])
+@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
+def test_evaluate_across_blocks_matches_oracle(beta, policy):
+    pair, emb, attr = _tied_pair()
+    assert len(pair.alignment.test_pairs) > 2 * 512
+    cfg = ScoreConfig(beta=beta)
+    report = evaluate(
+        *emb, pair, cfg, policy=policy,
+        attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+    )
+    _assert_matches_oracle(report, pair, emb, attr, cfg, policy)
+
+
+def test_evaluate_report_independent_of_thread_count(monkeypatch):
+    import os
+    import sys
+
+    import kgalign.evaluation as evaluation
+
+    pools = []
+
+    class RecordingPool(evaluation.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    pair, emb, attr = _tied_pair()
+    cfg = ScoreConfig(beta=0.75)
+    texts = []
+    # eight CPUs give one thread per block, three, more than this
+    # machine may have; a short switch interval interleaves them densely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus, expected_pools in (({0}, []), ({0, 1}, [2, 2]), (set(range(8)), [3, 3])):
+            pools.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            report = evaluate(
+                *emb, pair, cfg,
+                attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+            )
+            assert pools == expected_pools  # one pool per direction, none on one core
+            texts.append(report.to_json())
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts[0] == texts[1] == texts[2]
+    _assert_matches_oracle(report, pair, emb, attr, cfg, "test-only")

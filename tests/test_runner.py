@@ -173,6 +173,45 @@ def test_run_single_leaves_only_its_artifacts(tmp_path):
     assert names == ["config.txt", "loss_trace.tsv", "report.json", "state.npz"]
 
 
+def test_grid_and_evaluate_leave_no_temp_files(tmp_path, capsys):
+    from kgalign.cli import main
+
+    # the beta = 0.5 runs fail on the attribute-less toy, so every
+    # atomically written file kind appears: report, error record,
+    # grid_best.json and the evaluate command's output
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5,
+                         "training.n_epochs": 5})
+    result = run_grid(base, tmp_path / "grid", axes={"score.beta": [1.0, 0.5]})
+    assert result.n_failures == 4
+    run_dir = run_single(toy_config(), tmp_path / "single").run_dir
+    assert main(["evaluate", str(run_dir)]) == 0
+    capsys.readouterr()
+    names = {p.name for p in tmp_path.rglob("*")}
+    assert {"report.json", "error.json", "grid_best.json",
+            "evaluation-test-only-test.json"} <= names
+    assert [n for n in names if n.endswith(".tmp")] == []
+
+
+def test_error_record_carries_traceback(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+
+    cfg = toy_config()
+
+    def broken_prepare_pair(_cfg):
+        raise RuntimeError("dataset went away")
+
+    monkeypatch.setattr(runner, "prepare_pair", broken_prepare_pair)
+    with pytest.raises(RuntimeError):
+        run_single(cfg, tmp_path)
+    record = json.loads((tmp_path / cfg.run_hash() / "error.json").read_text())
+    assert sorted(record) == ["category", "config", "message", "traceback"]
+    assert record["category"] == "internal"
+    assert record["message"] == "dataset went away"
+    assert record["config"] == cfg.to_flat()
+    assert "in broken_prepare_pair" in record["traceback"]
+    assert record["traceback"].endswith("RuntimeError: dataset went away\n")
+
+
 def test_run_single_clears_stale_error_record(tmp_path, monkeypatch):
     import kgalign.runner as runner
 
