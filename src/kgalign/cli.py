@@ -11,22 +11,21 @@ import json
 import sys
 from pathlib import Path
 
-from .adjacency import build_adjacency
 from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .errors import ConfigError, KgalignError
-from .evaluation import evaluate
+from .evaluation import DIRECTIONS, evaluate
 from .graphs import Role
 from .runner import (
     RunConfig,
-    _write_atomic,
     ablation_table,
     encode,
     load_state,
-    prepare_pair,
+    prepare_run,
     run_ablation,
     run_grid,
     run_single,
+    write_atomic,
 )
 
 EXIT_CODES = {
@@ -96,12 +95,8 @@ def cmd_evaluate(args) -> int:
             f"no state.npz in {run_dir}; re-train with save_state = true"
         )
     cfg = RunConfig.from_file(config_path)
-    pair = prepare_pair(cfg)
+    pair, adjacencies = prepare_run(cfg)
     state, attr_state = load_state(state_path)
-    adjacencies = (
-        build_adjacency(pair.left, cfg.adjacency),
-        build_adjacency(pair.right, cfg.adjacency),
-    )
     (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
     report = evaluate(
         out_l, out_r, pair, cfg.score,
@@ -112,7 +107,7 @@ def cmd_evaluate(args) -> int:
     )
     print(report.to_text())
     out_name = f"evaluation-{report.candidate_policy}-{report.split}.json"
-    _write_atomic(run_dir / out_name, report.to_json() + "\n")
+    write_atomic(run_dir / out_name, report.to_json() + "\n")
     print(f"written: {run_dir / out_name}")
     return 0
 
@@ -172,11 +167,11 @@ def cmd_ablate(args) -> int:
     table = ablation_table(cells, direction=args.direction)
     print(table)
     out_dir = Path(args.runs_root)
-    (out_dir / "ablation.json").write_text(
+    write_atomic(
+        out_dir / "ablation.json",
         json.dumps([c.to_dict() for c in cells], indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
     )
-    (out_dir / "ablation.txt").write_text(table + "\n", encoding="utf-8")
+    write_atomic(out_dir / "ablation.txt", table + "\n")
     print(f"written: {out_dir / 'ablation.json'}")
     return 0
 
@@ -218,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--runs-root", default="runs")
     p.add_argument("--seeds", type=int, default=None, help="override n_seeds")
-    p.add_argument("--direction", default="left_to_right",
-                   choices=["left_to_right", "right_to_left", "mean"])
+    p.add_argument("--direction", default="left_to_right", choices=DIRECTIONS)
     p.add_argument("--no-tuned", action="store_true",
                    help="use the base config everywhere instead of tuned presets")
     p.set_defaults(func=cmd_ablate)

@@ -161,7 +161,10 @@ def _from_flat(cls, flat: dict, prefix: str, source: str):
                 ) from None
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{source}: missing required key {key!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:  # a section's own range check
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def config_from_flat(cls, flat: dict, source: str = "<config>"):

@@ -9,6 +9,7 @@ much tie placement could move the mean rank.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +23,8 @@ from .graphs import GraphPair, Role
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
+# the two ranking directions, then their average
+DIRECTIONS = ("left_to_right", "right_to_left", "mean")
 
 
 @dataclass(frozen=True)
@@ -85,22 +88,14 @@ class DirectionMetrics:
     mrr: float
     n_test: int
 
+    # the fields serialize as themselves, except that JSON keys are strings
     def to_dict(self) -> dict:
-        return {
-            "hits_at": {str(k): v for k, v in self.hits_at.items()},
-            "mean_rank": self.mean_rank,
-            "mrr": self.mrr,
-            "n_test": self.n_test,
-        }
+        return {**dataclasses.asdict(self), "hits_at": {str(k): v for k, v in self.hits_at.items()}}
 
     @classmethod
     def from_dict(cls, d) -> DirectionMetrics:
-        return cls(
-            hits_at={int(k): v for k, v in d["hits_at"].items()},
-            mean_rank=d["mean_rank"],
-            mrr=d["mrr"],
-            n_test=d["n_test"],
-        )
+        fields = {f.name: d[f.name] for f in dataclasses.fields(cls)}
+        return cls(**{**fields, "hits_at": {int(k): v for k, v in d["hits_at"].items()}})
 
 
 @dataclass
@@ -113,21 +108,15 @@ class MetricsReport:
     tie_diagnostics: dict | None = None
 
     def direction(self, name: str) -> DirectionMetrics:
-        return {
-            "left_to_right": self.left_to_right,
-            "right_to_left": self.right_to_left,
-            "mean": self.mean,
-        }[name]
+        if name not in DIRECTIONS:
+            raise KeyError(name)
+        return getattr(self, name)
 
     def to_dict(self) -> dict:
         d = {
             "candidate_policy": self.candidate_policy,
             "split": self.split,
-            "directions": {
-                "left_to_right": self.left_to_right.to_dict(),
-                "right_to_left": self.right_to_left.to_dict(),
-                "mean": self.mean.to_dict(),
-            },
+            "directions": {name: self.direction(name).to_dict() for name in DIRECTIONS},
         }
         if self.tie_diagnostics is not None:
             d["tie_diagnostics"] = self.tie_diagnostics
@@ -135,13 +124,10 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d) -> MetricsReport:
-        dirs = d["directions"]
         return cls(
             candidate_policy=d["candidate_policy"],
             split=d["split"],
-            left_to_right=DirectionMetrics.from_dict(dirs["left_to_right"]),
-            right_to_left=DirectionMetrics.from_dict(dirs["right_to_left"]),
-            mean=DirectionMetrics.from_dict(dirs["mean"]),
+            **{name: DirectionMetrics.from_dict(d["directions"][name]) for name in DIRECTIONS},
             tie_diagnostics=d.get("tie_diagnostics"),
         )
 
@@ -150,29 +136,11 @@ class MetricsReport:
 
     def to_text(self) -> str:
         """Fixed-width table, percentages with two decimals."""
+        ms = [self.direction(name) for name in DIRECTIONS]
         rows = [("metric", "L->R", "R->L", "mean")]
-        for k in sorted(self.left_to_right.hits_at):
-            rows.append(
-                (f"H@{k}",)
-                + tuple(
-                    f"{m.hits_at[k]:.2f}"
-                    for m in (self.left_to_right, self.right_to_left, self.mean)
-                )
-            )
-        rows.append(
-            ("MR",)
-            + tuple(
-                f"{m.mean_rank:.2f}"
-                for m in (self.left_to_right, self.right_to_left, self.mean)
-            )
-        )
-        rows.append(
-            ("MRR",)
-            + tuple(
-                f"{m.mrr:.4f}"
-                for m in (self.left_to_right, self.right_to_left, self.mean)
-            )
-        )
+        rows += [(f"H@{k}", *(f"{m.hits_at[k]:.2f}" for m in ms)) for k in sorted(ms[0].hits_at)]
+        rows.append(("MR", *(f"{m.mean_rank:.2f}" for m in ms)))
+        rows.append(("MRR", *(f"{m.mrr:.4f}" for m in ms)))
         widths = [max(len(r[c]) for r in rows) for c in range(4)]
         lines = [
             "  ".join(cell.rjust(w) if c else cell.ljust(w) for c, (cell, w) in enumerate(zip(r, widths)))
@@ -279,60 +247,46 @@ def evaluate(
     if eval_pairs.shape[0] == 0:
         raise ConfigError(f"no pairs with role {Role(split).value!r} to evaluate")
 
+    # candidates per side: index 0 is the left graph, 1 the right
     if policy == "test-only":
-        cand_right = np.unique(eval_pairs[:, 1])
-        cand_left = np.unique(eval_pairs[:, 0])
+        cands = (np.unique(eval_pairs[:, 0]), np.unique(eval_pairs[:, 1]))
     else:
-        cand_right = np.arange(pair.right.entity_count, dtype=np.int64)
-        cand_left = np.arange(pair.left.entity_count, dtype=np.int64)
+        cands = tuple(np.arange(g.entity_count, dtype=np.int64) for g in (pair.left, pair.right))
+    embs = (emb_left, emb_right)
+    attrs = (attr_emb_left, attr_emb_right)
 
     def attr_rows(emb, idx):
         return None if emb is None else emb[idx]
 
-    ranks_lr, opt_lr, pes_lr = _ranks_one_direction(
-        emb_left[eval_pairs[:, 0]],
-        emb_right[cand_right],
-        cand_right,
-        eval_pairs[:, 1],
-        attr_rows(attr_emb_left, eval_pairs[:, 0]),
-        attr_rows(attr_emb_right, cand_right),
-        cfg,
-    )
-    ranks_rl, opt_rl, pes_rl = _ranks_one_direction(
-        emb_right[eval_pairs[:, 1]],
-        emb_left[cand_left],
-        cand_left,
-        eval_pairs[:, 0],
-        attr_rows(attr_emb_right, eval_pairs[:, 1]),
-        attr_rows(attr_emb_left, cand_left),
-        cfg,
-    )
+    metrics, diag = {}, {}
+    for name, q, c in (("left_to_right", 0, 1), ("right_to_left", 1, 0)):
+        ranks, optimistic, pessimistic = _ranks_one_direction(
+            embs[q][eval_pairs[:, q]],
+            embs[c][cands[c]],
+            cands[c],
+            eval_pairs[:, c],
+            attr_rows(attrs[q], eval_pairs[:, q]),
+            attr_rows(attrs[c], cands[c]),
+            cfg,
+        )
+        metrics[name] = metrics_from_ranks(ranks)
+        diag[name] = {
+            "mean_rank_optimistic": float(optimistic.mean()),
+            "mean_rank_pessimistic": float(pessimistic.mean()),
+        }
 
-    lr = metrics_from_ranks(ranks_lr)
-    rl = metrics_from_ranks(ranks_rl)
+    lr, rl = metrics["left_to_right"], metrics["right_to_left"]
     mean = DirectionMetrics(
         hits_at={k: (lr.hits_at[k] + rl.hits_at[k]) / 2.0 for k in lr.hits_at},
         mean_rank=(lr.mean_rank + rl.mean_rank) / 2.0,
         mrr=(lr.mrr + rl.mrr) / 2.0,
         n_test=lr.n_test,
     )
-    diag = None
-    if tie_diagnostics:
-        diag = {
-            "left_to_right": {
-                "mean_rank_optimistic": float(opt_lr.mean()),
-                "mean_rank_pessimistic": float(pes_lr.mean()),
-            },
-            "right_to_left": {
-                "mean_rank_optimistic": float(opt_rl.mean()),
-                "mean_rank_pessimistic": float(pes_rl.mean()),
-            },
-        }
     return MetricsReport(
         candidate_policy=policy,
         split=Role(split).value,
         left_to_right=lr,
         right_to_left=rl,
         mean=mean,
-        tie_diagnostics=diag,
+        tie_diagnostics=diag if tie_diagnostics else None,
     )

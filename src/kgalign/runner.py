@@ -27,7 +27,7 @@ from .configfile import config_from_flat, config_to_flat, format_config, read_co
 from .datasets import DatasetDescriptor, load, split
 from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
-from .evaluation import MetricsReport, ScoreConfig, evaluate
+from .evaluation import DIRECTIONS, MetricsReport, ScoreConfig, evaluate
 from .graphs import GraphPair, Role, require_valid
 from .presets import ABLATION_CELLS, tuned_hyperparameters
 from .training import TrainConfig, loss_trace_tsv, train
@@ -119,45 +119,38 @@ def _derive_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+# state.npz holds the structure state under no prefix and the optional
+# attribute state under "attr_": <prefix>features_left,
+# <prefix>features_right and <prefix>weight_<layer> per weight matrix
+_STATE_PREFIXES = ("", "attr_")
+
+
 def _save_state(path: Path, state: EmbeddingState, attr_state: EmbeddingState | None):
-    arrays = {
-        "features_left": state.features_left,
-        "features_right": state.features_right,
-    }
-    if state.weights is not None:
-        for i, w in enumerate(state.weights):
-            arrays[f"weight_{i}"] = w
-    if attr_state is not None:
-        arrays["attr_features_left"] = attr_state.features_left
-        arrays["attr_features_right"] = attr_state.features_right
-        if attr_state.weights is not None:
-            for i, w in enumerate(attr_state.weights):
-                arrays[f"attr_weight_{i}"] = w
-    np.savez_compressed(path, **arrays)
+    arrays = {}
+    for prefix, s in zip(_STATE_PREFIXES, (state, attr_state)):
+        if s is not None:
+            arrays[f"{prefix}features_left"] = s.features_left
+            arrays[f"{prefix}features_right"] = s.features_right
+            for i, w in enumerate(s.weights or ()):
+                arrays[f"{prefix}weight_{i}"] = w
+    write_atomic(path, lambda f: np.savez_compressed(f, **arrays))
 
 
 def load_state(path: Path) -> tuple[EmbeddingState, EmbeddingState | None]:
+    """(structure state, attribute state or None) saved in path."""
     with np.load(path) as data:
-        def weights(prefix):
-            ws = []
-            for i in range(16):
-                key = f"{prefix}{i}"
-                if key in data:
-                    ws.append(data[key])
-            return ws or None
-
-        state = EmbeddingState(
-            features_left=data["features_left"],
-            features_right=data["features_right"],
-            weights=weights("weight_"),
-        )
-        attr_state = None
-        if "attr_features_left" in data:
-            attr_state = EmbeddingState(
-                features_left=data["attr_features_left"],
-                features_right=data["attr_features_right"],
-                weights=weights("attr_weight_"),
+        def saved(prefix):
+            if f"{prefix}features_left" not in data:
+                return None
+            weight = f"{prefix}weight_"
+            layers = sorted(int(k[len(weight):]) for k in data.files if k.startswith(weight))
+            return EmbeddingState(
+                features_left=data[f"{prefix}features_left"],
+                features_right=data[f"{prefix}features_right"],
+                weights=[data[f"{weight}{i}"] for i in layers] or None,
             )
+
+        state, attr_state = (saved(prefix) for prefix in _STATE_PREFIXES)
     return state, attr_state
 
 
@@ -172,6 +165,17 @@ def prepare_pair(cfg: RunConfig) -> GraphPair:
         seed=cfg.split_seed,
     )
     return dataclasses.replace(pair, alignment=alignment)
+
+
+def prepare_run(cfg: RunConfig):
+    """The inputs of a run: its role-split pair and the pair's (left,
+    right) propagation matrices. The matrices hold no trainable
+    parameters, so training and final encoding share them."""
+    pair = prepare_pair(cfg)
+    return pair, (
+        build_adjacency(pair.left, cfg.adjacency),
+        build_adjacency(pair.right, cfg.adjacency),
+    )
 
 
 def _attribute_encoder(cfg: RunConfig, pair: GraphPair) -> EncoderConfig:
@@ -196,16 +200,8 @@ def encode(cfg: RunConfig, pair: GraphPair, adjacencies, state, attr_state=None)
     return (out_l, out_r), (a_l, a_r)
 
 
-def _train_pathways(cfg: RunConfig, pair: GraphPair):
-    """Structure training plus the optional independent attribute run.
-
-    The propagation matrices contain no trainable parameters, so they
-    are built once here and shared by training and final encoding.
-    """
-    adjacencies = (
-        build_adjacency(pair.left, cfg.adjacency),
-        build_adjacency(pair.right, cfg.adjacency),
-    )
+def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
+    """Structure training plus the optional independent attribute run."""
     enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
     enc_cfg = replace(cfg.encoder, seed=enc_seed)
     train_cfg = replace(cfg.training, seed=train_seed)
@@ -236,9 +232,9 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair):
 def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     """The result persisted in run_dir, or None when there is none.
 
-    A report that cannot be read, or was written in another report
-    format, counts as absent: a warning names the reason and the run
-    is recomputed.
+    A report that cannot be read, was written in another report format
+    or records another run's hash counts as absent: a warning names the
+    reason and the run is recomputed.
     """
     report_path = run_dir / "report.json"
     if not report_path.is_file():
@@ -248,27 +244,34 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         warnings.warn(f"{report_path} cannot be read ({exc}); recomputing the run")
         return None
-    if data.get("format") != REPORT_FORMAT:
-        warnings.warn(
-            f"{report_path} has report format {data.get('format')!r}, "
-            f"expected {REPORT_FORMAT}; recomputing the run"
-        )
-        return None
-    return RunResult(
-        config=cfg,
-        run_dir=run_dir,
-        validation=_opt_report(data["validation"]),
-        test=_opt_report(data["test"]),
-        final_loss=data["final_loss"],
-        resumed=True,
+    # a report copied in from another run directory belongs to that run
+    for key, expected in (("format", REPORT_FORMAT), ("run_hash", cfg.run_hash())):
+        if data.get(key) != expected:
+            warnings.warn(
+                f"{report_path} has {key} {data.get(key)!r}, "
+                f"expected {expected!r}; recomputing the run"
+            )
+            return None
+    validation, test = (
+        None if data[split] is None else MetricsReport.from_dict(data[split])
+        for split in ("validation", "test")
     )
+    return RunResult(cfg, run_dir, validation, test, data["final_loss"], resumed=True)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to path through a temporary sibling and os.replace, so
-    a reader sees the old file or the whole new one, never a part."""
+def write_atomic(path: Path, content) -> None:
+    """Write content to path through a temporary sibling and os.replace,
+    so a reader sees the old file or the whole new one, never a part.
+
+    content is text, or a function that writes the file's bytes to the
+    binary file object it is given.
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as f:
+        if callable(content):
+            content(f)
+        else:
+            f.write(content.encode("utf-8"))
     os.replace(tmp, path)
 
 
@@ -289,27 +292,24 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
     run_dir.mkdir(parents=True, exist_ok=True)
     # a recompute that fails must not leave the old report to resume from
     (run_dir / "report.json").unlink(missing_ok=True)
-    (run_dir / "config.txt").write_text(cfg.canonical_text(), encoding="utf-8")
+    write_atomic(run_dir / "config.txt", cfg.canonical_text())
     try:
-        pair = prepare_pair(cfg)
-        state, attr_state, losses, (out_l, out_r), (a_l, a_r) = _train_pathways(cfg, pair)
-
-        validation = None
-        if len(pair.alignment.validation_pairs) > 0:
-            validation = evaluate(
+        pair, adjacencies = prepare_run(cfg)
+        state, attr_state, losses, (out_l, out_r), (a_l, a_r) = _train_pathways(
+            cfg, pair, adjacencies
+        )
+        validation, test = (
+            evaluate(
                 out_l, out_r, pair, cfg.score,
-                policy=cfg.candidate_policy, split=Role.VALIDATION,
+                policy=cfg.candidate_policy, split=split,
                 attr_emb_left=a_l, attr_emb_right=a_r,
+            ) if wanted else None
+            for split, wanted in (
+                (Role.VALIDATION, len(pair.alignment.validation_pairs) > 0),
+                (Role.TEST, cfg.evaluate_test),
             )
-        test = None
-        if cfg.evaluate_test:
-            test = evaluate(
-                out_l, out_r, pair, cfg.score,
-                policy=cfg.candidate_policy, split=Role.TEST,
-                attr_emb_left=a_l, attr_emb_right=a_r,
-            )
-
-        (run_dir / "loss_trace.tsv").write_text(loss_trace_tsv(losses), encoding="utf-8")
+        )
+        write_atomic(run_dir / "loss_trace.tsv", loss_trace_tsv(losses))
         if cfg.save_state:
             _save_state(run_dir / "state.npz", state, attr_state)
         result = RunResult(
@@ -320,7 +320,7 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             final_loss=losses[-1] if losses else None,
         )
         # the report marks a complete run, so it appears whole or not at all
-        _write_atomic(
+        write_atomic(
             run_dir / "report.json",
             json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n",
         )
@@ -334,14 +334,10 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             "config": cfg.to_flat(),
             "traceback": traceback.format_exc(),
         }
-        _write_atomic(
+        write_atomic(
             run_dir / "error.json", json.dumps(record, indent=2, sort_keys=True) + "\n"
         )
         raise
-
-
-def _opt_report(d) -> MetricsReport | None:
-    return None if d is None else MetricsReport.from_dict(d)
 
 
 def enumerate_grid(
@@ -440,7 +436,7 @@ def run_grid(
     best_flat = {
         f"weights={int(c[0])},init={c[1]}": cfg.to_flat() for c, cfg in best_cfgs.items()
     }
-    _write_atomic(
+    write_atomic(
         runs_root / "grid_best.json", json.dumps(best_flat, indent=2, sort_keys=True) + "\n"
     )
     return GridResult(
@@ -493,7 +489,7 @@ def _metric_values(report: MetricsReport, direction: str) -> dict[str, float]:
 
 def _aggregate(reports: list[MetricsReport]) -> dict:
     out: dict[str, dict[str, tuple[float, float | None]]] = {}
-    for direction in ("left_to_right", "right_to_left", "mean"):
+    for direction in DIRECTIONS:
         per_metric: dict[str, tuple[float, float | None]] = {}
         for metric in _ABLATION_METRICS:
             vals = np.array([_metric_values(r, direction)[metric] for r in reports])

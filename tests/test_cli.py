@@ -142,6 +142,22 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
     assert not runs.exists() or not any(runs.iterdir())
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("encoder.dim = 0", "dim must be positive"), ("score.beta = 1.5", "beta must lie in")],
+    ids=["dim", "beta"],
+)
+def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(TOY_CONFIG.replace("encoder.dim = 16", line) + "\n", encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["train", str(config), "--runs-root", str(runs)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{config}: {message}")
+    assert not runs.exists()
+
+
 def test_evaluate_missing_state_errors(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")

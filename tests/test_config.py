@@ -99,3 +99,25 @@ def test_golden_toy_run_outputs(tmp_path):
     assert sha256("loss_trace.tsv") == (
         "e99bb8d357f94fe0c24201b9d84f157a9d39d88fae22ad44756632272a8894b8"
     )
+
+
+# `kgalign evaluate` of the seeded toy run, byte for byte, with and
+# without the tie diagnostics.
+@pytest.mark.parametrize(
+    "policy, tie, digest",
+    [
+        ("test-only", False, "b978452e40b179d811013e1b6babf493fe7c12f63c37bed27a80c155f207155a"),
+        ("all-entities", False, "d62e8c3af094b71acaa986fbfcf3d1c30a0284a90a34f5ffb07dca987270926c"),
+        ("test-only", True, "11b3b614f6a2446d73e370f3645a64512c0f47ec01fc051f417d4eafebe58d17"),
+        ("all-entities", True, "ec0deda9dc56029398a8376adb0eaf2eb0031d9f643e766cae7a1d01a705ee14"),
+    ],
+)
+def test_golden_toy_evaluate_outputs(tmp_path, capsys, policy, tie, digest):
+    from kgalign.cli import main
+
+    run_dir = run_single(RunConfig.from_file(CONFIGS / "toy.cfg"), tmp_path).run_dir
+    argv = ["evaluate", str(run_dir), "--policy", policy]
+    assert main(argv + ["--tie-diagnostics"] * tie) == 0
+    capsys.readouterr()
+    written = (run_dir / f"evaluation-{policy}-test.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest

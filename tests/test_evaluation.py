@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,14 @@ def test_tie_diagnostics_present_when_requested():
 
 def test_report_json_roundtrip_and_text():
     pair, emb_l, emb_r = _pair_with_embeddings()
-    report = evaluate(emb_l, emb_r, pair, ScoreConfig())
-    back = MetricsReport.from_dict(report.to_dict())
-    assert back.to_dict() == report.to_dict()
+    for tie_diagnostics in (True, False):
+        report = evaluate(emb_l, emb_r, pair, ScoreConfig(), tie_diagnostics=tie_diagnostics)
+        back = MetricsReport.from_dict(json.loads(report.to_json()))
+        assert back == report
+        assert back.to_json() == report.to_json()
+        assert ("tie_diagnostics" in report.to_dict()) == tie_diagnostics
+    assert set(report.to_dict()["directions"]) == {"left_to_right", "right_to_left", "mean"}
+    assert all(isinstance(k, int) for k in back.mean.hits_at)
     text = report.to_text()
     assert "H@1" in text and "MRR" in text and "L->R" in text
     # two-decimal percentage formatting

@@ -1,15 +1,19 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgalign.configfile import format_config, parse_config_text
 from kgalign.datasets import DatasetDescriptor
+from kgalign.encoder import EmbeddingState
 from kgalign.errors import ConfigError
 from kgalign.presets import ABLATION_CELLS, tuned_hyperparameters
 from kgalign.runner import (
     DEFAULT_GRID_AXES,
     RunConfig,
+    _save_state,
     ablation_table,
     apply_overrides,
     enumerate_grid,
@@ -167,29 +171,101 @@ def test_run_single_recomputes_unusable_report(tmp_path, damage, reason):
     assert second.test.to_dict() == first.test.to_dict()
 
 
-def test_run_single_leaves_only_its_artifacts(tmp_path):
+def _record_renames(monkeypatch) -> list[str]:
+    """Names of the files moved into place by os.replace from now on."""
+    import os
+
+    renamed, real_replace = [], os.replace
+
+    def replace(src, dst):
+        renamed.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return renamed
+
+
+def test_run_single_leaves_only_its_artifacts(tmp_path, monkeypatch):
+    renamed = _record_renames(monkeypatch)
     result = run_single(toy_config(), tmp_path)
     names = sorted(p.name for p in result.run_dir.iterdir())
     assert names == ["config.txt", "loss_trace.tsv", "report.json", "state.npz"]
+    # every artifact, the saved state included, is written atomically
+    assert sorted(renamed) == names
 
 
-def test_grid_and_evaluate_leave_no_temp_files(tmp_path, capsys):
+def test_grid_and_evaluate_leave_no_temp_files(tmp_path, capsys, monkeypatch):
     from kgalign.cli import main
 
+    renamed = _record_renames(monkeypatch)
     # the beta = 0.5 runs fail on the attribute-less toy, so every
     # atomically written file kind appears: report, error record,
-    # grid_best.json and the evaluate command's output
+    # grid_best.json, the saved state, the evaluate command's output
+    # and the ablation table
     base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5,
                          "training.n_epochs": 5})
     result = run_grid(base, tmp_path / "grid", axes={"score.beta": [1.0, 0.5]})
     assert result.n_failures == 4
     run_dir = run_single(toy_config(), tmp_path / "single").run_dir
     assert main(["evaluate", str(run_dir)]) == 0
+    config = tmp_path / "ablate.cfg"
+    config.write_text(toy_config(**{"training.n_epochs": 5}).canonical_text(), encoding="utf-8")
+    assert main(["ablate", str(config), "--runs-root", str(tmp_path / "ablate"),
+                 "--seeds", "1"]) == 0
     capsys.readouterr()
     names = {p.name for p in tmp_path.rglob("*")}
-    assert {"report.json", "error.json", "grid_best.json",
-            "evaluation-test-only-test.json"} <= names
+    atomic = {"config.txt", "loss_trace.tsv", "state.npz", "report.json", "error.json",
+              "grid_best.json", "evaluation-test-only-test.json", "ablation.json",
+              "ablation.txt"}
+    assert atomic <= names
+    assert set(renamed) == atomic
     assert [n for n in names if n.endswith(".tmp")] == []
+
+
+def test_run_single_recomputes_report_of_another_run(tmp_path):
+    # a run directory copied under the hash of another config: its
+    # report belongs to the run it was copied from
+    trained = run_single(toy_config(**{"training.n_epochs": 20}), tmp_path / "a")
+    cfg = toy_config(**{"training.n_epochs": 0})
+    expected = run_single(cfg, tmp_path / "b")
+    shutil.copytree(trained.run_dir, tmp_path / "c" / cfg.run_hash())
+    with pytest.warns(UserWarning, match="run_hash"):
+        result = run_single(cfg, tmp_path / "c")
+    assert not result.resumed
+    assert result.test.to_dict() == expected.test.to_dict()
+    assert result.test.to_dict() != trained.test.to_dict()
+    assert json.loads((result.run_dir / "report.json").read_text())["run_hash"] == cfg.run_hash()
+
+
+@pytest.mark.parametrize("weighted, with_attr", [(False, False), (True, False), (True, True)])
+def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
+    rng = np.random.default_rng(0)
+
+    def state(dim, n_layers):
+        return EmbeddingState(
+            features_left=rng.normal(size=(5, dim)),
+            features_right=rng.normal(size=(6, dim)),
+            weights=[rng.normal(size=(dim, dim)) for _ in range(n_layers)] if weighted else None,
+        )
+
+    saved = state(4, 3)
+    attr = state(2, 2) if with_attr else None
+    path = tmp_path / "state.npz"
+    _save_state(path, saved, attr)
+    keys = {"features_left", "features_right"}
+    keys |= {f"weight_{i}" for i in range(3)} if weighted else set()
+    if with_attr:
+        keys |= {"attr_features_left", "attr_features_right", "attr_weight_0", "attr_weight_1"}
+    with np.load(path) as data:
+        assert set(data.files) == keys
+    loaded, loaded_attr = load_state(path)
+    for before, after in ((saved, loaded), (attr, loaded_attr)):
+        if before is None:
+            assert after is None
+            continue
+        assert (after.weights is None) == (before.weights is None)
+        for a, b in zip(before.parameters(), after.parameters(), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_error_record_carries_traceback(tmp_path, monkeypatch):
