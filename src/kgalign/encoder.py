@@ -9,7 +9,9 @@ enabled), so the trainable features parameterize directions only.
 Both graphs run through the same layer stack; the weight matrices, when
 present, are shared between them. In the weightless variant the encoder
 has no parameters of its own: the node feature matrices are the only
-trainable state.
+trainable state. The two graphs are encoded and differentiated on two
+threads when the thread budget allows; scipy's sparse product releases
+the GIL, and neither graph reads what the other writes.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import scipy.sparse as sp
 from .configfile import FLAT_KEY
 from .errors import ConfigError, NumericError
 from .linalg import row_l2_normalize, row_norms
+from .parallel import thread_map
 
 INIT_PRESETS = ("unit", "scaled")
 
@@ -147,7 +150,8 @@ def _forward_one(
         if layer < cfg.n_layers - 1:
             mask = p > 0.0
             masks.append(mask)
-            h = np.where(mask, p, 0.0)
+            p[~mask] = 0.0  # p is this layer's own product
+            h = p
         else:
             h = p
     if not np.all(np.isfinite(h)):
@@ -170,8 +174,11 @@ def forward(
         raise ConfigError("config expects weights but state carries none (or wrong count)")
     if not cfg.use_weights and state.weights is not None:
         raise ConfigError("state carries weights but config disables them")
-    out_l, tape_l = _forward_one(adj_left, state.features_left, state.weights, cfg)
-    out_r, tape_r = _forward_one(adj_right, state.features_right, state.weights, cfg)
+    (out_l, tape_l), (out_r, tape_r) = thread_map(
+        lambda graph: _forward_one(*graph, state.weights, cfg),
+        ((adj_left, state.features_left), (adj_right, state.features_right)),
+        max(state.features_left.size, state.features_right.size),
+    )
     tape = ForwardTape(cfg=cfg, left=tape_l, right=tape_r) if keep_tape else None
     return out_l, out_r, tape
 
@@ -188,7 +195,7 @@ def _backward_one(
     g = grad_out
     for layer in range(cfg.n_layers - 1, -1, -1):
         if layer < cfg.n_layers - 1:
-            g = np.where(tape.relu_masks[layer], g, 0.0)
+            g[~tape.relu_masks[layer]] = 0.0  # g is the adj_t product below
         if cfg.use_weights:
             grad_weights[layer] += tape.propagated[layer].T @ g
             g = g @ weights[layer].T
@@ -219,14 +226,30 @@ def backward(
     The tape must come from a forward() call with the same config and
     state; the shared weight matrices accumulate gradient from both
     graphs.
+
+    Each graph accumulates its weight gradient in a buffer of its own,
+    and the shared gradient is built from zero as left, then right: the
+    bits of (0 + left) + right, whichever graph finishes first.
     """
     if tape is None:
         raise ValueError("backward requires the tape from forward(..., keep_tape=True)")
     if tape.cfg != cfg:
         raise ConfigError("tape was produced under a different encoder config")
+
+    def one_graph(graph):
+        grad_out, graph_tape = graph
+        own = [np.zeros_like(w) for w in state.weights] if cfg.use_weights else None
+        return _backward_one(grad_out, graph_tape, state.weights, own, cfg), own
+
+    (gl, own_l), (gr, own_r) = thread_map(
+        one_graph,
+        ((grad_out_left, tape.left), (grad_out_right, tape.right)),
+        max(grad_out_left.size, grad_out_right.size),
+    )
     grad_weights = None
     if cfg.use_weights:
         grad_weights = [np.zeros_like(w) for w in state.weights]
-    gl = _backward_one(grad_out_left, tape.left, state.weights, grad_weights, cfg)
-    gr = _backward_one(grad_out_right, tape.right, state.weights, grad_weights, cfg)
+        for total, left, right in zip(grad_weights, own_l, own_r):
+            total += left
+            total += right
     return EmbeddingState(features_left=gl, features_right=gr, weights=grad_weights)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graphs import GraphPair, Role
+from .parallel import thread_count
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
@@ -171,9 +171,8 @@ def _ranks_one_direction(
     candidates must be sorted ascending by entity index. Returns the
     deterministic ranks plus optimistic/pessimistic tie bounds. The
     blocks are independent and cdist releases the GIL, so they run on a
-    thread pool with one thread per core of the process's CPU affinity
-    (per CPU where the platform has no affinity call). The result does
-    not depend on the thread count.
+    thread pool of parallel.thread_count() threads. The result does not
+    depend on the thread count.
     """
     truths = np.asarray(truths, dtype=np.int64)
     nq = query_emb.shape[0]
@@ -208,11 +207,7 @@ def _ranks_one_direction(
         pessimistic[lo:hi] = better + tied.sum(axis=1)
 
     starts = range(0, nq, block)
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # the affinity call is absent on macOS and Windows
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(starts))
+    workers = min(thread_count(), len(starts))
     if workers <= 1:
         for lo in starts:
             rank_block(lo)

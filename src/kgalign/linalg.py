@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel behind csr @ dense, which adds into an existing array:
+# y[i] += a[i, j] * x[j], entry by entry in storage order
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import NumericError
 
@@ -50,18 +53,27 @@ def degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:
 
 
 def scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
-    """out[indices[t]] += rows[t] with repeated indices accumulated.
+    """out[indices[t]] += rows[t] for t in order, repeated indices
+    accumulated: the bits of np.add.at(out, indices, rows).
 
-    The compiled sparse product is much faster than np.add.at once
-    thousands of rows are involved; tiny updates take the direct path.
+    out is a C-contiguous float64 matrix. Once the rows hold thousands
+    of elements, a selector matrix whose row i holds a 1 for every t
+    with indices[t] == i, in t order, is multiplied into out in place by
+    the compiled sparse kernel: much faster than np.add.at, and with no
+    temporary the size of out. Smaller updates take np.add.at itself,
+    which costs less than building the selector.
     """
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous float64 output")
     m = len(indices)
     if m == 0:
         return
-    if m < 4096:
+    if m * out.shape[1] < 8192:
         np.add.at(out, indices, rows)
         return
-    sel = sp.csr_matrix(
-        (np.ones(m), (indices, np.arange(m))), shape=(out.shape[0], m)
-    )
-    out += sel @ rows
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.shape != (m, out.shape[1]):  # the kernel reads m rows of out's width
+        raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
+    sel = sp.csr_array((np.ones(m), (indices, np.arange(m))), shape=(out.shape[0], m))
+    csr_matvecs(out.shape[0], m, out.shape[1], sel.indptr, sel.indices, sel.data,
+                rows.ravel(), out.ravel())

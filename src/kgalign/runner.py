@@ -29,6 +29,7 @@ from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
 from .evaluation import DIRECTIONS, MetricsReport, ScoreConfig, evaluate
 from .graphs import GraphPair, Role, require_valid
+from .parallel import set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
 from .training import TrainConfig, loss_trace_tsv, train
 
@@ -232,9 +233,10 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
 def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     """The result persisted in run_dir, or None when there is none.
 
-    A report that cannot be read, was written in another report format
-    or records another run's hash counts as absent: a warning names the
-    reason and the run is recomputed.
+    A report that cannot be read, is not a complete report object, was
+    written in another report format or records another run's hash
+    counts as absent: a warning names the reason and the run is
+    recomputed.
     """
     report_path = run_dir / "report.json"
     if not report_path.is_file():
@@ -244,6 +246,10 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         warnings.warn(f"{report_path} cannot be read ({exc}); recomputing the run")
         return None
+    if not isinstance(data, dict):
+        warnings.warn(f"{report_path} holds a JSON {type(data).__name__}, "
+                      "not a report object; recomputing the run")
+        return None
     # a report copied in from another run directory belongs to that run
     for key, expected in (("format", REPORT_FORMAT), ("run_hash", cfg.run_hash())):
         if data.get(key) != expected:
@@ -252,11 +258,17 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
                 f"expected {expected!r}; recomputing the run"
             )
             return None
-    validation, test = (
-        None if data[split] is None else MetricsReport.from_dict(data[split])
-        for split in ("validation", "test")
-    )
-    return RunResult(cfg, run_dir, validation, test, data["final_loss"], resumed=True)
+    try:
+        validation, test = (
+            None if data[split] is None else MetricsReport.from_dict(data[split])
+            for split in ("validation", "test")
+        )
+        final_loss = data["final_loss"]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        warnings.warn(f"{report_path} is not a complete report "
+                      f"({type(exc).__name__}: {exc}); recomputing the run")
+        return None
+    return RunResult(cfg, run_dir, validation, test, final_loss, resumed=True)
 
 
 def write_atomic(path: Path, content) -> None:
@@ -406,7 +418,12 @@ def run_grid(
     with leaderboard.open("w", encoding="utf-8") as ledger:
         ledger.write("run_hash\tuse_weights\tinit\tvalidation_h1\terror\n")
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # each worker gets its share of the cores for its own threads
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=set_process_share,
+                initargs=(max(1, thread_count() // workers),),
+            )
             outcomes = pool.map(_grid_worker, jobs)
         else:
             pool = None

@@ -4,6 +4,13 @@ The loss is a full-batch double sum over train pairs and their sampled
 corruptions: hinge(pos_L1 + margin - neg_L1). Subgradient conventions:
 |x| has slope 0 at x = 0, and the hinge contributes nothing when exactly
 at its boundary. Negatives are resampled fresh every epoch.
+
+The loss's negatives and the optimizer's parameters are shared out to
+the threads of the process's budget (parallel.thread_count). No result
+depends on the thread count: the loss gradient is integer-valued (sums
+of signs and hinge counts, far below 2**53), so its accumulation order
+cannot change a bit, and the float loss is summed block by block in
+block order on the calling thread.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ from .encoder import (
 from .errors import ConfigError, NumericError
 from .graphs import GraphPair, require_valid
 from .linalg import scatter_add_rows
+from .parallel import thread_map, threads_for
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -90,19 +98,33 @@ def optimizer_step(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter {i}{where}")
     state.step_count += 1
-    if cfg.optimizer == "sgd":
-        for p, g in zip(params, grads):
-            p -= cfg.learning_rate * g
-        return
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    lr = cfg.learning_rate
+    # each parameter's temporaries (one for SGD, two for Adam) come from
+    # the calling thread, so the updating threads allocate nothing
+    scratch = [[np.empty_like(p) for _ in range(1 if cfg.optimizer == "sgd" else 2)]
+               for p in params]
+
+    def update(i):
+        p, g = params[i], grads[i]
+        if cfg.optimizer == "sgd":
+            (a,) = scratch[i]
+            p -= np.multiply(lr, g, out=a)  # p -= lr * g
+            return
+        a, b = scratch[i]
+        m, v = state.m[i], state.v[i]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=a), out=a)
+        # p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+        p -= np.divide(a, b, out=a)
+
+    thread_map(update, range(len(params)), max(p.size for p in params))
 
 
 def sample_negatives(
@@ -150,41 +172,82 @@ def margin_rank_loss(
     m, k = negatives.shape[0], negatives.shape[1]
     if positives.shape[0] != m:
         raise ValueError("negatives must align with positives row-wise")
+    if negatives.size and (
+        negatives.min() < 0
+        or negatives[:, :, 0].max() >= len(emb_left)
+        or negatives[:, :, 1].max() >= len(emb_right)
+    ):
+        raise IndexError("negative entity index out of range")
     pl, pr = positives[:, 0], positives[:, 1]
     pos_diff = emb_left[pl] - emb_right[pr]
     pos_dist = np.abs(pos_diff).sum(axis=1)
 
-    grad_left = np.zeros_like(emb_left)
-    grad_right = np.zeros_like(emb_right)
-    loss = 0.0
-    active_counts = np.zeros(m)
-    # negatives are processed in column blocks of roughly 16k rows: large
-    # enough that each scatter amortizes, small enough that the diff/sign
-    # buffers stay cache-friendly
+    # negatives are processed in column blocks of roughly 16k rows, and
+    # each block's loss is summed on its own, in block order. A block's
+    # negatives are flat rows i * bk + j (positive i, negative j),
+    # gathered CHUNK_ROWS rows at a time. Thread t takes chunks t, t +
+    # threads, ... with its own two (chunk, dim) gather buffers and its
+    # own gradient pair, all allocated here on the calling thread.
     block_k = max(1, min(k, 16384 // max(m, 1)))
+    blocks = []  # per block: width, flat left and right ids, distances
     for j0 in range(0, k, block_k):
         block = negatives[:, j0 : j0 + block_k, :]
-        bk = block.shape[1]
-        nl = block[:, :, 0].ravel()
-        nr = block[:, :, 1].ravel()
-        neg_diff = emb_left[nl] - emb_right[nr]
-        neg_dist = np.abs(neg_diff).sum(axis=1)
+        nl, nr = block[:, :, 0].ravel(), block[:, :, 1].ravel()
+        blocks.append((block.shape[1], nl, nr, np.empty(len(nl))))
+    chunks = [(b, lo) for b, (_, nl, _, _) in enumerate(blocks)
+              for lo in range(0, len(nl), CHUNK_ROWS)]
+    rows = min(m * block_k, CHUNK_ROWS)
+    d = emb_left.shape[1]
+    threads = threads_for(len(chunks), rows * d)
+    buffers = [(np.empty((rows, d)), np.empty((rows, d))) for _ in range(threads)]
+    grads = [(np.zeros_like(emb_left), np.zeros_like(emb_right)) for _ in range(threads)]
+
+    def chunks_of(t):
+        (diff, other), (grad_l, grad_r) = buffers[t], grads[t]
+        for b, lo in chunks[t::threads]:
+            bk, nl, nr, dist = blocks[b]
+            hi = lo + CHUNK_ROWS
+            nl, nr, dist = nl[lo:hi], nr[lo:hi], dist[lo:hi]
+            x, y = diff[: len(nl)], other[: len(nl)]
+            # mode="clip" lets take write into out without a copy; the
+            # indices were range-checked above
+            np.take(emb_left, nl, axis=0, out=x, mode="clip")
+            np.take(emb_right, nr, axis=0, out=y, mode="clip")
+            np.subtract(x, y, out=x)
+            np.abs(x, out=y).sum(axis=1, out=dist)
+            # these rows' hinge terms, the arithmetic of the block's below
+            terms = pos_dist[np.arange(lo, lo + len(nl)) // bk] + margin - dist
+            active = np.flatnonzero(terms > 0.0)
+            # only the active rows' signs are needed; np.sign is several
+            # times slower in place than into another array
+            np.take(x, active, axis=0, out=y[: len(active)], mode="clip")
+            neg_sign = np.sign(y[: len(active)], out=x[: len(active)])
+            scatter_add_rows(grad_r, nr[active], neg_sign)
+            scatter_add_rows(grad_l, nl[active], np.negative(neg_sign, out=neg_sign))
+
+    thread_map(chunks_of, range(threads), rows * d)
+    grad_left, grad_right = grads[0]
+    for gl, gr in grads[1:]:
+        grad_left += gl
+        grad_right += gr
+    loss = 0.0
+    active_counts = np.zeros(m)
+    for bk, _, _, neg_dist in blocks:
         terms = pos_dist[:, None] + margin - neg_dist.reshape(m, bk)
         active = terms > 0.0
-        if not active.any():
-            continue
-        loss += terms[active].sum()
-        active_counts += active.sum(axis=1)
-        flat_active = active.ravel()
-        np.sign(neg_diff, out=neg_diff)
-        neg_sign = neg_diff[flat_active]
-        scatter_add_rows(grad_left, nl[flat_active], -neg_sign)
-        scatter_add_rows(grad_right, nr[flat_active], neg_sign)
+        if active.any():
+            loss += terms[active].sum()
+            active_counts += active.sum(axis=1)
 
     pos_sign = np.sign(pos_diff) * active_counts[:, None]
     scatter_add_rows(grad_left, pl, pos_sign)
     scatter_add_rows(grad_right, pr, -pos_sign)
     return float(loss), grad_left, grad_right
+
+
+# negatives gathered at a time by margin_rank_loss: two (rows, dim)
+# buffers per thread, 6.5 MB each at dim 200
+CHUNK_ROWS = 4096
 
 
 def train(
@@ -203,14 +266,15 @@ def train(
     inputs are fixed multi-hot rows rather than random draws).
     adjacencies, when given, are the prebuilt (left, right) propagation
     matrices; they never change during training, so callers that also
-    encode afterwards can share them.
+    encode afterwards can share them, and they were built from a pair
+    the caller has validated; without them the pair is validated here.
     """
-    require_valid(pair)
     positives = pair.alignment.train_pairs
     if positives.shape[0] == 0:
         raise ConfigError("train split is empty; nothing to optimize")
 
     if adjacencies is None:
+        require_valid(pair)
         adj_left = build_adjacency(pair.left, adj_cfg)
         adj_right = build_adjacency(pair.right, adj_cfg)
     else:

@@ -169,3 +169,22 @@ def test_spmm_deterministic():
     first = a @ b
     for _ in range(3):
         assert np.array_equal(a @ b, first)
+
+
+def test_scatter_add_rows_is_add_at_bit_for_bit():
+    # both paths add row by row in index order onto what out holds
+    rng = np.random.default_rng(7)
+    for m in (10, 5000):
+        idx = rng.integers(0, 50, m)
+        rows = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+        out1 = rng.normal(size=(50, 3))
+        out2 = out1.copy()
+        scatter_add_rows(out1, idx, rows)
+        np.add.at(out2, idx, rows)
+        assert np.array_equal(out1, out2)
+    with pytest.raises(ValueError):
+        scatter_add_rows(np.zeros((50, 3), dtype=np.float32), idx, rows)
+    with pytest.raises(ValueError):
+        scatter_add_rows(np.zeros((3, 50)).T, idx, rows)
+    with pytest.raises(ValueError):
+        scatter_add_rows(np.zeros((50, 4)), idx, rows)

@@ -150,13 +150,22 @@ def test_run_single_persists_failure_record(tmp_path):
     assert "attribute" in record["message"]
 
 
+def _edit_report(text, edit):
+    data = json.loads(text)
+    edit(data)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
         (lambda text: text[: len(text) // 2], "cannot be read"),
         (lambda text: text.replace('"format": 1', '"format": 0'), "format"),
+        (lambda text: "[]\n", "not a report object"),
+        (lambda text: _edit_report(text, lambda d: d.pop("test")), "not a complete report"),
+        (lambda text: _edit_report(text, lambda d: d.update(validation=[1])), "not a complete report"),
     ],
-    ids=["truncated", "other-format"],
+    ids=["truncated", "other-format", "list", "no-test-key", "validation-not-mapping"],
 )
 def test_run_single_recomputes_unusable_report(tmp_path, damage, reason):
     cfg = toy_config()
@@ -169,6 +178,46 @@ def test_run_single_recomputes_unusable_report(tmp_path, damage, reason):
     assert not second.resumed
     assert report_path.read_text(encoding="utf-8") == good
     assert second.test.to_dict() == first.test.to_dict()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: [],
+        lambda d: {k: v for k, v in d.items() if k != "test"},
+        lambda d: {**d, "validation": "not a mapping"},
+    ],
+    ids=["list", "no-test-key", "validation-not-mapping"],
+)
+def test_grid_resume_recomputes_incomplete_report(tmp_path, damage):
+    base = toy_config(**{"training.n_epochs": 5})
+    axes = {"training.n_epochs": [5]}
+    first = run_grid(base, tmp_path, axes=axes)
+    ledger = first.leaderboard_path.read_text(encoding="utf-8")
+    report_path = next(tmp_path.glob("*/report.json"))
+    good = report_path.read_text(encoding="utf-8")
+    report_path.write_text(json.dumps(damage(json.loads(good))), encoding="utf-8")
+    with pytest.warns(UserWarning, match="recomputing the run"):
+        again = run_grid(base, tmp_path, axes=axes)
+    assert again.n_failures == 0
+    assert not (report_path.parent / "error.json").exists()
+    assert report_path.read_text(encoding="utf-8") == good
+    assert again.leaderboard_path.read_text(encoding="utf-8") == ledger
+
+
+def test_run_single_validates_the_pair_once(tmp_path, monkeypatch):
+    from kgalign import graphs
+
+    calls = []
+    real = graphs.validate_pair
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(graphs, "validate_pair", counting)
+    run_single(toy_config(), tmp_path)
+    assert len(calls) == 1
 
 
 def _record_renames(monkeypatch) -> list[str]:

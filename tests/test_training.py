@@ -140,6 +140,16 @@ def test_loss_nonnegative_random():
         assert loss >= 0.0
 
 
+@pytest.mark.parametrize("bad", [(0, 0, 0, -1), (0, 1, 0, 5), (1, 0, 1, 7)])
+def test_loss_rejects_out_of_range_negatives(bad):
+    # the gathers clip rather than check, so the loss checks first
+    emb_l, emb_r = np.ones((5, 3)), np.ones((7, 3))
+    neg = np.zeros((2, 2, 2), dtype=np.int64)
+    neg[bad[:3]] = bad[3]
+    with pytest.raises(IndexError):
+        margin_rank_loss(emb_l, emb_r, np.array([[0, 0], [1, 1]]), neg, margin=1.0)
+
+
 def test_sgd_single_step():
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.1, n_epochs=1)
     theta = np.array([1.0])
