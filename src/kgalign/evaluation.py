@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graphs import GraphPair, Role
-from .parallel import thread_count
+from .parallel import thread_map
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
@@ -170,9 +169,9 @@ def _ranks_one_direction(
 
     candidates must be sorted ascending by entity index. Returns the
     deterministic ranks plus optimistic/pessimistic tie bounds. The
-    blocks are independent and cdist releases the GIL, so they run on a
-    thread pool of parallel.thread_count() threads. The result does not
-    depend on the thread count.
+    blocks are independent and cdist releases the GIL, so they run on
+    the threads of parallel.thread_map, each block writing only its own
+    rows. The result does not depend on the thread count.
     """
     truths = np.asarray(truths, dtype=np.int64)
     nq = query_emb.shape[0]
@@ -206,14 +205,7 @@ def _ranks_one_direction(
         optimistic[lo:hi] = better + 1
         pessimistic[lo:hi] = better + tied.sum(axis=1)
 
-    starts = range(0, nq, block)
-    workers = min(thread_count(), len(starts))
-    if workers <= 1:
-        for lo in starts:
-            rank_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(rank_block, starts))  # re-raises a block's exception
+    thread_map(rank_block, range(0, nq, block), block * len(candidates))
     return ranks, optimistic, pessimistic
 
 

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-# the kernel behind csr @ dense, which adds into an existing array:
-# y[i] += a[i, j] * x[j], entry by entry in storage order
-from scipy.sparse._sparsetools import csr_matvecs
+
+try:
+    # the kernel behind csr @ dense, which adds into an existing array:
+    # y[i] += a[i, j] * x[j], entry by entry in storage order
+    from scipy.sparse._sparsetools import csr_matvecs
+except ImportError:  # a private module; np.add.at gives the same bits
+    csr_matvecs = None
 
 from .errors import NumericError
 
@@ -61,14 +65,15 @@ def scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> 
     with indices[t] == i, in t order, is multiplied into out in place by
     the compiled sparse kernel: much faster than np.add.at, and with no
     temporary the size of out. Smaller updates take np.add.at itself,
-    which costs less than building the selector.
+    which costs less than building the selector, as do all updates
+    where scipy has no such kernel.
     """
     if out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("scatter_add_rows needs a C-contiguous float64 output")
     m = len(indices)
     if m == 0:
         return
-    if m * out.shape[1] < 8192:
+    if csr_matvecs is None or m * out.shape[1] < 8192:
         np.add.at(out, indices, rows)
         return
     rows = np.ascontiguousarray(rows, dtype=np.float64)

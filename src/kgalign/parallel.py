@@ -1,6 +1,6 @@
 """One thread budget for the numeric kernels.
 
-Ranking blocks, margin-loss blocks, the encoder's two graphs and the
+Ranking blocks, margin-loss chunks, the encoder's two graphs and the
 optimizer's parameters are independent pieces of work whose results do
 not depend on how many threads compute them. thread_count() says how
 many threads that is: one per core of the process's CPU affinity, or,
@@ -9,8 +9,7 @@ in a worker process of run_grid, that worker's share of the cores.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 # items that touch fewer array elements than this run on the calling
 # thread: a hop to a helper thread and back costs a few hundred
@@ -18,19 +17,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 MIN_ITEM_SIZE = 1 << 16
 # the thread share of a run_grid worker process; None in any other process
 _process_share: int | None = None
-# (size, pool) of the helper threads that thread_map reuses across calls
-_helpers: tuple[int, ThreadPoolExecutor] | None = None
-_helpers_lock = threading.Lock()
-
-
-def _forget_helpers() -> None:
-    global _helpers
-    _helpers = None
-
-
-# a forked child has none of its parent's threads, so it starts its own
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def thread_count() -> int:
@@ -59,28 +45,15 @@ def threads_for(n_items: int, item_size: int) -> int:
     return max(1, min(thread_count(), n_items))
 
 
-def _helper_pool(size: int) -> ThreadPoolExecutor:
-    """The pool of `size` helper threads, started once and kept: an
-    epoch calls thread_map several times, and starting threads on
-    every call costs more than a small run's whole epoch."""
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None or _helpers[0] != size:
-            if _helpers is not None:
-                _helpers[1].shutdown(wait=False)
-            _helpers = (size, ThreadPoolExecutor(max_workers=size, thread_name_prefix="kgalign"))
-        return _helpers[1]
-
-
 def thread_map(fn, items, item_size: int) -> list:
     """[fn(x) for x in items], on up to thread_count() threads.
 
     item_size is the number of array elements the largest item works
     on; below MIN_ITEM_SIZE the items run on the calling thread. Item i
     runs on thread i % threads, where thread 0 is the calling thread and
-    the others are pooled helpers. One thread means the plain loop and
-    no pool. Every item has finished when an exception raised by fn
-    reaches the caller.
+    the others are helpers started for this call. One thread means the
+    plain loop and no pool. Every item has finished when an exception
+    raised by fn reaches the caller.
     """
     items = list(items)
     threads = threads_for(len(items), item_size)
@@ -92,12 +65,9 @@ def thread_map(fn, items, item_size: int) -> list:
         for i in range(t, len(items), threads):
             results[i] = fn(items[i])
 
-    pool = _helper_pool(thread_count() - 1)
-    futures = [pool.submit(share, t) for t in range(1, threads)]
-    try:
-        share(0)
-    finally:
-        wait(futures)
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(share, t) for t in range(1, threads)]
+        share(0)  # leaving the block waits for the helpers, also on an exception
     for future in futures:
         future.result()  # re-raises a helper's exception
     return results

@@ -187,9 +187,10 @@ def margin_rank_loss(
     # negatives are flat rows i * bk + j (positive i, negative j),
     # gathered CHUNK_ROWS rows at a time. Thread t takes chunks t, t +
     # threads, ... with its own two (chunk, dim) gather buffers and its
-    # own gradient pair, all allocated here on the calling thread.
+    # own gradient pair, all allocated here on the calling thread; the
+    # pairs beyond the first stay within GRAD_COPY_BYTES.
     block_k = max(1, min(k, 16384 // max(m, 1)))
-    blocks = []  # per block: width, flat left and right ids, distances
+    blocks = []  # per block: width, flat left and right ids, hinge terms
     for j0 in range(0, k, block_k):
         block = negatives[:, j0 : j0 + block_k, :]
         nl, nr = block[:, :, 0].ravel(), block[:, :, 1].ravel()
@@ -198,25 +199,26 @@ def margin_rank_loss(
               for lo in range(0, len(nl), CHUNK_ROWS)]
     rows = min(m * block_k, CHUNK_ROWS)
     d = emb_left.shape[1]
-    threads = threads_for(len(chunks), rows * d)
+    pair_bytes = max(1, emb_left.nbytes + emb_right.nbytes)
+    threads = min(threads_for(len(chunks), rows * d), 1 + GRAD_COPY_BYTES // pair_bytes)
     buffers = [(np.empty((rows, d)), np.empty((rows, d))) for _ in range(threads)]
     grads = [(np.zeros_like(emb_left), np.zeros_like(emb_right)) for _ in range(threads)]
 
     def chunks_of(t):
         (diff, other), (grad_l, grad_r) = buffers[t], grads[t]
         for b, lo in chunks[t::threads]:
-            bk, nl, nr, dist = blocks[b]
+            bk, nl, nr, terms = blocks[b]
             hi = lo + CHUNK_ROWS
-            nl, nr, dist = nl[lo:hi], nr[lo:hi], dist[lo:hi]
+            nl, nr, terms = nl[lo:hi], nr[lo:hi], terms[lo:hi]
             x, y = diff[: len(nl)], other[: len(nl)]
             # mode="clip" lets take write into out without a copy; the
             # indices were range-checked above
             np.take(emb_left, nl, axis=0, out=x, mode="clip")
             np.take(emb_right, nr, axis=0, out=y, mode="clip")
             np.subtract(x, y, out=x)
-            np.abs(x, out=y).sum(axis=1, out=dist)
-            # these rows' hinge terms, the arithmetic of the block's below
-            terms = pos_dist[np.arange(lo, lo + len(nl)) // bk] + margin - dist
+            # the negatives' distances, then their hinge terms in place
+            np.abs(x, out=y).sum(axis=1, out=terms)
+            np.subtract(pos_dist[np.arange(lo, lo + len(nl)) // bk] + margin, terms, out=terms)
             active = np.flatnonzero(terms > 0.0)
             # only the active rows' signs are needed; np.sign is several
             # times slower in place than into another array
@@ -232,12 +234,11 @@ def margin_rank_loss(
         grad_right += gr
     loss = 0.0
     active_counts = np.zeros(m)
-    for bk, _, _, neg_dist in blocks:
-        terms = pos_dist[:, None] + margin - neg_dist.reshape(m, bk)
+    for bk, _, _, terms in blocks:
         active = terms > 0.0
         if active.any():
             loss += terms[active].sum()
-            active_counts += active.sum(axis=1)
+            active_counts += active.reshape(m, bk).sum(axis=1)
 
     pos_sign = np.sign(pos_diff) * active_counts[:, None]
     scatter_add_rows(grad_left, pl, pos_sign)
@@ -248,6 +249,10 @@ def margin_rank_loss(
 # negatives gathered at a time by margin_rank_loss: two (rows, dim)
 # buffers per thread, 6.5 MB each at dim 200
 CHUNK_ROWS = 4096
+# bytes of the gradient pairs margin_rank_loss's threads may hold beyond
+# the first pair, whatever the core count: two extra pairs at zh-en and
+# dim 200, about a sixth of that run's peak memory
+GRAD_COPY_BYTES = 128 << 20
 
 
 def train(

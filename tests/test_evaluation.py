@@ -313,25 +313,26 @@ def test_evaluate_report_independent_of_thread_count(monkeypatch):
     import os
     import sys
 
-    import kgalign.evaluation as evaluation
+    import kgalign.parallel as parallel
 
     pools = []
 
-    class RecordingPool(evaluation.ThreadPoolExecutor):
+    class RecordingPool(parallel.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     pair, emb, attr = _tied_pair()
     cfg = ScoreConfig(beta=0.75)
     texts = []
-    # eight CPUs give one thread per block, three, more than this
-    # machine may have; a short switch interval interleaves them densely
+    # eight CPUs give one thread per block, three (the calling thread and
+    # two helpers), more than this machine may have; a short switch
+    # interval interleaves them densely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus, expected_pools in (({0}, []), ({0, 1}, [2, 2]), (set(range(8)), [3, 3])):
+        for cpus, expected_pools in (({0}, []), ({0, 1}, [1, 1]), (set(range(8)), [2, 2])):
             pools.clear()
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             report = evaluate(

@@ -188,3 +188,20 @@ def test_scatter_add_rows_is_add_at_bit_for_bit():
         scatter_add_rows(np.zeros((3, 50)).T, idx, rows)
     with pytest.raises(ValueError):
         scatter_add_rows(np.zeros((50, 4)), idx, rows)
+
+
+def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
+    # scipy's kernel lives in a private module; where it is missing the
+    # fallback gives the kernel path's bits
+    import kgalign.linalg as linalg
+
+    rng = np.random.default_rng(8)
+    idx = rng.integers(0, 50, 5000)
+    rows = rng.normal(size=(5000, 3)) * 10.0 ** rng.integers(-8, 8, (5000, 1))
+    start = rng.normal(size=(50, 3))
+    with_kernel = start.copy()
+    scatter_add_rows(with_kernel, idx, rows)
+    monkeypatch.setattr(linalg, "csr_matvecs", None)
+    without = start.copy()
+    scatter_add_rows(without, idx, rows)
+    assert np.array_equal(with_kernel, without)

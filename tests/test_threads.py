@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from kgalign import evaluation, parallel, training
+from kgalign import parallel, training
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
 from kgalign.encoder import EncoderConfig, forward, init_state
 from kgalign.runner import RunConfig, load_state, run_grid, run_single
@@ -182,8 +182,6 @@ def test_grid_workers_share_the_cores(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(parallel, "_helpers", None)
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
     base = RunConfig.from_flat({
         "dataset.family": "toy",
@@ -202,8 +200,15 @@ def test_grid_workers_share_the_cores(tmp_path, monkeypatch):
 
 
 def test_small_items_stay_on_the_calling_thread(monkeypatch):
+    pools = []
+
+    class RecordingPool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(parallel, "_helpers", None)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     ran_on = {}
 
     def record(x):
@@ -212,8 +217,39 @@ def test_small_items_stay_on_the_calling_thread(monkeypatch):
 
     small = parallel.MIN_ITEM_SIZE - 1
     assert parallel.thread_map(record, range(5), small) == [0, 1, 4, 9, 16]
-    assert set(ran_on.values()) == {threading.get_ident()} and parallel._helpers is None
+    assert set(ran_on.values()) == {threading.get_ident()} and pools == []
     assert parallel.thread_map(record, range(5), parallel.MIN_ITEM_SIZE) == [0, 1, 4, 9, 16]
-    assert parallel._helpers[0] == 7
+    assert pools == [4]  # five items on the calling thread and four helpers
     assert ran_on[0] == threading.get_ident()  # item 0 runs on the calling thread
-    parallel._helpers[1].shutdown()
+
+
+def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
+    # every loss thread holds a gradient pair; on many cores the pairs
+    # beyond the first are capped by bytes, not by the core count
+    pair = _mid_pair()
+    rng = np.random.default_rng(0)
+    out_l = rng.normal(size=(pair.left.entity_count, 16))
+    out_r = rng.normal(size=(pair.right.entity_count, 16))
+    pos = pair.alignment.train_pairs
+    neg = sample_negatives(pos, len(out_l), len(out_r), 100, rng)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
+    threads = []
+
+    def counting_map(fn, items, item_size):
+        items = list(items)
+        threads.append(len(items))
+        return parallel.thread_map(fn, items, item_size)
+
+    monkeypatch.setattr(training, "thread_map", counting_map)
+    unbounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
+    pair_bytes = out_l.nbytes + out_r.nbytes
+    monkeypatch.setattr(training, "GRAD_COPY_BYTES", 2 * pair_bytes + pair_bytes // 2)
+    bounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
+    monkeypatch.setattr(training, "GRAD_COPY_BYTES", pair_bytes - 1)
+    serial = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
+
+    # ten chunks on eight cores, then two extra pairs, then none
+    assert threads == [8, 3, 1]
+    for a, b, c in zip(unbounded, bounded, serial):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
