@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .configfile import FLAT_KEY
 from .errors import ConfigError, NumericError
-from .linalg import row_l2_normalize, row_norms
+from .linalg import unit_rows
 from .parallel import thread_map
 
 INIT_PRESETS = ("unit", "scaled")
@@ -133,8 +133,7 @@ def _forward_one(
         raise ValueError(f"features have width {features.shape[1]}, config says {cfg.dim}")
 
     if cfg.normalize_features:
-        norms = row_norms(features)
-        h = row_l2_normalize(features)
+        h, norms = unit_rows(features)
     else:
         norms = None
         h = features
@@ -203,12 +202,12 @@ def _backward_one(
 
     if tape.norms is None:
         return g
-    # through row normalization x -> x / |x|: g -> (g - (g . xhat) xhat) / |x|
+    # through row normalization x -> x / |x|: g -> (g - (g . xhat) xhat) / |x|,
+    # in place: g is the adj_t product above
     xhat = tape.h0
     dots = np.einsum("ij,ij->i", g, xhat)
-    g = g - dots[:, None] * xhat
-    safe = np.where(tape.norms > 0.0, tape.norms, 1.0)
-    g = g / safe[:, None]
+    g -= dots[:, None] * xhat
+    g /= np.where(tape.norms > 0.0, tape.norms, 1.0)[:, None]
     g[tape.norms == 0.0] = 0.0
     return g
 

@@ -21,14 +21,15 @@ from .errors import NumericError
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean length; all-zero rows pass through."""
+    return unit_rows(m)[0]
+
+
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row_l2_normalize(m), the row norms it divided by), the norms
+    computed once."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return m / safe[:, None]
-
-
-def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.asarray(m, dtype=np.float64), axis=1)
+    return m / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
 def degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:

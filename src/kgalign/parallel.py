@@ -5,11 +5,23 @@ optimizer's parameters are independent pieces of work whose results do
 not depend on how many threads compute them. thread_count() says how
 many threads that is: one per core of the process's CPU affinity, or,
 in a worker process of run_grid, that worker's share of the cores.
+
+Those threads are what fill the cores, so BLAS runs on one thread of
+its own inside them: thread_map sets OpenBLAS's process-wide thread
+count to 1 while its items run and restores the caller's count after.
+Every BLAS call kgalign makes (the weight products of weighted runs) is
+inside a thread_map item, so no core count, worker count or caller
+setting can change a bit of a weighted run. Where numpy's BLAS exports
+no OpenBLAS thread-count calls (MKL, Accelerate) there is no pin, and
+weighted bits may follow that library's own threads.
 """
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 # items that touch fewer array elements than this run on the calling
 # thread: a hop to a helper thread and back costs a few hundred
@@ -37,6 +49,64 @@ def set_process_share(threads: int) -> None:
     _process_share = threads
 
 
+# OpenBLAS's (get, set) thread-count calls: None until first use, () where
+# numpy's BLAS exports neither
+_blas_calls: tuple | None = None
+# names of the pair with and without the 64-bit-integer suffix of
+# numpy's bundled OpenBLAS, and as a system OpenBLAS exports them
+_BLAS_NAMES = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+_blas_lock = threading.Lock()
+_blas_depth = 0  # callers inside one_blas_thread
+_blas_saved = 0  # the count to restore when the last of them leaves
+
+
+def _find_blas_calls() -> tuple:
+    """OpenBLAS's thread-count calls, looked up through numpy's own
+    extension module, which links the BLAS that numpy's products call."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return ()
+    for get_name, set_name in _BLAS_NAMES:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return ()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the count
+    that was set before, also when the body raises. The count is global
+    to the process, so callers on several threads share one pin: the
+    first to enter sets it and the last to leave restores it. Does
+    nothing where numpy's BLAS is not OpenBLAS."""
+    global _blas_calls, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_calls is None:
+            _blas_calls = _find_blas_calls()
+        if _blas_calls and _blas_depth == 0:
+            _blas_saved = _blas_calls[0]()
+            _blas_calls[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_calls and _blas_depth == 0:
+                _blas_calls[1](_blas_saved)
+
+
 def threads_for(n_items: int, item_size: int) -> int:
     """Threads that thread_map gives n_items items whose largest works
     on item_size array elements."""
@@ -53,21 +123,23 @@ def thread_map(fn, items, item_size: int) -> list:
     runs on thread i % threads, where thread 0 is the calling thread and
     the others are helpers started for this call. One thread means the
     plain loop and no pool. Every item has finished when an exception
-    raised by fn reaches the caller.
+    raised by fn reaches the caller. On any number of threads, the
+    items run under one_blas_thread.
     """
     items = list(items)
     threads = threads_for(len(items), item_size)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    results = [None] * len(items)
+    with one_blas_thread():
+        if threads <= 1:
+            return [fn(x) for x in items]
+        results = [None] * len(items)
 
-    def share(t):
-        for i in range(t, len(items), threads):
-            results[i] = fn(items[i])
+        def share(t):
+            for i in range(t, len(items), threads):
+                results[i] = fn(items[i])
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(share, t) for t in range(1, threads)]
-        share(0)  # leaving the block waits for the helpers, also on an exception
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            futures = [pool.submit(share, t) for t in range(1, threads)]
+            share(0)  # leaving the block waits for the helpers, also on an exception
     for future in futures:
         future.result()  # re-raises a helper's exception
     return results

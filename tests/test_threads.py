@@ -4,20 +4,22 @@ The loss blocks, the encoder's two graphs and the optimizer's
 parameters run on parallel.thread_count() threads. These tests run the
 same work at several patched core counts and require byte-identical
 results, and pin the weightless run to digests taken before training
-used threads.
+used threads. BLAS runs on one thread inside them, so weighted runs do
+not depend on the caller's BLAS threads or on the grid's workers either.
 """
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from kgalign import parallel, training
+from kgalign import encoder, parallel, training
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
-from kgalign.encoder import EncoderConfig, forward, init_state
+from kgalign.encoder import EncoderConfig, backward, forward, init_state
 from kgalign.runner import RunConfig, load_state, run_grid, run_single
 from kgalign.training import TrainConfig, margin_rank_loss, sample_negatives, train
 
@@ -75,46 +77,65 @@ def test_weightless_adam_training_independent_of_thread_count(each_core_count):
     ] * 3
 
 
-def test_weighted_sgd_training_independent_of_thread_count(each_core_count):
-    # the shared weight gradient gathers both graphs' contributions
+def _weighted_sgd_digests(each_core_count) -> list[str]:
     pair = _mid_pair()
     enc = EncoderConfig(n_layers=2, dim=16, use_weights=True, seed=1)
     tc = TrainConfig(optimizer="sgd", learning_rate=0.001, n_negatives=100, n_epochs=4, seed=2)
-    digests = each_core_count(lambda cores: _train_digest(*train(pair, AdjacencyConfig(), enc, tc)))
+    return each_core_count(lambda cores: _train_digest(*train(pair, AdjacencyConfig(), enc, tc)))
+
+
+def test_weighted_sgd_training_independent_of_thread_count(each_core_count):
+    # the shared weight gradient gathers both graphs' contributions
+    digests = _weighted_sgd_digests(each_core_count)
     assert digests[0] == digests[1] == digests[2]
 
 
-@pytest.fixture
-def mid_attr_dataset(tmp_path):
-    """A dbp15k-jape directory with 300 entities per side and attribute
-    files; 160 train pairs x 120 negatives make two loss blocks."""
+def test_weighted_sgd_training_without_openblas_symbols(each_core_count, monkeypatch):
+    # where numpy's BLAS exports no thread-count calls the pin does
+    # nothing, and these products are too small for BLAS threads anyway
+    pinned = _weighted_sgd_digests(each_core_count)
+    monkeypatch.setattr(parallel, "_find_blas_calls", lambda: ())
+    monkeypatch.setattr(parallel, "_blas_calls", None)
+    assert _weighted_sgd_digests(each_core_count) == pinned
+    assert parallel._blas_calls == ()
+
+
+def _attr_dataset(root, n, n_triples, n_sup):
+    """A dbp15k-jape directory with n entities and n_triples triples per
+    side, attribute files, and n_sup of the n alignments for training."""
     rng = np.random.default_rng(4)
-    n = 300
     perm = rng.permutation(n)
 
     def triples(offset):
         return [(offset + int(h), 10 + int(r), offset + int(t))
-                for h, r, t in zip(rng.integers(0, n, 1200), rng.integers(0, 3, 1200),
-                                   rng.integers(0, n, 1200))]
+                for h, r, t in zip(rng.integers(0, n, n_triples), rng.integers(0, 3, n_triples),
+                                   rng.integers(0, n, n_triples))]
 
     def attrs(offset):
         return [(offset + e, f"p{int(p)}") for e in range(n)
                 for p in rng.choice(10, size=int(rng.integers(1, 4)), replace=False)]
 
     return write_dataset(
-        tmp_path / "data",
+        root,
         triples_1=triples(1000), triples_2=triples(5000),
         ents_1=[(1000 + e, f"l:{e}") for e in range(n)],
         ents_2=[(5000 + e, f"r:{e}") for e in range(n)],
         rels_1=[(10 + r, f"rl:{r}") for r in range(3)],
         rels_2=[(10 + r, f"rr:{r}") for r in range(3)],
         files={
-            "sup_ent_ids": [(1000 + e, 5000 + int(perm[e])) for e in range(200)],
-            "ref_ent_ids": [(1000 + e, 5000 + int(perm[e])) for e in range(200, n)],
+            "sup_ent_ids": [(1000 + e, 5000 + int(perm[e])) for e in range(n_sup)],
+            "ref_ent_ids": [(1000 + e, 5000 + int(perm[e])) for e in range(n_sup, n)],
             "attrs_1": attrs(1000),
             "attrs_2": attrs(5000),
         },
     )
+
+
+@pytest.fixture
+def mid_attr_dataset(tmp_path):
+    """300 entities per side with attribute files; 160 train pairs x 120
+    negatives make two loss blocks."""
+    return _attr_dataset(tmp_path / "data", 300, 1200, 200)
 
 
 def test_attribute_blend_run_independent_of_thread_count(tmp_path, mid_attr_dataset, each_core_count):
@@ -253,3 +274,141 @@ def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
     assert threads == [8, 3, 1]
     for a, b, c in zip(unbounded, bounded, serial):
         assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@pytest.fixture
+def blas_at_two():
+    """Yields OpenBLAS's (get, set) thread-count calls with the count set
+    to 2, and restores the count found."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: OpenBLAS has no second thread to differ with")
+    with parallel.one_blas_thread():  # resolves the calls
+        pass
+    if not parallel._blas_calls:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count calls (not OpenBLAS)")
+    get, set_ = parallel._blas_calls
+    found = get()
+    set_(2)
+    try:
+        yield get, set_
+    finally:
+        set_(found)
+
+
+def test_one_blas_thread_restores_the_callers_count(blas_at_two):
+    get, _ = blas_at_two
+    with parallel.one_blas_thread():
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(KeyError):
+        with parallel.one_blas_thread():
+            raise KeyError("body")
+    assert get() == 2
+    assert parallel._blas_depth == 0
+
+
+def test_one_blas_thread_is_shared_by_concurrent_callers(blas_at_two):
+    # the count is global to the process: a caller that leaves must not
+    # restore it while another is still inside
+    get, _ = blas_at_two
+    inside, leave = threading.Event(), threading.Event()
+
+    def other():
+        with parallel.one_blas_thread():
+            inside.set()
+            leave.wait()
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    try:
+        assert inside.wait(timeout=10)
+        with parallel.one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    finally:
+        leave.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert get() == 2
+
+
+def test_weighted_forward_and_backward_run_on_one_blas_thread(blas_at_two, monkeypatch):
+    get, _ = blas_at_two
+    seen = []
+
+    def reading(fn):
+        def wrapped(*args):
+            seen.append((fn.__name__, get()))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(encoder, "_forward_one", reading(encoder._forward_one))
+    monkeypatch.setattr(encoder, "_backward_one", reading(encoder._backward_one))
+    pair = _mid_pair()
+    enc = EncoderConfig(n_layers=2, dim=16, use_weights=True, seed=1)
+    adj = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
+    state = init_state(enc, pair.left.entity_count, pair.right.entity_count)
+    out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
+    backward(np.ones_like(out_l), np.ones_like(out_r), tape, enc, state)
+    assert seen == [("_forward_one", 1)] * 2 + [("_backward_one", 1)] * 2
+    assert get() == 2
+
+
+def test_weighted_training_independent_of_callers_blas_threads(blas_at_two):
+    # products of 2,000 x 32 x 32 are large enough for OpenBLAS to
+    # split them over its threads, which changes the last bits
+    _, set_ = blas_at_two
+    pair = random_pair(np.random.default_rng(5), n=2000, n_train=1000, n_triples=10000)
+    enc = EncoderConfig(n_layers=2, dim=32, use_weights=True, seed=1)
+    tc = TrainConfig(optimizer="sgd", learning_rate=0.001, n_negatives=20, n_epochs=4, seed=2)
+    digests = []
+    for count in (2, 1):
+        set_(count)
+        digests.append(_train_digest(*train(pair, AdjacencyConfig(), enc, tc)))
+    assert digests[0] == digests[1]
+
+
+def test_weighted_grid_independent_of_workers_and_blas_threads(tmp_path, blas_at_two):
+    # the workers inherit the caller's BLAS count; at dim 64 the weight
+    # products of these 1,000-entity graphs are split over BLAS threads.
+    # The grid crosses its axes with the four ablation cells, two weighted.
+    _, set_ = blas_at_two
+    base = RunConfig.from_flat({
+        "dataset.family": "dbp15k-jape",
+        "dataset.subset": "zh-en",
+        "dataset.root": str(_attr_dataset(tmp_path / "data", 1000, 5000, 500)),
+        "encoder.dim": 64,
+        "training.optimizer": "sgd",
+        "training.learning_rate": 0.01,
+        "training.n_negatives": 20,
+        "training.n_epochs": 4,
+    })
+    axes = {"encoder.n_layers": [1, 2]}
+
+    def grid(name, workers):
+        root = tmp_path / name
+        assert run_grid(base, root, axes=axes, workers=workers).n_failures == 0
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.glob("*/*"))
+                if path.name in ("report.json", "loss_trace.tsv")}
+
+    outputs = [grid("one", 1), grid("two", 2)]
+    set_(1)
+    outputs.append(grid("serial-blas", 1))
+    assert len(outputs[0]) == 16
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_importing_kgalign_leaves_blas_alone():
+    # the thread-count calls are looked up on first use, not at import
+    code = (
+        "import ctypes, numpy\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('a library was loaded')\n"
+        "ctypes.CDLL = refuse\n"
+        "import kgalign\n"
+        "from kgalign import parallel\n"
+        "assert parallel._blas_calls is None\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
