@@ -6,6 +6,12 @@ protocol: by default only entities that occur in the evaluated split's
 alignment are admitted as candidates. Ties are broken deterministically
 by ascending candidate entity index; an optional diagnostic exposes how
 much tie placement could move the mean rank.
+
+Under test-only, both directions share one distance matrix, the split's
+left entities by its right entities: left to right is counted along its
+rows and right to left along its columns. Under all-entities the two
+query sets differ, so each direction has a matrix of its own, counted
+along its rows. Either way the matrix is built in blocks of 512 rows.
 """
 from __future__ import annotations
 
@@ -161,52 +167,92 @@ def metrics_from_ranks(ranks: np.ndarray) -> DirectionMetrics:
     )
 
 
-def _ranks_one_direction(
-    query_emb, cand_emb, candidates, truths, query_attr, cand_attr, cfg, block=512
-):
-    """Vectorized equivalent of rank_of over all queries, in row blocks so
-    the full query-candidate distance matrix is never materialized.
+def _distances(emb, attr, rows, cols, cfg):
+    """Blended distances of the rows of emb[0] to the rows of emb[1].
+    cdist computes each element on its own, so an element has the same
+    bits in any matrix that holds it, and |a - b| = |b - a| makes the
+    transposed matrix the one of the opposite direction."""
+    dist = cdist(emb[0][rows], emb[1][cols], "cityblock")
+    dist *= cfg.beta / emb[0].shape[1]
+    if cfg.beta < 1.0:
+        blend = cdist(attr[0][rows], attr[1][cols], "cityblock")
+        blend *= (1.0 - cfg.beta) / attr[0].shape[1]
+        dist += blend
+    return dist
 
-    candidates must be sorted ascending by entity index. Returns the
-    deterministic ranks plus optimistic/pessimistic tie bounds. The
-    blocks are independent and cdist releases the GIL, so they run on
-    the threads of parallel.thread_map, each block writing only its own
-    rows. The result does not depend on the thread count.
+
+def _levels(lines):
+    """The pairs grouped so that no line holds two pairs of one group:
+    group k has each line's (k+1)-th pair. A valid split has one group.
+    Returns (pairs, their lines) per group, sorted by line."""
+    order = np.argsort(lines, kind="stable")
+    ordered = lines[order]
+    level = np.arange(len(lines)) - np.searchsorted(ordered, ordered)
+    return [(order[level == k], ordered[level == k]) for k in range(level.max() + 1)]
+
+
+def _count(dist, d_t, pos):
+    """Per row of dist, a line of candidate distances whose truth sits at
+    position pos (which may lie outside the line): how many lie below d_t,
+    how many equal it, and how many equal it before pos."""
+    n = dist.shape[1]
+    better = np.count_nonzero(dist < d_t[:, None], axis=1)
+    tied = np.count_nonzero(dist <= d_t[:, None], axis=1) - better
+    # every tie of a line lies before a truth past its end; only a line
+    # that holds its truth and a tie besides it needs the positions
+    before = np.where(pos >= n, tied, 0)
+    ties = np.flatnonzero((tied > 1) & (0 <= pos) & (pos < n))
+    before[ties] = np.count_nonzero(
+        (dist[ties] == d_t[ties, None]) & (np.arange(n) < pos[ties, None]), axis=1
+    )
+    return np.stack([better, tied, before])
+
+
+def _rank_counts(emb, attr, ids, pairs, cfg, columns, block=512):
+    """Counts of each pair's truth in the matrix of the sorted entities
+    ids[0] of emb[0] by the sorted entities ids[1] of emb[1]: along its
+    row, and with columns also along its column. Returns per direction a
+    (3, pairs) array: better, tied (the truth included) and tied before.
+
+    The truth distances come first, from the diagonals of small per-pair
+    blocks, since every block's column counts need them. The 512-row
+    blocks run on parallel.thread_map; a pair's row counts come from one
+    block and its column counts are integers summed over blocks, so no
+    thread count can change a bit.
     """
-    truths = np.asarray(truths, dtype=np.int64)
-    nq = query_emb.shape[0]
-    d = query_emb.shape[1]
-    truth_pos = np.searchsorted(candidates, truths)
-    in_range = truth_pos < len(candidates)
-    if not (in_range.all() and np.array_equal(candidates[truth_pos], truths)):
-        bad = int(np.flatnonzero(~in_range | (candidates[np.minimum(truth_pos, len(candidates) - 1)] != truths))[0])
-        raise ValueError(f"truth entity {truths[bad]} missing from candidate set")
+    missing = np.setdiff1d(pairs[:, 1], ids[1])
+    if missing.size:
+        raise ValueError(f"truth entity {missing[0]} missing from candidate set")
+    pos = [np.searchsorted(i, p) for i, p in zip(ids, pairs.T)]
+    emb = [e[i] for e, i in zip(emb, ids)]
+    attr = [None if a is None else a[i] for a, i in zip(attr, ids)]
+    n_pairs, n_rows = len(pairs), len(ids[0])
 
-    # candidates are sorted, so "candidate index < truth" is "column < truth_pos"
-    columns = np.arange(len(candidates))
-    ranks = np.empty(nq, dtype=np.int64)
-    optimistic = np.empty(nq, dtype=np.int64)
-    pessimistic = np.empty(nq, dtype=np.int64)
+    # off the diagonals of 16 x 16 blocks: 16 distances per pair in all
+    d_t = np.concatenate([
+        _distances(emb, attr, pos[0][lo:lo + 16], pos[1][lo:lo + 16], cfg).diagonal()
+        for lo in range(0, n_pairs, 16)
+    ])
+    by_row = _levels(pos[0])
+    by_column = _levels(pos[1]) if columns else []
+    row_counts = np.empty((3, n_pairs), dtype=np.int64)
 
-    def rank_block(lo):
-        hi = min(lo + block, nq)
-        dist = cdist(query_emb[lo:hi], cand_emb, "cityblock")
-        dist *= cfg.beta / d
-        if cfg.beta < 1.0:
-            attr = cdist(query_attr[lo:hi], cand_attr, "cityblock")
-            attr *= (1.0 - cfg.beta) / query_attr.shape[1]
-            dist += attr
-        # a higher score is a smaller distance: -a > -b is exactly a < b
-        d_t = dist[np.arange(hi - lo), truth_pos[lo:hi]][:, None]
-        better = (dist < d_t).sum(axis=1)
-        tied = dist == d_t  # includes the truth itself
-        tied_before = (tied & (columns < truth_pos[lo:hi, None])).sum(axis=1)
-        ranks[lo:hi] = better + tied_before + 1
-        optimistic[lo:hi] = better + 1
-        pessimistic[lo:hi] = better + tied.sum(axis=1)
+    def count_block(lo):
+        hi = min(lo + block, n_rows)
+        dist = _distances(emb, attr, slice(lo, hi), slice(None), cfg)
+        # a line with several pairs is gathered once per extra pair
+        for p, rows in by_row:
+            s, e = np.searchsorted(rows, (lo, hi))
+            sub = dist if e - s == hi - lo else dist[rows[s:e] - lo]
+            row_counts[:, p[s:e]] = _count(sub, d_t[p[s:e]], pos[1][p[s:e]])
+        column_counts = np.zeros((3, n_pairs), dtype=np.int64)
+        for p, cols in by_column:
+            sub = dist.T if len(cols) == dist.shape[1] else dist.T[cols]
+            column_counts[:, p] = _count(sub, d_t[p], pos[0][p] - lo)
+        return column_counts
 
-    thread_map(rank_block, range(0, nq, block), block * len(candidates))
-    return ranks, optimistic, pessimistic
+    partial = thread_map(count_block, range(0, n_rows, block), block * len(ids[1]))
+    return (row_counts, sum(partial)) if columns else (row_counts,)
 
 
 def evaluate(
@@ -234,32 +280,28 @@ def evaluate(
     if eval_pairs.shape[0] == 0:
         raise ConfigError(f"no pairs with role {Role(split).value!r} to evaluate")
 
-    # candidates per side: index 0 is the left graph, 1 the right
-    if policy == "test-only":
-        cands = (np.unique(eval_pairs[:, 0]), np.unique(eval_pairs[:, 1]))
-    else:
-        cands = tuple(np.arange(g.entity_count, dtype=np.int64) for g in (pair.left, pair.right))
     embs = (emb_left, emb_right)
     attrs = (attr_emb_left, attr_emb_right)
-
-    def attr_rows(emb, idx):
-        return None if emb is None else emb[idx]
+    if policy == "test-only":
+        # one matrix: left to right along its rows, right to left along its columns
+        ids = [np.unique(eval_pairs[:, side]) for side in (0, 1)]
+        counts = _rank_counts(embs, attrs, ids, eval_pairs, cfg, columns=True)
+    else:
+        # the two query sets differ, so each direction has a matrix of its own
+        graphs = (pair.left, pair.right)
+        counts = [
+            _rank_counts((embs[q], embs[c]), (attrs[q], attrs[c]),
+                         (np.unique(eval_pairs[:, q]), np.arange(graphs[c].entity_count)),
+                         eval_pairs[:, [q, c]], cfg, columns=False)[0]
+            for q, c in ((0, 1), (1, 0))
+        ]
 
     metrics, diag = {}, {}
-    for name, q, c in (("left_to_right", 0, 1), ("right_to_left", 1, 0)):
-        ranks, optimistic, pessimistic = _ranks_one_direction(
-            embs[q][eval_pairs[:, q]],
-            embs[c][cands[c]],
-            cands[c],
-            eval_pairs[:, c],
-            attr_rows(attrs[q], eval_pairs[:, q]),
-            attr_rows(attrs[c], cands[c]),
-            cfg,
-        )
-        metrics[name] = metrics_from_ranks(ranks)
+    for name, (better, tied, before) in zip(DIRECTIONS, counts):
+        metrics[name] = metrics_from_ranks(better + before + 1)
         diag[name] = {
-            "mean_rank_optimistic": float(optimistic.mean()),
-            "mean_rank_pessimistic": float(pessimistic.mean()),
+            "mean_rank_optimistic": float((better + 1).mean()),
+            "mean_rank_pessimistic": float((better + tied).mean()),
         }
 
     lr, rl = metrics["left_to_right"], metrics["right_to_left"]

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from kgalign.errors import ConfigError
 from kgalign.evaluation import (
@@ -12,7 +14,7 @@ from kgalign.evaluation import (
     rank_of,
     score,
 )
-from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role
+from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role, validate_pair
 
 
 def test_score_identical_embeddings_is_zero():
@@ -325,23 +327,125 @@ def test_evaluate_report_independent_of_thread_count(monkeypatch):
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     pair, emb, attr = _tied_pair()
     cfg = ScoreConfig(beta=0.75)
-    texts = []
     # eight CPUs give one thread per block, three (the calling thread and
     # two helpers), more than this machine may have; a short switch
     # interval interleaves them densely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus, expected_pools in (({0}, []), ({0, 1}, [1, 1]), (set(range(8)), [2, 2])):
-            pools.clear()
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            report = evaluate(
-                *emb, pair, cfg,
-                attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
-            )
-            assert pools == expected_pools  # one pool per direction, none on one core
-            texts.append(report.to_json())
+        # test-only counts both directions from one matrix, all-entities
+        # builds a matrix per direction; each matrix takes one pool for
+        # its blocks (the truth distances come first, on the calling
+        # thread), and none on one core
+        for policy, matrices in (("test-only", 1), ("all-entities", 2)):
+            texts = []
+            for cpus, helpers in (({0}, []), ({0, 1}, [1]), (set(range(8)), [2])):
+                pools.clear()
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                report = evaluate(
+                    *emb, pair, cfg, policy=policy,
+                    attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+                )
+                assert pools == helpers * matrices
+                texts.append(report.to_json())
+            assert texts[0] == texts[1] == texts[2]
+            _assert_matches_oracle(report, pair, emb, attr, cfg, policy)
     finally:
         sys.setswitchinterval(interval)
-    assert texts[0] == texts[1] == texts[2]
-    _assert_matches_oracle(report, pair, emb, attr, cfg, "test-only")
+
+
+@pytest.mark.parametrize("width", [4, 32, 200])
+def test_cdist_elements_do_not_depend_on_their_matrix(width):
+    """Test-only ranking computes one matrix and reads right-to-left
+    distances down its columns, and takes the truth distances from the
+    diagonals of small per-pair blocks. That is exact only because
+    cdist computes each element on its own and |a - b| = |b - a|."""
+    rng = np.random.default_rng(width)
+    x, y = rng.normal(size=(23, width)), rng.normal(size=(31, width))
+    bits = lambda a: np.asarray(a).view(np.uint64)
+    full = cdist(x, y, "cityblock")
+    assert np.array_equal(bits(full), bits(cdist(y, x, "cityblock").T))
+    for i in range(len(x)):
+        for j in range(len(y)):
+            assert bits(cdist(x[i:i + 1], y[j:j + 1], "cityblock"))[0, 0] == bits(full)[i, j]
+    rows, cols = rng.integers(len(x), size=40), rng.integers(len(y), size=40)
+    assert np.array_equal(bits(cdist(x[rows], y[cols], "cityblock").diagonal()), bits(full[rows, cols]))
+
+
+def _full_row_ranks(emb_q, emb_c, attr_q, attr_c, candidates, truths, beta):
+    """Ranks and tie bounds from one cdist over all queries and
+    candidates, by the documented rule: higher score first, ties broken
+    by ascending candidate index."""
+    dist = beta / emb_q.shape[1] * cdist(emb_q, emb_c, "cityblock")
+    dist += (1.0 - beta) / attr_q.shape[1] * cdist(attr_q, attr_c, "cityblock")
+    d_t = dist[np.arange(len(truths)), np.searchsorted(candidates, truths)][:, None]
+    better = (dist < d_t).sum(axis=1)
+    tied = dist == d_t
+    before = (tied & (candidates[None, :] < truths[:, None])).sum(axis=1)
+    return better + before + 1, better + 1, better + tied.sum(axis=1)
+
+
+def test_evaluate_float_data_matches_full_row_reference():
+    # 1,100 test pairs span three 512-row blocks; width 200 and beta 0.7
+    # give scales that are not powers of two
+    n, n_test, beta = 1200, 1100, 0.7
+    rng = np.random.default_rng(21)
+    graph = KnowledgeGraph(n, 1, [(0, 0, 1)])
+    right_ids = rng.permutation(n)
+    records = [(i, int(right_ids[i]), Role.TEST if i < n_test else Role.TRAIN) for i in range(n)]
+    pair = GraphPair(graph, graph, AlignmentSet.from_records(records))
+    emb = [rng.normal(size=(n, 200)) for _ in range(2)]
+    attr = [rng.normal(size=(n, 24)) for _ in range(2)]
+    # identical rows give exact ties on float data, on both sides
+    copies = rng.integers(60, n_test, size=60)
+    for side in (emb, attr):
+        side[0][copies] = side[0][:60]
+        side[1][right_ids[copies]] = side[1][right_ids[:60]]
+    report = evaluate(
+        *emb, pair, ScoreConfig(beta=beta),
+        attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+    )
+    test_pairs = pair.alignment.test_pairs
+    for name, q, c in (("left_to_right", 0, 1), ("right_to_left", 1, 0)):
+        candidates = np.unique(test_pairs[:, c])
+        ranks, optimistic, pessimistic = _full_row_ranks(
+            emb[q][test_pairs[:, q]], emb[c][candidates],
+            attr[q][test_pairs[:, q]], attr[c][candidates],
+            candidates, test_pairs[:, c], beta,
+        )
+        assert (pessimistic > optimistic).any()  # ties do occur
+        assert report.direction(name).to_dict() == metrics_from_ranks(ranks).to_dict()
+        assert report.tie_diagnostics[name] == {
+            "mean_rank_optimistic": float(optimistic.mean()),
+            "mean_rank_pessimistic": float(pessimistic.mean()),
+        }
+    # pinned from the per-direction ranking, which computed each distance twice
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "d969e6cf2e734c1f1af8e0b775f92ff6a8f7adf0867f784bebbebc480e3007d1"
+    )
+
+
+@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
+def test_evaluate_unvalidated_split_matches_oracle(policy):
+    """evaluate does not call validate_pair, so an entity may sit in two
+    test pairs; each pair is still ranked on its own."""
+    pair, emb, attr = _tied_pair()
+    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
+    extra = [
+        (test[0, 0], train[0, 1]),  # a left entity in two test pairs
+        (train[1, 0], test[700, 1]),  # a right entity in two test pairs
+        tuple(test[1200]),  # one pair twice
+    ]
+    alignment = AlignmentSet(
+        np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]
+    )
+    pair = GraphPair(pair.left, pair.right, alignment)
+    violations = validate_pair(pair)
+    for side in ("left", "right"):
+        assert any(f"{side} entity" in v and "more than one pair" in v for v in violations)
+    cfg = ScoreConfig(beta=0.75)
+    report = evaluate(
+        *emb, pair, cfg, policy=policy,
+        attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+    )
+    _assert_matches_oracle(report, pair, emb, attr, cfg, policy)
