@@ -138,25 +138,43 @@ def cmd_grid(args) -> int:
     return 0
 
 
+def _ablation_datasets(base: RunConfig, tokens: list, source: str) -> list[DatasetDescriptor]:
+    """The descriptors of the ablate.datasets entries. The config's own
+    dataset keeps its root. When that root ends in <family>/<subset>,
+    every other entry resolves to the sibling directory
+    <root>/../../<family>/<subset>; otherwise any other entry but a toy
+    one is a ConfigError."""
+    own = base.dataset
+    root = own.root_path
+    family_root = None
+    if root is not None and root.parts[-2:] == (own.family, own.subset):
+        family_root = root.parent.parent
+    descriptors = []
+    for token in tokens:
+        family, _, subset = str(token).partition(":")
+        if not subset:
+            raise ConfigError(f"ablate.datasets entries look like family:subset, got {token!r}")
+        desc = DatasetDescriptor(family=family, subset=subset)
+        if desc.key() == own.key():
+            desc = own
+        elif not desc.is_toy:
+            if family_root is None:
+                raise ConfigError(
+                    f"{source}: ablate.datasets entry {token!r} has no directory; other "
+                    f"datasets sit next to dataset.root only if it ends in {own.family}/{own.subset}"
+                )
+            desc = DatasetDescriptor(desc.family, desc.subset, family_root / desc.family / desc.subset)
+        descriptors.append(desc)
+    return descriptors
+
+
 def cmd_ablate(args) -> int:
     flat = read_config_file(args.config)
     dataset_keys = flat.get("ablate.datasets")
     base = RunConfig.from_flat(flat, source=args.config)
-    if dataset_keys:
-        descriptors = []
-        for token in dataset_keys:
-            family, _, subset = str(token).partition(":")
-            if not subset:
-                raise ConfigError(
-                    f"ablate.datasets entries look like family:subset, got {token!r}"
-                )
-            descriptors.append(
-                DatasetDescriptor(
-                    family=family, subset=subset, root_path=base.dataset.root_path
-                )
-            )
-    else:
-        descriptors = [base.dataset]
+    descriptors = (
+        _ablation_datasets(base, dataset_keys, args.config) if dataset_keys else [base.dataset]
+    )
     cells = run_ablation(
         base,
         descriptors,

@@ -10,17 +10,23 @@ from __future__ import annotations
 
 from .errors import ConfigError
 
-# (use_weights, init_preset) -> search winner on dbp15k-jape zh-en
+# (use_weights, init_preset) -> search winner on dbp15k-jape zh-en, as
+# run-config overrides
 CELL_BASELINES = {
-    (False, "unit"): {"optimizer": "adam", "n_negatives": 50, "n_epochs": 2000, "n_layers": 2, "learning_rate": 1.0},
-    (False, "scaled"): {"optimizer": "sgd", "n_negatives": 100, "n_epochs": 3000, "n_layers": 2, "learning_rate": 1.0},
-    (True, "unit"): {"optimizer": "adam", "n_negatives": 50, "n_epochs": 2000, "n_layers": 3, "learning_rate": 1.0},
-    (True, "scaled"): {"optimizer": "adam", "n_negatives": 50, "n_epochs": 2000, "n_layers": 2, "learning_rate": 1.0},
+    (False, "unit"): {"training.optimizer": "adam", "training.n_negatives": 50,
+                      "training.n_epochs": 2000, "encoder.n_layers": 2, "training.learning_rate": 1.0},
+    (False, "scaled"): {"training.optimizer": "sgd", "training.n_negatives": 100,
+                        "training.n_epochs": 3000, "encoder.n_layers": 2, "training.learning_rate": 1.0},
+    (True, "unit"): {"training.optimizer": "adam", "training.n_negatives": 50,
+                     "training.n_epochs": 2000, "encoder.n_layers": 3, "training.learning_rate": 1.0},
+    (True, "scaled"): {"training.optimizer": "adam", "training.n_negatives": 50,
+                       "training.n_epochs": 2000, "encoder.n_layers": 2, "training.learning_rate": 1.0},
 }
 
 # (family, subset, use_weights, init_preset) -> per-dataset fine-tune of
-# (n_epochs, n_layers, learning_rate); optimizer and negative count stay
-# at the cell baseline.
+# the FINETUNED_KEYS; optimizer and negative count stay at the cell
+# baseline.
+FINETUNED_KEYS = ("training.n_epochs", "encoder.n_layers", "training.learning_rate")
 FINETUNED = {
     ("dbp15k-full", "fr-en", False, "unit"): (2000, 2, 1.0),
     ("dbp15k-full", "ja-en", False, "unit"): (2000, 3, 1.0),
@@ -81,13 +87,10 @@ ABLATION_CELLS = (
 
 
 def tuned_hyperparameters(family: str, subset: str, use_weights: bool, init_preset: str) -> dict:
-    """Resolved hyperparameters for one dataset/cell combination."""
+    """Run-config overrides (dotted keys) tuned for one dataset/cell
+    combination."""
     cell = (use_weights, init_preset)
     if cell not in CELL_BASELINES:
         raise ConfigError(f"unknown ablation cell {cell}")
-    base = dict(CELL_BASELINES[cell])
-    key = (family, subset, use_weights, init_preset)
-    if key in FINETUNED:
-        epochs, layers, lr = FINETUNED[key]
-        base.update({"n_epochs": epochs, "n_layers": layers, "learning_rate": lr})
-    return base
+    row = FINETUNED.get((family, subset, use_weights, init_preset), ())
+    return {**CELL_BASELINES[cell], **dict(zip(FINETUNED_KEYS, row))}

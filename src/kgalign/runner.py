@@ -15,6 +15,8 @@ import json
 import os
 import traceback
 import warnings
+import zipfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -27,7 +29,7 @@ from .configfile import config_from_flat, config_to_flat, format_config, read_co
 from .datasets import DatasetDescriptor, load, split
 from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
-from .evaluation import DIRECTIONS, MetricsReport, ScoreConfig, evaluate
+from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConfig, evaluate
 from .graphs import GraphPair, Role, require_valid
 from .parallel import set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
@@ -62,6 +64,15 @@ class RunConfig:
     attribute_margin: float | None = None
     save_state: bool = True
     evaluate_test: bool = True
+
+    # checked here so a bad value fails at parse time, not after training
+    def __post_init__(self):
+        if self.candidate_policy not in CANDIDATE_POLICIES:
+            raise ConfigError(f"unknown candidate policy {self.candidate_policy!r}")
+        if self.n_seeds < 1:
+            raise ConfigError("n_seeds must be at least 1")
+        if self.attribute_margin is not None and self.attribute_margin < 0:
+            raise ConfigError("attribute_margin must be non-negative")
 
     def to_flat(self) -> dict:
         """Flat dotted-key mapping; the canonical serialized form."""
@@ -138,20 +149,25 @@ def _save_state(path: Path, state: EmbeddingState, attr_state: EmbeddingState | 
 
 
 def load_state(path: Path) -> tuple[EmbeddingState, EmbeddingState | None]:
-    """(structure state, attribute state or None) saved in path."""
-    with np.load(path) as data:
-        def saved(prefix):
-            if f"{prefix}features_left" not in data:
-                return None
-            weight = f"{prefix}weight_"
-            layers = sorted(int(k[len(weight):]) for k in data.files if k.startswith(weight))
-            return EmbeddingState(
-                features_left=data[f"{prefix}features_left"],
-                features_right=data[f"{prefix}features_right"],
-                weights=[data[f"{weight}{i}"] for i in layers] or None,
-            )
+    """(structure state, attribute state or None) saved in path; an
+    archive that cannot be read or lacks an array is a ConfigError."""
+    try:
+        with np.load(path) as data:
+            def saved(prefix):  # only the attribute state is optional
+                if prefix and f"{prefix}features_left" not in data:
+                    return None
+                weight = f"{prefix}weight_"
+                layers = sorted(int(k[len(weight):]) for k in data.files if k.startswith(weight))
+                return EmbeddingState(
+                    features_left=data[f"{prefix}features_left"],
+                    features_right=data[f"{prefix}features_right"],
+                    weights=[data[f"{weight}{i}"] for i in layers] or None,
+                )
 
-        state, attr_state = (saved(prefix) for prefix in _STATE_PREFIXES)
+            state, attr_state = (saved(prefix) for prefix in _STATE_PREFIXES)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigError(f"{path} is not a complete state archive "
+                          f"({type(exc).__name__}: {exc}); re-train with --force") from None
     return state, attr_state
 
 
@@ -206,11 +222,14 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
     enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
     enc_cfg = replace(cfg.encoder, seed=enc_seed)
     train_cfg = replace(cfg.training, seed=train_seed)
+    # derived first, so a dataset without attribute tables fails untrained
+    attr_enc = None
+    if cfg.score.beta < 1.0:
+        attr_enc = replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0)
     state, losses = train(pair, cfg.adjacency, enc_cfg, train_cfg, adjacencies=adjacencies)
 
     attr_state = None
-    if cfg.score.beta < 1.0:
-        attr_enc = replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0)
+    if attr_enc is not None:
         attr_train = replace(
             cfg.training,
             seed=attr_train_seed,
@@ -279,12 +298,16 @@ def write_atomic(path: Path, content) -> None:
     binary file object it is given.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as f:
-        if callable(content):
-            content(f)
-        else:
-            f.write(content.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            if callable(content):
+                content(f)
+            else:
+                f.write(content.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:  # a full disk or Ctrl-C leaves no temp file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResult:
@@ -470,50 +493,39 @@ class AblationCell:
     init_preset: str
     dataset: str
     n_seeds: int
-    # direction -> metric -> (mean, std); std is None for a single seed
-    aggregates: dict[str, dict[str, tuple[float, float | None]]]
+    # direction -> metric -> {"mean": ..., "std": ...}; std is None for a
+    # single seed
+    aggregates: dict[str, dict[str, dict[str, float | None]]]
     run_hashes: list[str]
 
     def to_dict(self) -> dict:
-        return {
-            "use_weights": self.use_weights,
-            "init_preset": self.init_preset,
-            "dataset": self.dataset,
-            "n_seeds": self.n_seeds,
-            "aggregates": {
-                direction: {
-                    metric: {"mean": m, "std": s}
-                    for metric, (m, s) in metrics.items()
-                }
-                for direction, metrics in self.aggregates.items()
-            },
-            "run_hashes": self.run_hashes,
-        }
+        return dataclasses.asdict(self)
 
 
-_ABLATION_METRICS = ("h1", "h10", "mr", "mrr")
-
-
-def _metric_values(report: MetricsReport, direction: str) -> dict[str, float]:
-    m = report.direction(direction)
-    return {
-        "h1": m.hits_at[1],
-        "h10": m.hits_at[10],
-        "mr": m.mean_rank,
-        "mrr": m.mrr,
-    }
+# metric -> (table label, its value in one direction's metrics)
+_ABLATION_METRICS = {
+    "h1": ("H@1", lambda m: m.hits_at[1]),
+    "h10": ("H@10", lambda m: m.hits_at[10]),
+    "mr": ("MR", lambda m: m.mean_rank),
+    "mrr": ("MRR", lambda m: m.mrr),
+}
 
 
 def _aggregate(reports: list[MetricsReport]) -> dict:
-    out: dict[str, dict[str, tuple[float, float | None]]] = {}
-    for direction in DIRECTIONS:
-        per_metric: dict[str, tuple[float, float | None]] = {}
-        for metric in _ABLATION_METRICS:
-            vals = np.array([_metric_values(r, direction)[metric] for r in reports])
-            std = float(np.std(vals, ddof=1)) if len(vals) >= 2 else None
-            per_metric[metric] = (float(vals.mean()), std)
-        out[direction] = per_metric
-    return out
+    def stats(vals):
+        vals = np.array(vals)
+        return {
+            "mean": float(vals.mean()),
+            "std": float(np.std(vals, ddof=1)) if len(vals) >= 2 else None,
+        }
+
+    return {
+        direction: {
+            metric: stats([value(r.direction(direction)) for r in reports])
+            for metric, (_, value) in _ABLATION_METRICS.items()
+        }
+        for direction in DIRECTIONS
+    }
 
 
 def run_ablation(
@@ -533,45 +545,19 @@ def run_ablation(
     n = n_seeds if n_seeds is not None else base.n_seeds
     if n < 1:
         raise ConfigError("n_seeds must be at least 1")
+    if not base.evaluate_test:
+        raise ConfigError("ablation runs must evaluate the test split")
     results = []
     for desc in datasets:
-        ds_base = apply_overrides(
-            base,
-            {
-                "dataset.family": desc.family,
-                "dataset.subset": desc.subset,
-                **(
-                    {"dataset.root": str(desc.root_path)}
-                    if desc.root_path is not None
-                    else {}
-                ),
-            },
-        )
+        ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
         for use_weights, init_preset in cells:
             cfg = with_cell(ds_base, use_weights, init_preset)
             if use_tuned and not desc.is_toy:
-                params = tuned_hyperparameters(
-                    desc.family, desc.subset, use_weights, init_preset
-                )
                 cfg = apply_overrides(
-                    cfg,
-                    {
-                        "training.optimizer": params["optimizer"],
-                        "training.n_negatives": params["n_negatives"],
-                        "training.n_epochs": params["n_epochs"],
-                        "training.learning_rate": params["learning_rate"],
-                        "encoder.n_layers": params["n_layers"],
-                    },
+                    cfg, tuned_hyperparameters(desc.family, desc.subset, use_weights, init_preset)
                 )
-            reports = []
-            hashes = []
-            for s in range(n):
-                seed_cfg = apply_overrides(cfg, {"seed": base.seed + s})
-                result = run_single(seed_cfg, runs_root)
-                if result.test is None:
-                    raise ConfigError("ablation runs must evaluate the test split")
-                reports.append(result.test)
-                hashes.append(seed_cfg.run_hash())
+            seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
+            reports = [run_single(seed_cfg, runs_root).test for seed_cfg in seed_cfgs]
             results.append(
                 AblationCell(
                     use_weights=use_weights,
@@ -579,54 +565,38 @@ def run_ablation(
                     dataset=desc.key(),
                     n_seeds=n,
                     aggregates=_aggregate(reports),
-                    run_hashes=hashes,
+                    run_hashes=[seed_cfg.run_hash() for seed_cfg in seed_cfgs],
                 )
             )
     return results
 
 
-_METRIC_LABELS = {"h1": "H@1", "h10": "H@10", "mr": "MR", "mrr": "MRR"}
-
-
 def ablation_table(cells: list[AblationCell], direction: str = "left_to_right") -> str:
     """Aligned-column text table, one block per metric, one column per
     ablation cell; entries are mean or mean +- std over seeds."""
-    cell_keys = []
-    for c in cells:
-        key = (c.use_weights, c.init_preset)
-        if key not in cell_keys:
-            cell_keys.append(key)
-    datasets = []
-    for c in cells:
-        if c.dataset not in datasets:
-            datasets.append(c.dataset)
+    cell_keys = list(dict.fromkeys((c.use_weights, c.init_preset) for c in cells))
+    datasets = list(dict.fromkeys(c.dataset for c in cells))
     by_key = {(c.dataset, c.use_weights, c.init_preset): c for c in cells}
+    headers = [f"{'weights' if w else 'no-weights'}/{init}" for w, init in cell_keys]
+    widths = [max(len(h), 18) for h in headers]
+    col0 = max([len(d) for d in datasets] + [len("dataset")])
 
-    def header(key):
-        w, init = key
-        return f"{'weights' if w else 'no-weights'}/{init}"
+    def row(first, entries):
+        return first.ljust(col0) + "  " + "  ".join(e.rjust(w) for e, w in zip(entries, widths))
+
+    def entry(c, metric):
+        if c is None:
+            return "-"
+        agg = c.aggregates[direction][metric]
+        digits = 4 if metric == "mrr" else 2
+        text = f"{agg['mean']:.{digits}f}"
+        return text if agg["std"] is None else text + f" +- {agg['std']:.{digits}f}"
 
     lines = []
-    col0 = max([len(d) for d in datasets] + [len("dataset")])
-    widths = [max(len(header(k)), 18) for k in cell_keys]
-    for metric in _ABLATION_METRICS:
-        lines.append(f"[{_METRIC_LABELS[metric]}] ({direction})")
-        row = "dataset".ljust(col0) + "  " + "  ".join(
-            header(k).rjust(w) for k, w in zip(cell_keys, widths)
-        )
-        lines.append(row)
+    for metric, (label, _) in _ABLATION_METRICS.items():
+        lines.append(f"[{label}] ({direction})")
+        lines.append(row("dataset", headers))
         for ds in datasets:
-            cells_row = []
-            for key, w in zip(cell_keys, widths):
-                c = by_key.get((ds,) + key)
-                if c is None:
-                    cells_row.append("-".rjust(w))
-                    continue
-                mean, std = c.aggregates[direction][metric]
-                fmt = f"{mean:.2f}" if metric != "mrr" else f"{mean:.4f}"
-                if std is not None:
-                    fmt += f" +- {std:.2f}" if metric != "mrr" else f" +- {std:.4f}"
-                cells_row.append(fmt.rjust(w))
-            lines.append(ds.ljust(col0) + "  " + "  ".join(cells_row))
+            lines.append(row(ds, [entry(by_key.get((ds, *key)), metric) for key in cell_keys]))
         lines.append("")
     return "\n".join(lines)

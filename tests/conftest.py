@@ -116,3 +116,22 @@ def require_golden(family, subset):
     if not path.is_dir():
         pytest.skip(f"dataset {family}/{subset} not present under KGALIGN_DATA")
     return path
+
+
+def record_run_single(monkeypatch, run_dir):
+    """Replace runner.run_single with a stub that trains nothing: it
+    appends each config it is asked for to the returned list and reports
+    rank 1 everywhere."""
+    from kgalign import runner
+    from kgalign.evaluation import MetricsReport, metrics_from_ranks
+
+    asked = []
+
+    def run_single(cfg, runs_root, force=False):
+        asked.append(cfg)
+        m = metrics_from_ranks(np.array([1]))
+        test = MetricsReport("test-only", "test", m, m, m)
+        return runner.RunResult(cfg, run_dir, None, test, None)
+
+    monkeypatch.setattr(runner, "run_single", run_single)
+    return asked

@@ -23,16 +23,18 @@ from kgalign.adjacency import (
 from kgalign.datasets import DatasetDescriptor, statistics_for
 from kgalign.encoder import EncoderConfig, backward, forward, init_state
 from kgalign.evaluation import metrics_from_ranks, rank_of
+from kgalign.presets import ABLATION_CELLS, tuned_hyperparameters
 from kgalign.runner import (
     DEFAULT_GRID_AXES,
     RunConfig,
     apply_overrides,
     enumerate_grid,
+    run_ablation,
     run_single,
 )
 from kgalign.training import margin_rank_loss, sample_negatives
 
-from conftest import ACCEPTANCE_LOG, random_graph, require_golden
+from conftest import ACCEPTANCE_LOG, random_graph, record_run_single, require_golden
 
 # --------------------------------------------------------------------------
 
@@ -232,29 +234,37 @@ def _reproduction_runs_root() -> Path:
     return Path(os.environ.get("KGALIGN_RUNS", "runs-reproduction"))
 
 
+def _cell_config(base: RunConfig, use_weights: bool, init: str) -> RunConfig:
+    """base in one ablation cell at the cell's tuned zh-en settings."""
+    cell = {"encoder.use_weights": use_weights, "encoder.init": init}
+    tuned = tuned_hyperparameters("dbp15k-jape", "zh-en", use_weights, init)
+    return apply_overrides(base, {**cell, **tuned})
+
+
 def _cell_mean_h1(base: RunConfig, use_weights: bool, init: str, n_seeds: int = 3):
     """Per-direction mean H@1 over seeds at the tuned cell settings."""
-    from kgalign.presets import tuned_hyperparameters
-
-    params = tuned_hyperparameters("dbp15k-jape", "zh-en", use_weights, init)
-    cfg = apply_overrides(
-        base,
-        {
-            "encoder.use_weights": use_weights,
-            "encoder.init": init,
-            "encoder.n_layers": params["n_layers"],
-            "training.optimizer": params["optimizer"],
-            "training.n_negatives": params["n_negatives"],
-            "training.n_epochs": params["n_epochs"],
-            "training.learning_rate": params["learning_rate"],
-        },
-    )
+    cfg = _cell_config(base, use_weights, init)
     per_direction = {"left_to_right": [], "right_to_left": [], "mean": []}
     for seed in range(n_seeds):
         result = run_single(apply_overrides(cfg, {"seed": seed}), _reproduction_runs_root())
         for direction in per_direction:
             per_direction[direction].append(result.test.direction(direction).hits_at[1])
     return {k: float(np.mean(v)) for k, v in per_direction.items()}
+
+
+# Criteria 6 and 7 only run with the downloads, so this checks without
+# them that their cells are the runs `kgalign ablate` makes for zh-en.
+def test_cell_configs_match_run_ablation(tmp_path, monkeypatch):
+    path = tmp_path / "dbp15k-jape" / "zh-en"
+    base = _reproduction_base(path)
+    asked = record_run_single(monkeypatch, tmp_path)
+    run_ablation(base, [DatasetDescriptor("dbp15k-jape", "zh-en", path)], tmp_path, n_seeds=3)
+    expected = [
+        apply_overrides(_cell_config(base, use_weights, init), {"seed": seed})
+        for use_weights, init in ABLATION_CELLS
+        for seed in range(3)
+    ]
+    assert asked == expected
 
 
 def test_criterion_6_desk_scale_reproduction():

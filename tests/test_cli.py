@@ -10,6 +10,8 @@ import pytest
 import kgalign
 from kgalign.cli import main
 
+from conftest import write_dataset
+
 TOY_CONFIG = """\
 dataset.family = toy
 dataset.subset = cycle-8-4
@@ -142,14 +144,24 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
     assert not runs.exists() or not any(runs.iterdir())
 
 
+# The run-level values (policy, n_seeds, attribute_margin) once parsed,
+# trained the whole run and only failed, if at all, afterwards.
 @pytest.mark.parametrize(
     "line, message",
-    [("encoder.dim = 0", "dim must be positive"), ("score.beta = 1.5", "beta must lie in")],
-    ids=["dim", "beta"],
+    [
+        ("encoder.dim = 0", "dim must be positive"),
+        ("score.beta = 1.5", "beta must lie in"),
+        ("candidate_policy = test_only", "unknown candidate policy"),
+        ("n_seeds = 0", "n_seeds must be at least 1"),
+        ("attribute_margin = -1.0", "attribute_margin must be non-negative"),
+    ],
+    ids=["dim", "beta", "policy", "n-seeds", "attribute-margin"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    kept = [kv for kv in TOY_CONFIG.splitlines() if kv.split(" = ")[0] != key]
     config = tmp_path / "bad.cfg"
-    config.write_text(TOY_CONFIG.replace("encoder.dim = 16", line) + "\n", encoding="utf-8")
+    config.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
     runs = tmp_path / "runs"
     assert main(["train", str(config), "--runs-root", str(runs)]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -202,6 +214,26 @@ def test_evaluate_rejects_state_that_disagrees_with_config(tmp_path, capsys):
     assert not (run_dir / "evaluation-test-only-test.json").exists()
 
 
+def _drop_features_right(path):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "features_right"}
+    np.savez_compressed(path, **arrays)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda path: path.write_bytes(path.read_bytes()[:300]), _drop_features_right],
+    ids=["truncated", "no-features-right"],
+)
+def test_evaluate_unreadable_state_exits_2_naming_it(tmp_path, capsys, damage):
+    run_dir = _train_toy(tmp_path, capsys)
+    damage(run_dir / "state.npz")
+    assert main(["evaluate", str(run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert str(run_dir / "state.npz") in err["message"]
+
+
 def test_grid_command(tmp_path, capsys):
     config = tmp_path / "grid.cfg"
     config.write_text(
@@ -230,6 +262,72 @@ def test_ablate_command(tmp_path, capsys):
     cells = json.loads((runs / "ablation.json").read_text())
     assert len(cells) == 4
     assert all(c["n_seeds"] == 2 for c in cells)
+
+
+def _jape_chain(root, n):
+    """A dbp15k-jape subset of two aligned n-entity chains: the first
+    half of the pairs revealed for training, the rest for test."""
+    return write_dataset(
+        root,
+        triples_1=[(i, 100, i + 1) for i in range(n - 1)],
+        triples_2=[(50 + i, 200, 51 + i) for i in range(n - 1)],
+        ents_1=[(i, f"e:{i}") for i in range(n)],
+        ents_2=[(50 + i, f"f:{i}") for i in range(n)],
+        rels_1=[(100, "r:p")],
+        rels_2=[(200, "s:p")],
+        files={
+            "sup_ent_ids": [(i, 50 + i) for i in range(n // 2)],
+            "ref_ent_ids": [(i, 50 + i) for i in range(n // 2, n)],
+        },
+    )
+
+
+def _jape_ablate_config(tmp_path, root):
+    config = tmp_path / "ablate.cfg"
+    config.write_text(
+        "dataset.family = dbp15k-jape\n"
+        "dataset.subset = zh-en\n"
+        f"dataset.root = {root}\n"
+        "encoder.dim = 8\n"
+        "training.n_negatives = 2\n"
+        "training.n_epochs = 5\n"
+        "ablate.datasets = dbp15k-jape:zh-en, dbp15k-jape:ja-en\n",
+        encoding="utf-8",
+    )
+    return config
+
+
+def test_ablate_datasets_load_their_own_directories(tmp_path, capsys):
+    data = tmp_path / "data" / "dbp15k-jape"
+    roots = {"dbp15k-jape:zh-en": _jape_chain(data / "zh-en", 6),
+             "dbp15k-jape:ja-en": _jape_chain(data / "ja-en", 10)}
+    runs = tmp_path / "runs"
+    argv = ["ablate", str(_jape_ablate_config(tmp_path, roots["dbp15k-jape:zh-en"])),
+            "--runs-root", str(runs), "--seeds", "1", "--no-tuned"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cells = json.loads((runs / "ablation.json").read_text())
+    assert sorted({c["dataset"] for c in cells}) == sorted(roots)
+    for cell in cells:
+        root = roots[cell["dataset"]]
+        (run_hash,) = cell["run_hashes"]
+        assert f"dataset.root = {root}\n" in (runs / run_hash / "config.txt").read_text()
+        report = json.loads((runs / run_hash / "report.json").read_text())
+        n_test = len((root / "ref_ent_ids").read_text().splitlines())
+        assert report["test"]["directions"]["left_to_right"]["n_test"] == n_test
+
+
+def test_ablate_dataset_without_directory_exits_2(tmp_path, capsys):
+    # the root does not end in dbp15k-jape/zh-en, so ja-en has no place
+    root = _jape_chain(tmp_path / "zh", 6)
+    runs = tmp_path / "runs"
+    argv = ["ablate", str(_jape_ablate_config(tmp_path, root)), "--runs-root", str(runs),
+            "--seeds", "1", "--no-tuned"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "'dbp15k-jape:ja-en'" in err["message"]
+    assert not runs.exists()
 
 
 def test_cli_subprocess_entrypoint(tmp_path):

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 from kgalign.configfile import parse_config_text
+from kgalign.datasets import FAMILIES, DatasetDescriptor
 from kgalign.encoder import EncoderConfig
 from kgalign.errors import ConfigError
-from kgalign.runner import RunConfig, enumerate_grid, run_single
+from kgalign.runner import RunConfig, enumerate_grid, run_ablation, run_single
+
+from conftest import record_run_single
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,3 +124,39 @@ def test_golden_toy_evaluate_outputs(tmp_path, capsys, policy, tie, digest):
     capsys.readouterr()
     written = (run_dir / f"evaluation-{policy}-test.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == digest
+
+
+# `kgalign ablate` of the seeded toy config over 2 seeds and the four
+# cells, byte for byte.
+def test_golden_toy_ablation_outputs(tmp_path, capsys):
+    from kgalign.cli import main
+
+    argv = ["ablate", str(CONFIGS / "toy.cfg"), "--runs-root", str(tmp_path), "--seeds", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def sha256(name):
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert sha256("ablation.json") == (
+        "0eaaa52a8c0cc62e943f9c77162c679fb0571529f08798dbffd7a3ab6270d60f"
+    )
+    assert sha256("ablation.txt") == (
+        "e58eac138e114ec245498daf046775493db2c1897fe7aa412c9f58a4d845d2c1"
+    )
+
+
+# The runs `run_ablation` asks for with tuned presets, for every subset
+# of every family: a change to the preset plumbing would orphan them.
+def test_golden_tuned_ablation_run_hashes(tmp_path, monkeypatch):
+    asked = record_run_single(monkeypatch, tmp_path)
+    datasets = [
+        DatasetDescriptor(family, subset, Path("data") / family / subset)
+        for family, (subsets, *_) in FAMILIES.items()
+        for subset in subsets
+    ]
+    run_ablation(RunConfig.from_file(CONFIGS / "ablate.cfg"), datasets, tmp_path, n_seeds=2)
+    hashes = [cfg.run_hash() for cfg in asked]
+    assert len(hashes) == len(set(hashes)) == 96
+    digest = hashlib.sha256("\n".join(hashes).encode("utf-8")).hexdigest()[:16]
+    assert digest == "7987e557277e640b"

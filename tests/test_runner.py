@@ -21,6 +21,7 @@ from kgalign.runner import (
     run_ablation,
     run_grid,
     run_single,
+    write_atomic,
 )
 
 
@@ -150,6 +151,19 @@ def test_run_single_persists_failure_record(tmp_path):
     assert "attribute" in record["message"]
 
 
+def test_attribute_less_dataset_fails_before_training(tmp_path, monkeypatch):
+    from kgalign import runner
+
+    def train(*args, **kwargs):
+        raise AssertionError("trained before the attribute tables were checked")
+
+    monkeypatch.setattr(runner, "train", train)
+    cfg = toy_config(**{"score.beta": 0.5})  # toy has no attributes
+    with pytest.raises(ConfigError, match="attribute"):
+        run_single(cfg, tmp_path)
+    assert (tmp_path / cfg.run_hash() / "error.json").is_file()
+
+
 def _edit_report(text, edit):
     data = json.loads(text)
     edit(data)
@@ -269,6 +283,23 @@ def test_grid_and_evaluate_leave_no_temp_files(tmp_path, capsys, monkeypatch):
     assert atomic <= names
     assert set(renamed) == atomic
     assert [n for n in names if n.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["disk-full", "ctrl-c"]
+)
+def test_write_atomic_failure_keeps_old_file_and_no_temp(tmp_path, exc):
+    target = tmp_path / "state.npz"
+    target.write_bytes(b"old")
+
+    def writer(f):
+        f.write(b"part")
+        raise exc
+
+    with pytest.raises(type(exc)):
+        write_atomic(target, writer)
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
 
 
 def test_run_single_recomputes_report_of_another_run(tmp_path):
@@ -454,9 +485,9 @@ def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
         for run_hash in cell.run_hashes:
             report = json.loads((tmp_path / run_hash / "report.json").read_text())
             h1.append(report["test"]["directions"]["left_to_right"]["hits_at"]["1"])
-        mean, std = cell.aggregates["left_to_right"]["h1"]
-        assert mean == pytest.approx(float(np.mean(h1)))
-        assert std == pytest.approx(float(np.std(h1, ddof=1)))
+        agg = cell.aggregates["left_to_right"]["h1"]
+        assert agg["mean"] == pytest.approx(float(np.mean(h1)))
+        assert agg["std"] == pytest.approx(float(np.std(h1, ddof=1)))
 
 
 def test_ablation_single_seed_omits_std(tmp_path):
@@ -464,8 +495,7 @@ def test_ablation_single_seed_omits_std(tmp_path):
     desc = DatasetDescriptor("toy", "cycle-6-3")
     cells = run_ablation(base, [desc], tmp_path, n_seeds=1, cells=((False, "unit"),))
     (cell,) = cells
-    mean, std = cell.aggregates["left_to_right"]["h1"]
-    assert std is None
+    assert cell.aggregates["left_to_right"]["h1"]["std"] is None
     table = ablation_table(cells)
     assert "+-" not in table
     assert "no-weights/unit" in table
@@ -485,18 +515,18 @@ def test_ablation_table_contains_all_cells(tmp_path):
 def test_tuned_hyperparameters_resolution():
     base = tuned_hyperparameters("dbp15k-jape", "zh-en", False, "unit")
     assert base == {
-        "optimizer": "adam",
-        "n_negatives": 50,
-        "n_epochs": 2000,
-        "n_layers": 2,
-        "learning_rate": 1.0,
+        "training.optimizer": "adam",
+        "training.n_negatives": 50,
+        "training.n_epochs": 2000,
+        "encoder.n_layers": 2,
+        "training.learning_rate": 1.0,
     }
     scaled = tuned_hyperparameters("dbp15k-jape", "zh-en", False, "scaled")
-    assert scaled["optimizer"] == "sgd"
-    assert scaled["n_negatives"] == 100
-    assert scaled["n_epochs"] == 3000
+    assert scaled["training.optimizer"] == "sgd"
+    assert scaled["training.n_negatives"] == 100
+    assert scaled["training.n_epochs"] == 3000
     finetuned = tuned_hyperparameters("wk3l-15k", "en-fr", False, "unit")
-    assert finetuned["learning_rate"] == 10.0
+    assert finetuned["training.learning_rate"] == 10.0
 
 
 def test_apply_overrides_creates_new_config():
