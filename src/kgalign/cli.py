@@ -90,11 +90,16 @@ def cmd_evaluate(args) -> int:
     state_path = run_dir / "state.npz"
     if not config_path.is_file():
         raise ConfigError(f"no config.txt in {run_dir}")
-    if not state_path.is_file():
-        raise ConfigError(
-            f"no state.npz in {run_dir}; re-train with save_state = true"
-        )
     cfg = RunConfig.from_file(config_path)
+    if not state_path.is_file():
+        # save_state is part of the run hash, so turning it on names another run
+        hint = (
+            f"train {config_path} again with --runs-root {run_dir.parent} to recompute it"
+            if cfg.save_state else
+            f"it ran with save_state = false; training {config_path} with save_state = true "
+            "writes a new run directory, which evaluate can then read"
+        )
+        raise ConfigError(f"no state.npz in {run_dir}; {hint}")
     pair, adjacencies = prepare_run(cfg)
     state, attr_state = load_state(state_path)
     (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)

@@ -13,11 +13,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
+import time
 import traceback
 import warnings
 import zipfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -184,15 +187,56 @@ def prepare_pair(cfg: RunConfig) -> GraphPair:
     return dataclasses.replace(pair, alignment=alignment)
 
 
+# the inputs prepare_run built last, by their key, while a grid or an
+# ablation runs in this process; None when inputs are built afresh
+_shared: dict | None = None
+
+
+@contextmanager
+def _sharing_inputs():
+    """Let prepare_run share its inputs between runs until the block
+    ends, also when it raises."""
+    global _shared
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _init_grid_worker(share: int) -> None:
+    """Pool initializer: the worker's thread share, and inputs shared by
+    its runs until the pool shuts down."""
+    global _shared
+    set_process_share(share)
+    _shared = {}
+
+
 def prepare_run(cfg: RunConfig):
     """The inputs of a run: its role-split pair and the pair's (left,
     right) propagation matrices. The matrices hold no trainable
-    parameters, so training and final encoding share them."""
+    parameters, so training and final encoding share them.
+
+    Inside a grid or an ablation, runs with the same dataset, split and
+    adjacency config get the same inputs, built once; the matrices are
+    then read-only, like the pair's arrays, so a run cannot change them
+    for the next. A build that raises is not kept.
+    """
+    key = (cfg.dataset, cfg.adjacency, cfg.train_fraction, cfg.val_fraction, cfg.split_seed)
+    if _shared is not None and key in _shared:
+        return _shared[key]
     pair = prepare_pair(cfg)
-    return pair, (
+    adjacencies = (
         build_adjacency(pair.left, cfg.adjacency),
         build_adjacency(pair.right, cfg.adjacency),
     )
+    if _shared is not None:
+        for adj in adjacencies:
+            for arr in (adj.data, adj.indices, adj.indptr):
+                arr.flags.writeable = False
+        _shared.clear()  # one pair per process at a time
+        _shared[key] = (pair, adjacencies)
+    return pair, adjacencies
 
 
 def _attribute_encoder(cfg: RunConfig, pair: GraphPair) -> EncoderConfig:
@@ -254,7 +298,8 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
 
     A report that cannot be read, is not a complete report object, was
     written in another report format or records another run's hash
-    counts as absent: a warning names the reason and the run is
+    counts as absent, and so does the report of a save_state run whose
+    state.npz is gone: a warning names the reason and the run is
     recomputed.
     """
     report_path = run_dir / "report.json"
@@ -286,6 +331,9 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         warnings.warn(f"{report_path} is not a complete report "
                       f"({type(exc).__name__}: {exc}); recomputing the run")
+        return None
+    if cfg.save_state and not (run_dir / "state.npz").is_file():
+        warnings.warn(f"{run_dir} has a report but no state.npz; recomputing the run")
         return None
     return RunResult(cfg, run_dir, validation, test, final_loss, resumed=True)
 
@@ -426,7 +474,8 @@ def run_grid(
     by validation H@1 (mean of the two directions).
 
     Individual run failures are recorded on the leaderboard and the grid
-    continues. The leaderboard file is written only by this process.
+    continues. The leaderboard file is written only by this process,
+    which also prints a progress line to stderr per finished run.
     """
     runs_root = Path(runs_root)
     runs_root.mkdir(parents=True, exist_ok=True)
@@ -438,36 +487,36 @@ def run_grid(
     leaderboard = runs_root / "leaderboard.tsv"
     # the ledger is append-only while the grid runs, written by this
     # process alone; workers only produce (hash, h1, error) outcomes
-    with leaderboard.open("w", encoding="utf-8") as ledger:
+    start = time.perf_counter()
+    with leaderboard.open("w", encoding="utf-8") as ledger, ExitStack() as stack:
         ledger.write("run_hash\tuse_weights\tinit\tvalidation_h1\terror\n")
         if workers > 1:
             # each worker gets its share of the cores for its own threads
-            pool = ProcessPoolExecutor(
+            pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers,
-                initializer=set_process_share,
+                initializer=_init_grid_worker,
                 initargs=(max(1, thread_count() // workers),),
-            )
+            ))
             outcomes = pool.map(_grid_worker, jobs)
         else:
-            pool = None
+            stack.enter_context(_sharing_inputs())
             outcomes = map(_grid_worker, jobs)
-        try:
-            for run_hash, h1, err in outcomes:
-                cfg = by_hash[run_hash]
-                cell = (cfg.encoder.use_weights, cfg.encoder.init)
-                ledger.write(
-                    f"{run_hash}\t{cfg.encoder.use_weights}\t{cfg.encoder.init}"
-                    f"\t{'' if h1 is None else repr(h1)}\t{err or ''}\n"
-                )
-                ledger.flush()
-                if err is not None:
-                    n_failures += 1
-                    continue
-                if h1 is not None and (cell not in best or h1 > best[cell][0]):
-                    best[cell] = (h1, cfg)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for done, (run_hash, h1, err) in enumerate(outcomes, start=1):
+            cfg = by_hash[run_hash]
+            cell = (cfg.encoder.use_weights, cfg.encoder.init)
+            ledger.write(
+                f"{run_hash}\t{cfg.encoder.use_weights}\t{cfg.encoder.init}"
+                f"\t{'' if h1 is None else repr(h1)}\t{err or ''}\n"
+            )
+            ledger.flush()
+            if err is not None:
+                n_failures += 1
+            elif h1 is not None and (cell not in best or h1 > best[cell][0]):
+                best[cell] = (h1, cfg)
+            elapsed = time.perf_counter() - start
+            eta = elapsed / done * (len(jobs) - done)
+            print(f"grid: {done}/{len(jobs)} runs, {n_failures} failed, "
+                  f"{elapsed:.1f}s elapsed, ETA {eta:.1f}s", file=sys.stderr, flush=True)
 
     best_cfgs = {
         cell: apply_overrides(cfg, {"save_state": True, "evaluate_test": True})
@@ -548,26 +597,26 @@ def run_ablation(
     if not base.evaluate_test:
         raise ConfigError("ablation runs must evaluate the test split")
     results = []
-    for desc in datasets:
-        ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
-        for use_weights, init_preset in cells:
-            cfg = with_cell(ds_base, use_weights, init_preset)
-            if use_tuned and not desc.is_toy:
-                cfg = apply_overrides(
-                    cfg, tuned_hyperparameters(desc.family, desc.subset, use_weights, init_preset)
+    with _sharing_inputs():
+        for desc in datasets:
+            ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
+            for use_weights, init_preset in cells:
+                cfg = with_cell(ds_base, use_weights, init_preset)
+                if use_tuned and not desc.is_toy:
+                    cfg = apply_overrides(cfg, tuned_hyperparameters(
+                        desc.family, desc.subset, use_weights, init_preset))
+                seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
+                reports = [run_single(seed_cfg, runs_root).test for seed_cfg in seed_cfgs]
+                results.append(
+                    AblationCell(
+                        use_weights=use_weights,
+                        init_preset=init_preset,
+                        dataset=desc.key(),
+                        n_seeds=n,
+                        aggregates=_aggregate(reports),
+                        run_hashes=[seed_cfg.run_hash() for seed_cfg in seed_cfgs],
+                    )
                 )
-            seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
-            reports = [run_single(seed_cfg, runs_root).test for seed_cfg in seed_cfgs]
-            results.append(
-                AblationCell(
-                    use_weights=use_weights,
-                    init_preset=init_preset,
-                    dataset=desc.key(),
-                    n_seeds=n,
-                    aggregates=_aggregate(reports),
-                    run_hashes=[seed_cfg.run_hash() for seed_cfg in seed_cfgs],
-                )
-            )
     return results
 
 

@@ -79,6 +79,24 @@ def write_dataset(root: Path, *, triples_1, triples_2, ents_1, ents_2,
     return root
 
 
+def jape_chain(root, n):
+    """A dbp15k-jape subset of two aligned n-entity chains: the first
+    half of the pairs revealed for training, the rest for test."""
+    return write_dataset(
+        root,
+        triples_1=[(i, 100, i + 1) for i in range(n - 1)],
+        triples_2=[(50 + i, 200, 51 + i) for i in range(n - 1)],
+        ents_1=[(i, f"e:{i}") for i in range(n)],
+        ents_2=[(50 + i, f"f:{i}") for i in range(n)],
+        rels_1=[(100, "r:p")],
+        rels_2=[(200, "s:p")],
+        files={
+            "sup_ent_ids": [(i, 50 + i) for i in range(n // 2)],
+            "ref_ent_ids": [(i, 50 + i) for i in range(n // 2, n)],
+        },
+    )
+
+
 @pytest.fixture
 def jape_style_dir(tmp_path):
     """Minimal dbp15k-jape layout: 4 entities per side, official split."""

@@ -10,7 +10,7 @@ import pytest
 import kgalign
 from kgalign.cli import main
 
-from conftest import write_dataset
+from conftest import jape_chain
 
 TOY_CONFIG = """\
 dataset.family = toy
@@ -199,6 +199,32 @@ def test_evaluate_reproduces_report_test_block(tmp_path, capsys):
     assert written == report["test"]
 
 
+def test_evaluate_hint_names_new_run_directory_for_stateless_run(tmp_path, capsys):
+    config = tmp_path / "toy.cfg"
+    config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["train", str(config), "--runs-root", str(runs)]) == 0
+    capsys.readouterr()
+    run_dir = next(p for p in runs.iterdir() if p.is_dir())
+    assert main(["evaluate", str(run_dir)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "save_state = false" in message and "new run directory" in message
+
+
+def test_train_recomputes_run_whose_state_is_gone(tmp_path, capsys):
+    run_dir = _train_toy(tmp_path, capsys)
+    (run_dir / "state.npz").unlink()
+    assert main(["evaluate", str(run_dir)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert f"--runs-root {run_dir.parent}" in message
+    config = tmp_path / "toy.cfg"
+    with pytest.warns(UserWarning, match="no state.npz"):
+        assert main(["train", str(config), "--runs-root", str(run_dir.parent)]) == 0
+    assert "completed" in capsys.readouterr().out
+    assert (run_dir / "state.npz").is_file()
+    assert main(["evaluate", str(run_dir)]) == 0
+
+
 def test_evaluate_rejects_state_that_disagrees_with_config(tmp_path, capsys):
     run_dir = _train_toy(tmp_path, capsys)
     state_path = run_dir / "state.npz"
@@ -234,7 +260,7 @@ def test_evaluate_unreadable_state_exits_2_naming_it(tmp_path, capsys, damage):
     assert str(run_dir / "state.npz") in err["message"]
 
 
-def test_grid_command(tmp_path, capsys):
+def _grid_config(tmp_path):
     config = tmp_path / "grid.cfg"
     config.write_text(
         TOY_CONFIG
@@ -242,12 +268,37 @@ def test_grid_command(tmp_path, capsys):
         + "grid.training.n_epochs = 10, 40\n",
         encoding="utf-8",
     )
+    return config
+
+
+def test_grid_command(tmp_path, capsys):
     runs = tmp_path / "runs"
-    assert main(["grid", str(config), "--runs-root", str(runs)]) == 0
+    assert main(["grid", str(_grid_config(tmp_path)), "--runs-root", str(runs)]) == 0
     out = capsys.readouterr().out
     assert "8 runs, 0 failures" in out
     assert (runs / "leaderboard.tsv").is_file()
     assert (runs / "grid_best.json").is_file()
+
+
+def test_grid_progress_goes_to_stderr_only(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    assert main(["grid", str(_grid_config(tmp_path)), "--runs-root", str(runs)]) == 0
+    out, err = capsys.readouterr()
+    assert "grid:" not in out
+    assert out.splitlines()[:2] == [
+        "grid finished: 8 runs, 0 failures", f"leaderboard: {runs / 'leaderboard.tsv'}"
+    ]
+    lines = err.splitlines()
+    assert [line.split(",")[0] for line in lines] == [f"grid: {k}/8 runs" for k in range(1, 9)]
+
+
+def test_failed_grid_ends_stderr_with_error_record(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    (runs / "grid_best.json").mkdir(parents=True)  # the grid cannot write its result
+    assert main(["grid", str(_grid_config(tmp_path)), "--runs-root", str(runs)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 9 and lines[-2].startswith("grid: 8/8 runs")
+    assert json.loads(lines[-1])["error"] == "internal"
 
 
 def test_ablate_command(tmp_path, capsys):
@@ -262,24 +313,6 @@ def test_ablate_command(tmp_path, capsys):
     cells = json.loads((runs / "ablation.json").read_text())
     assert len(cells) == 4
     assert all(c["n_seeds"] == 2 for c in cells)
-
-
-def _jape_chain(root, n):
-    """A dbp15k-jape subset of two aligned n-entity chains: the first
-    half of the pairs revealed for training, the rest for test."""
-    return write_dataset(
-        root,
-        triples_1=[(i, 100, i + 1) for i in range(n - 1)],
-        triples_2=[(50 + i, 200, 51 + i) for i in range(n - 1)],
-        ents_1=[(i, f"e:{i}") for i in range(n)],
-        ents_2=[(50 + i, f"f:{i}") for i in range(n)],
-        rels_1=[(100, "r:p")],
-        rels_2=[(200, "s:p")],
-        files={
-            "sup_ent_ids": [(i, 50 + i) for i in range(n // 2)],
-            "ref_ent_ids": [(i, 50 + i) for i in range(n // 2, n)],
-        },
-    )
 
 
 def _jape_ablate_config(tmp_path, root):
@@ -299,8 +332,8 @@ def _jape_ablate_config(tmp_path, root):
 
 def test_ablate_datasets_load_their_own_directories(tmp_path, capsys):
     data = tmp_path / "data" / "dbp15k-jape"
-    roots = {"dbp15k-jape:zh-en": _jape_chain(data / "zh-en", 6),
-             "dbp15k-jape:ja-en": _jape_chain(data / "ja-en", 10)}
+    roots = {"dbp15k-jape:zh-en": jape_chain(data / "zh-en", 6),
+             "dbp15k-jape:ja-en": jape_chain(data / "ja-en", 10)}
     runs = tmp_path / "runs"
     argv = ["ablate", str(_jape_ablate_config(tmp_path, roots["dbp15k-jape:zh-en"])),
             "--runs-root", str(runs), "--seeds", "1", "--no-tuned"]
@@ -319,7 +352,7 @@ def test_ablate_datasets_load_their_own_directories(tmp_path, capsys):
 
 def test_ablate_dataset_without_directory_exits_2(tmp_path, capsys):
     # the root does not end in dbp15k-jape/zh-en, so ja-en has no place
-    root = _jape_chain(tmp_path / "zh", 6)
+    root = jape_chain(tmp_path / "zh", 6)
     runs = tmp_path / "runs"
     argv = ["ablate", str(_jape_ablate_config(tmp_path, root)), "--runs-root", str(runs),
             "--seeds", "1", "--no-tuned"]

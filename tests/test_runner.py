@@ -470,6 +470,237 @@ def test_run_grid_records_failures_and_continues(tmp_path):
     assert len(failed_lines) == 4
 
 
+def test_run_single_recomputes_save_state_run_without_state(tmp_path):
+    cfg = toy_config()
+    first = run_single(cfg, tmp_path)
+    report = (first.run_dir / "report.json").read_bytes()
+    (first.run_dir / "state.npz").unlink()
+    with pytest.warns(UserWarning, match="no state.npz"):
+        second = run_single(cfg, tmp_path)
+    assert not second.resumed
+    assert (second.run_dir / "state.npz").is_file()
+    assert (second.run_dir / "report.json").read_bytes() == report
+    assert run_single(cfg, tmp_path).resumed
+
+
+def _count_prepare_pair(monkeypatch) -> list:
+    """The configs runner.prepare_pair is called with from now on."""
+    import kgalign.runner as runner
+
+    calls = []
+    real = runner.prepare_pair
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(runner, "prepare_pair", counting)
+    return calls
+
+
+def test_grid_prepares_shared_inputs_once(tmp_path, monkeypatch):
+    calls = _count_prepare_pair(monkeypatch)
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    result = run_grid(base, tmp_path, axes={"training.learning_rate": [0.05, 0.5]})
+    assert result.n_runs == 8 and result.n_failures == 0
+    assert len(calls) == 1
+
+
+def test_grid_runs_with_another_split_or_adjacency_get_their_own_inputs(tmp_path, monkeypatch):
+    calls = _count_prepare_pair(monkeypatch)
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    axes = {"split_seed": [0, 1], "adjacency.variant": ["count", "functionality"]}
+    result = run_grid(base, tmp_path / "grid", axes=axes)
+    # the one kept entry changes with every run, in enumeration order
+    assert len(calls) == result.n_runs == 16
+    monkeypatch.undo()
+    # each report is the one the run gives with inputs built for it alone
+    for cfg in enumerate_grid(base, axes):
+        fresh = run_single(cfg, tmp_path / "fresh")
+        shared = tmp_path / "grid" / cfg.run_hash() / "report.json"
+        assert shared.read_bytes() == (fresh.run_dir / "report.json").read_bytes()
+
+
+def test_grid_worker_prepares_inputs_once_per_process(tmp_path, monkeypatch):
+    import functools
+    import multiprocessing
+    import os
+
+    import kgalign.runner as runner
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    # forked workers inherit the counting prepare_pair; each call appends
+    # its process id
+    log = tmp_path / "prepared.txt"
+    real = runner.prepare_pair
+
+    def counting(cfg):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(cfg)
+
+    monkeypatch.setattr(runner, "prepare_pair", counting)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    result = run_grid(base, tmp_path / "runs", axes={"training.learning_rate": [0.05, 0.5]},
+                      workers=2)
+    assert result.n_failures == 0
+    pids = log.read_text(encoding="utf-8").split()
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+    assert str(os.getpid()) not in pids
+
+
+def test_shared_adjacencies_are_read_only():
+    import kgalign.runner as runner
+
+    cfg = toy_config()
+    with runner._sharing_inputs():
+        pair, adjacencies = runner.prepare_run(cfg)
+        assert runner.prepare_run(cfg)[1] is adjacencies
+    for adj in adjacencies:
+        for arr in (adj.data, adj.indices, adj.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    assert not pair.left.triples.flags.writeable
+    # a run outside a grid or an ablation builds its own, writable inputs
+    _, fresh = runner.prepare_run(cfg)
+    assert fresh[0] is not adjacencies[0] and fresh[0].data.flags.writeable
+
+
+def test_grid_prepare_failure_records_every_run(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+    from kgalign.errors import DataFormatError
+
+    calls = []
+
+    def broken(cfg):
+        calls.append(cfg)
+        raise DataFormatError("triples_1 went away")
+
+    monkeypatch.setattr(runner, "prepare_pair", broken)
+    base = toy_config(**{"training.n_epochs": 5})
+    result = run_grid(base, tmp_path, axes={"training.learning_rate": [0.05, 0.5]})
+    assert result.n_failures == result.n_runs == 8
+    assert len(calls) == 8  # a failed build is not kept
+    rows = result.leaderboard_path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 8
+    assert all(row.endswith("DataFormatError: triples_1 went away") for row in rows)
+    for cfg in enumerate_grid(base, {"training.learning_rate": [0.05, 0.5]}):
+        record = json.loads((tmp_path / cfg.run_hash() / "error.json").read_text())
+        assert record["category"] == "dataset"
+    assert json.loads((tmp_path / "grid_best.json").read_text()) == {}
+
+
+def _chain_config(root, **overrides):
+    return RunConfig.from_flat({
+        "dataset.family": "dbp15k-jape",
+        "dataset.subset": "zh-en",
+        "dataset.root": str(root),
+        "encoder.dim": 8,
+        "training.n_negatives": 2,
+        "training.n_epochs": 5,
+        "val_fraction": 0.5,
+        "n_seeds": 1,
+        **overrides,
+    })
+
+
+@pytest.mark.parametrize("command", ["grid", "ablation"])
+def test_dataset_rewritten_between_calls_is_read_again(tmp_path, monkeypatch, command):
+    from conftest import jape_chain
+
+    import kgalign.runner as runner
+
+    root = jape_chain(tmp_path / "data", 6)
+    cfg = _chain_config(root)
+    sizes = []
+    real = runner.prepare_pair
+
+    def recording(cfg):
+        pair = real(cfg)
+        sizes.append(pair.left.entity_count)
+        return pair
+
+    monkeypatch.setattr(runner, "prepare_pair", recording)
+    for n, runs in ((6, "first"), (10, "second")):
+        jape_chain(root, n)
+        if command == "grid":
+            run_grid(cfg, tmp_path / runs, axes={"training.learning_rate": [0.5]})
+        else:
+            run_ablation(cfg, [cfg.dataset], tmp_path / runs, cells=ABLATION_CELLS[:2],
+                         use_tuned=False)
+    assert sizes == [6, 10]
+
+
+def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+
+    seen = []
+    real = runner.run_single
+
+    def spying(cfg, runs_root, force=False):
+        seen.append(runner._shared is not None)
+        return real(cfg, runs_root, force)
+
+    monkeypatch.setattr(runner, "run_single", spying)
+    base = toy_config(**{"training.n_epochs": 5})
+    run_grid(base, tmp_path / "grid", axes={"training.n_epochs": [5]})
+    assert runner._shared is None
+    run_ablation(base, [base.dataset], tmp_path / "ablation", n_seeds=1)
+    assert runner._shared is None
+    assert seen == [True] * 8
+
+    # and when they raise: beta < 1 fails on the attribute-less toy
+    with pytest.raises(ConfigError, match="attribute"):
+        run_ablation(toy_config(**{"score.beta": 0.5}), [base.dataset], tmp_path / "bad")
+    assert runner._shared is None
+
+    def interrupted(cfg, runs_root, force=False):
+        raise KeyboardInterrupt  # not caught by the grid worker
+
+    monkeypatch.setattr(runner, "run_single", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(base, tmp_path / "grid", axes={"training.n_epochs": [5]})
+    assert runner._shared is None
+
+
+def test_grid_prints_one_progress_line_per_run(tmp_path, capsys):
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    result = run_grid(base, tmp_path, axes={"score.beta": [1.0, 0.5]})
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == result.n_runs == 8
+    failed = 0
+    for done, (line, row) in enumerate(
+        zip(lines, result.leaderboard_path.read_text().splitlines()[1:]), start=1
+    ):
+        failed += row.endswith("attribute tables")
+        assert line.startswith(f"grid: {done}/8 runs, {failed} failed, ")
+        assert "s elapsed, ETA " in line and line.endswith("s")
+    assert failed == result.n_failures == 4
+
+
+def test_forkserver_grid_matches_serial_grid(tmp_path, monkeypatch):
+    import functools
+    import multiprocessing
+
+    import kgalign.runner as runner
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the forkserver start method is unavailable")
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 20})
+    axes = {"training.learning_rate": [0.05, 0.5], "split_seed": [0, 1]}
+    run_grid(base, tmp_path / "serial", axes=axes)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
+    run_grid(base, tmp_path / "pool", axes=axes, workers=2)
+    for name in ("leaderboard.tsv", "grid_best.json"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
     base = toy_config(**{"training.n_epochs": 60})
     desc = DatasetDescriptor("toy", "cycle-8-4")
