@@ -8,8 +8,17 @@ All on-disk files are UTF-8 text with tab-separated columns:
   aligned triples (wk3l): h1 <TAB> r1 <TAB> t1 <TAB> h2 <TAB> r2 <TAB> t2
   attributes (optional):  entity_id <TAB> attribute_predicate_label
 
-Trailing whitespace is tolerated; blank lines and wrong column counts are
-rejected with the file and line number. FAMILIES lists the file names
+Each file is read once; a checksum pinned in manifest.json is verified
+on the bytes that are then parsed. A table in the plain form (every
+line ending in "\\n", ids of at most 18 ASCII digits, no trailing
+whitespace) is checked and parsed in bulk with numpy. Any other form
+goes through a per-line reader, which accepts trailing whitespace,
+"\\r\\n", a missing final newline and whatever int() accepts ("+5",
+"007", ids beyond int64, non-ASCII digits), and which names the file
+and line of the first fault: a blank line, a wrong column count, a
+non-integer, unknown or duplicate id. Both readers give the same pair.
+An empty triples or id-map file is rejected, and so is an empty
+sup_ent_ids, ref_ent_ids or ill_ent_ids. FAMILIES lists the file names
 each family ships, so that a directory with a drifted layout fails
 loudly instead of loading the wrong thing.
 
@@ -117,22 +126,65 @@ class DatasetStatistics:
         }
 
 
-def _read_text(path: Path) -> str:
+def _read_bytes(path: Path) -> bytes:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except FileNotFoundError:
         raise DataFormatError("file not found", path=path)
+
+
+def _decode(path: Path, data: bytes) -> str:
+    """The text Path.read_text would give: UTF-8, universal newlines."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = exc.object[: exc.start].count(b"\n") + 1
+        line_no = data[: exc.start].count(b"\n") + 1
         raise DataFormatError("not valid UTF-8", path=path, line_no=line_no)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_rows(path: Path, n_cols: int) -> list[list[str]]:
+def _bulk_rows(data: bytes, n_ids: int, labelled: bool):
+    """(raw ids, labels) of a table in the plain form, else None.
+
+    The plain form ends every line, the last included, in a bare "\\n",
+    has exactly the expected tabs on each line, spells each id in 1 to
+    18 ASCII digits (so it fits int64) and, with labelled, has labels
+    that are valid UTF-8 and not all whitespace. It is checked and
+    parsed over the whole buffer at once.
+    """
+    n_cols = n_ids + labelled
+    if b"\r" in data or not data.endswith(b"\n"):
+        return None
+    u = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((u == ord("\t")) | (u == ord("\n")))  # where each field ends
+    line = np.r_[np.full(n_cols - 1, ord("\t")), ord("\n")]
+    if ends.size % n_cols or not (u[ends].reshape(-1, n_cols) == line).all():
+        return None
+    width = (np.diff(ends, prepend=-1) - 1).reshape(-1, n_cols)[:, :n_ids]
+    if not ((width >= 1) & (width <= 18)).all():
+        return None
+    ids, labels = data, None
+    if labelled:
+        try:
+            fields = data.decode("utf-8").replace("\t", "\n").split("\n")[:-1]
+        except UnicodeDecodeError:
+            return None
+        labels = list(map(str.rstrip, fields[n_ids::n_cols]))
+        del fields[n_ids::n_cols]
+        ids = "\t".join(fields).encode()
+        if not all(labels):
+            return None
+    if ids.translate(None, b"0123456789\t\n"):
+        return None
+    return np.fromstring(ids, dtype=np.int64, sep=" ").reshape(-1, n_ids), labels
+
+
+def _split_rows(path: Path, data: bytes, n_cols: int) -> list[list[str]]:
     """The columns of each line, the whole file checked up front.
 
     Blank lines are rejected, so row i is line i + 1.
     """
-    text = _read_text(path)
+    text = _decode(path, data)
     rows = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if raw == "" and line_no == text.count("\n") + 1:
@@ -151,50 +203,99 @@ def _read_rows(path: Path, n_cols: int) -> list[list[str]]:
     return rows
 
 
-def _read_ids(path: Path, columns, labelled: bool = False) -> list[list]:
-    """The columns of an integer table, each a list in file order.
+def _parse_id(token: str, path: Path, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DataFormatError(f"non-integer id {token!r}", path=path, line_no=line_no)
+
+
+def _line_rows(path: Path, data: bytes, n_ids: int, labelled: bool):
+    """(raw ids, labels, error) by the per-line reader, for any other form.
+
+    It takes what int() takes, such as "+5", "007", non-ASCII digits and
+    ids beyond int64. The raw ids stop before the first line with a
+    non-integer id, whose error comes back rather than raised: a line
+    before it may hold an id that a lookup rejects first.
+    """
+    rows = _split_rows(path, data, n_ids + labelled)
+    raw, error = [], None
+    try:
+        for line_no, parts in enumerate(rows, start=1):
+            raw.append([_parse_id(token, path, line_no) for token in parts[:n_ids]])
+    except DataFormatError as exc:
+        error = exc
+    try:
+        raw = np.array(raw, dtype=np.int64)
+    except OverflowError:  # ids beyond int64 stay Python ints
+        raw = np.array(raw, dtype=object)
+    labels = [parts[-1] for parts in rows] if labelled else None
+    return raw.reshape(-1, n_ids), labels, error
+
+
+def _read_ids(path: Path, data: bytes, columns, labelled: bool = False) -> list:
+    """The columns of an integer table, each an array in file order.
 
     A column is None, which keeps the raw integer, or an (id map,
     message) pair, which replaces each raw id by its dense index and
     rejects an id the map lacks with the message. With labelled, each
-    row ends in one more, free-text column, returned last as is. The
+    row ends in one more, free-text column, returned last as a list. The
     first offending line raises; within a line every id is parsed before
     any is looked up.
     """
-    rows = _read_rows(path, len(columns) + labelled)
-    try:
-        out = []
-        for j, column in enumerate(columns):
-            values = list(map(int, (parts[j] for parts in rows)))
-            out.append(values if column is None else list(map(column[0].__getitem__, values)))
-    except (ValueError, KeyError):  # find the first offending line
-        for line_no, parts in enumerate(rows, start=1):
-            values = []
-            for token in parts[: len(columns)]:
-                try:
-                    values.append(int(token))
-                except ValueError:
-                    raise DataFormatError(f"non-integer id {token!r}", path=path, line_no=line_no)
-            for value, column in zip(values, columns):
-                if column is not None and value not in column[0]:
-                    raise DataFormatError(f"{column[1]} {value}", path=path, line_no=line_no)
-        raise
+    bulk = _bulk_rows(data, len(columns), labelled)
+    raw, labels, error = (*bulk, None) if bulk else _line_rows(path, data, len(columns), labelled)
+    out, unknown = [], np.zeros(raw.shape, dtype=bool)
+    for j, column in enumerate(columns):
+        if column is None:
+            out.append(raw[:, j])
+            continue
+        index, known = _lookup(column[0], raw[:, j])
+        unknown[:, j] = ~known
+        out.append(index)
+    for i, j in np.argwhere(unknown)[:1]:
+        raise DataFormatError(f"{columns[j][1]} {raw[i, j]}", path=path, line_no=i + 1)
+    if error is not None:
+        raise error
     if labelled:
-        out.append([parts[-1] for parts in rows])
+        out.append(labels)
     return out
 
 
-def _load_id_map(path: Path) -> tuple[dict[int, int], dict[int, str]]:
-    """Raw id -> dense index (file order) and dense index -> label."""
-    raw_ids, labels = _read_ids(path, [None], labelled=True)
-    raw_to_dense: dict[int, int] = {}
-    for dense, raw in enumerate(raw_ids):
-        if raw in raw_to_dense:
-            raise DataFormatError(f"duplicate id {raw}", path=path, line_no=dense + 1)
-        raw_to_dense[raw] = dense
-    if not raw_to_dense:
+def _load_id_map(path: Path, data: bytes):
+    """The id map and dense index -> label.
+
+    The map holds the raw ids sorted, the dense index (file order) of
+    each and, when the ids span at most four times their count, as the
+    shipped benchmarks' consecutive ids do, a table from raw id minus
+    the smallest to dense index, -1 where no id is.
+    """
+    raw, labels = _read_ids(path, data, [None], labelled=True)
+    dense = np.argsort(raw, kind="stable")
+    keys = raw[dense]
+    repeats = dense[1:][keys[1:] == keys[:-1]]
+    if repeats.size:
+        first = repeats.min()
+        raise DataFormatError(f"duplicate id {raw[first]}", path=path, line_no=first + 1)
+    if not raw.size:
         raise DataFormatError("empty id map", path=path)
-    return raw_to_dense, dict(enumerate(labels))
+    table = None
+    if keys.dtype == np.int64 and int(keys[-1]) - int(keys[0]) < 4 * len(keys):
+        table = np.full(keys[-1] - keys[0] + 1, -1)
+        table[keys - keys[0]] = dense
+    return (keys, dense, table), dict(enumerate(labels))
+
+
+def _lookup(id_map, raw: np.ndarray):
+    """The dense index of each raw id, and whether the map has it."""
+    keys, dense, table = id_map
+    if table is not None and raw.dtype == np.int64:
+        at = raw - keys[0]
+        inside = (at >= 0) & (at < len(table))
+        index = table[np.where(inside, at, 0)]
+        return index, inside & (index >= 0)
+    pos = np.searchsorted(keys, raw).clip(max=len(keys) - 1)
+    return dense[pos], keys[pos] == raw
 
 
 def build_attribute_tables(
@@ -239,7 +340,12 @@ def build_attribute_tables(
     return table(attrs_left, n_left), table(attrs_right, n_right)
 
 
-def _verify_manifest(desc: DatasetDescriptor, root: Path) -> None:
+def _read_files(desc: DatasetDescriptor, root: Path) -> dict[str, bytes]:
+    """The bytes of each file of the family's layout, every one read once.
+
+    A checksum pinned in manifest.json is verified on the same bytes
+    that are then parsed.
+    """
     _, alignment_files, optional_files = FAMILIES[desc.family]
     required = [*_GRAPH_FILES, *alignment_files]
     missing = [name for name in required if not (root / name).is_file()]
@@ -259,28 +365,31 @@ def _verify_manifest(desc: DatasetDescriptor, root: Path) -> None:
             "guess a drifted layout",
             path=root,
         )
-    for name, pinned in _local_checksums(root).items():
-        if not (root / name).is_file():
+    files = {name: _read_bytes(root / name) for name in known if (root / name).is_file()}
+    for name, pinned in _local_checksums(root, files.get("manifest.json")).items():
+        if name not in files and not (root / name).is_file():
             raise DataFormatError(
                 f"pins a checksum for {name}, which is missing", path=root / "manifest.json"
             )
-        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        data = files[name] if name in files else (root / name).read_bytes()
+        actual = hashlib.sha256(data).hexdigest()
         if actual != pinned:
             raise DataFormatError(
                 f"checksum mismatch for {name}: manifest pins {pinned}, file has {actual}",
                 path=root,
             )
+    return files
 
 
-def _local_checksums(root: Path) -> dict:
-    path = root / "manifest.json"
-    if not path.is_file():
+def _local_checksums(root: Path, data: bytes | None) -> dict:
+    if data is None:
         return {}
+    path = root / "manifest.json"
     try:
-        data = json.loads(_read_text(path))
+        manifest = json.loads(_decode(path, data))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"not valid JSON: {exc.msg}", path=path, line_no=exc.lineno)
-    checksums = data.get("sha256", {}) if isinstance(data, dict) else None
+    checksums = manifest.get("sha256", {}) if isinstance(manifest, dict) else None
     if not isinstance(checksums, dict):
         raise DataFormatError(
             'expected a JSON object whose "sha256" maps file names to digests', path=path
@@ -358,42 +467,53 @@ def load(desc: DatasetDescriptor) -> GraphPair:
     root = desc.root_path
     if not root.is_dir():
         raise DataFormatError("dataset directory does not exist", path=root)
-    _verify_manifest(desc, root)
+    files = _read_files(desc, root)
 
-    ents = [_load_id_map(root / f"ent_ids_{k}") for k in (1, 2)]
-    rels = [_load_id_map(root / f"rel_ids_{k}") for k in (1, 2)]
+    def table(name, columns, labelled=False):
+        return _read_ids(root / name, files[name], columns, labelled)
+
+    ents = [_load_id_map(root / f"ent_ids_{k}", files[f"ent_ids_{k}"]) for k in (1, 2)]
+    rels = [_load_id_map(root / f"rel_ids_{k}", files[f"rel_ids_{k}"]) for k in (1, 2)]
     graphs = []
     for k, (ent_map, ent_labels), (rel_map, rel_labels) in zip((1, 2), ents, rels):
-        path = root / f"triples_{k}"
         entity = (ent_map, "unknown entity id")
-        triples = np.transpose(_read_ids(path, [entity, (rel_map, "unknown relation id"), entity]))
+        triples = np.column_stack(
+            table(f"triples_{k}", [entity, (rel_map, "unknown relation id"), entity])
+        )
         if len(triples) == 0:
-            raise DataFormatError("empty triples file", path=path)
-        graphs.append(KnowledgeGraph(len(ent_map), len(rel_map), triples, ent_labels, rel_labels))
+            raise DataFormatError("empty triples file", path=root / f"triples_{k}")
+        graphs.append(
+            KnowledgeGraph(len(ent_labels), len(rel_labels), triples, ent_labels, rel_labels)
+        )
     left, right = graphs
     (ent_1, ent_labels_1), (ent_2, ent_labels_2) = ents
 
     def pairs(name, left_map=ent_1, right_map=ent_2):
         dangling = "dangling alignment id"
-        return list(zip(*_read_ids(root / name, [(left_map, dangling), (right_map, dangling)])))
+        return np.column_stack(table(name, [(left_map, dangling), (right_map, dangling)]))
 
     alignment_files = FAMILIES[desc.family][1]
     if alignment_files == _WK3L_ALIGNMENT:
-        lr = pairs("align_1to2")
-        rl = pairs("align_2to1", ent_2, ent_1)
+        lr = pairs("align_1to2").tolist()
+        rl = pairs("align_2to1", ent_2, ent_1).tolist()
         h, t = (ent_1, "dangling entity id"), (ent_2, "dangling entity id")
-        h1, r1, t1, h2, r2, t2 = _read_ids(root / "triple_align", [h, None, h, t, None, t])
+        columns = table("triple_align", [h, None, h, t, None, t])
+        h1, r1, t1, h2, r2, t2 = (c.tolist() for c in columns)
         aligned_triples = list(zip(zip(h1, r1, t1), zip(h2, r2, t2)))
         alignment = symmetrize_wk3l(lr, rl, aligned_triples, ent_labels_1, ent_labels_2)
     else:  # a shipped train/test split, or one unsplit file of train pairs
-        alignment = AlignmentSet.from_records(
-            (l, r, role)
-            for name, role in zip(alignment_files, (Role.TRAIN, Role.TEST))
-            for l, r in pairs(name)
+        shipped = []
+        for name in alignment_files:
+            shipped.append(pairs(name))
+            if len(shipped[-1]) == 0:
+                raise DataFormatError("empty alignment file", path=root / name)
+        roles = [Role.TRAIN.value, Role.TEST.value][: len(shipped)]
+        alignment = AlignmentSet(
+            np.concatenate(shipped), np.repeat(roles, [len(p) for p in shipped])
         )
 
     attrs_left = attrs_right = None
-    present = [(root / name).is_file() for name in _ATTRIBUTES]
+    present = [name in files for name in _ATTRIBUTES]
     if any(present) and not all(present):
         lone, partner = _ATTRIBUTES if present[0] else _ATTRIBUTES[::-1]
         raise DataFormatError(
@@ -403,10 +523,8 @@ def load(desc: DatasetDescriptor) -> GraphPair:
         by_entity = []
         for name, ent_map in zip(_ATTRIBUTES, (ent_1, ent_2)):
             attrs: dict[int, list[str]] = {}
-            entities, predicates = _read_ids(
-                root / name, [(ent_map, "unknown entity id")], labelled=True
-            )
-            for e, predicate in zip(entities, predicates):
+            entities, predicates = table(name, [(ent_map, "unknown entity id")], labelled=True)
+            for e, predicate in zip(entities.tolist(), predicates):
                 attrs.setdefault(e, []).append(predicate)
             by_entity.append(attrs)
         attrs_left, attrs_right = build_attribute_tables(

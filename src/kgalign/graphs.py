@@ -18,6 +18,9 @@ class Role(str, Enum):
     TEST = "test"
 
 
+_ROLE_VALUES = [role.value for role in Role]
+
+
 def _frozen_int_array(data, n_cols=None):
     arr = np.asarray(data, dtype=np.int64)
     if arr.size == 0:
@@ -61,7 +64,14 @@ class AlignmentSet:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", _frozen_int_array(self.pairs, 2))
-        roles = np.asarray([Role(r).value for r in self.roles], dtype="U10")
+        roles = self.roles
+        if not (
+            isinstance(roles, np.ndarray)
+            and roles.dtype.kind == "U"
+            and np.isin(roles, _ROLE_VALUES).all()
+        ):  # Role members, or a value to reject through Role()
+            roles = [Role(r).value for r in roles]
+        roles = np.array(roles, dtype="U10")
         if roles.shape != (self.pairs.shape[0],):
             raise ValueError("roles length must match pairs")
         roles.flags.writeable = False

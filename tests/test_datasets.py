@@ -1,3 +1,8 @@
+import collections
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from kgalign.datasets import (
     symmetrize_wk3l,
     toy_cycle_pair,
 )
+from kgalign.cli import main
 from kgalign.errors import ConfigError, DataFormatError
 from kgalign.graphs import Role, validate_pair
 
@@ -124,8 +130,8 @@ def test_checksum_manifest_verified(jape_style_dir):
         load(desc)
 
 
-def test_load_full_variant_unsplit(tmp_path):
-    root = write_dataset(
+def _full_dir(tmp_path, ill_ent_ids):
+    return write_dataset(
         tmp_path / "full",
         triples_1=[(1, 5, 2)],
         triples_2=[(7, 9, 8)],
@@ -133,8 +139,12 @@ def test_load_full_variant_unsplit(tmp_path):
         ents_2=[(7, "x"), (8, "y")],
         rels_1=[(5, "p")],
         rels_2=[(9, "q")],
-        files={"ill_ent_ids": [(1, 7), (2, 8)]},
+        files={"ill_ent_ids": ill_ent_ids},
     )
+
+
+def test_load_full_variant_unsplit(tmp_path):
+    root = _full_dir(tmp_path, [(1, 7), (2, 8)])
     pair = load(DatasetDescriptor("dbp15k-full", "zh-en", root_path=root))
     assert len(pair.alignment) == 2
     assert np.all(pair.alignment.roles == Role.TRAIN.value)
@@ -180,8 +190,25 @@ def test_load_dwy100k_shipped_split(jape_style_dir):
         ("triples_1", "10\t100\t11\n11\t100\t99\n", r"triples_1:2: unknown entity id 99$"),
         ("triples_1", "10\t100\t11\n11\t999\t12\n", r"triples_1:2: unknown relation id 999$"),
         ("attrs_1", "10\tpop\n77\tpop\n", r"attrs_1:2: unknown entity id 77$"),
+        ("triples_1", "10\t100\t11\n1-1\t100\t12\n", r"triples_1:2: non-integer id '1-1'$"),
+        ("ent_ids_1", "10\te:a\n11\te\tb\n", r"ent_ids_1:2: expected 2 tab-separated columns, found 3$"),
+        ("triples_1", "10\t100\t11\n11\t100\t12 13\n", r"triples_1:2: non-integer id '12 13'$"),
+        ("triples_1", "10\t100\t99\nx\t100\t11\n", r"triples_1:1: unknown entity id 99$"),
+        ("triples_1", "10\t999\tx\n", r"triples_1:1: non-integer id 'x'$"),
+        ("triples_1", "10\t100\t11\n11\t100\t1" + "0" * 24 + "\n",
+         r"triples_1:2: unknown entity id 1" + "0" * 24 + "$"),
+        ("ent_ids_2", "20\tf:a\n21\tf:b\n22\tf:c\n23\tf:d\n0020\tf:e\n", r"ent_ids_2:5: duplicate id 20$"),
+        ("sup_ent_ids", "10\t20\n\t21\n", r"sup_ent_ids:2: non-integer id ''$"),
+        ("rel_ids_1", "100\tr:p\n101\t \n", r"rel_ids_1:2: expected 2 tab-separated columns, found 1$"),
+        ("ent_ids_1", "10\te:a\rb\n", r"ent_ids_1:2: expected 2 tab-separated columns, found 1$"),
+        ("triples_1", "10\t100\t11\n98\t999\t99\n12\t100\t97\n", r"triples_1:2: unknown entity id 98$"),
+        ("ent_ids_1", "10\te:a\n11\te:b\n11\te:c\n10\te:d\n", r"ent_ids_1:3: duplicate id 11$"),
     ],
-    ids=["duplicate-id", "empty-id-map", "unknown-entity", "unknown-relation", "attribute-entity"],
+    ids=["duplicate-id", "empty-id-map", "unknown-entity", "unknown-relation", "attribute-entity",
+         "minus-inside-id", "tab-inside-label", "space-inside-id", "unknown-before-non-integer",
+         "non-integer-before-unknown", "unknown-id-beyond-int64", "duplicate-with-leading-zeros",
+         "empty-id", "blank-label", "lone-cr-inside-label", "first-of-several-unknown",
+         "first-of-several-duplicates"],
 )
 def test_load_bad_id_names_file_and_line(jape_style_dir, name, text, message):
     (jape_style_dir / "attrs_1").write_text("10\tpop\n", encoding="utf-8")
@@ -189,6 +216,104 @@ def test_load_bad_id_names_file_and_line(jape_style_dir, name, text, message):
     (jape_style_dir / name).write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError, match=message):
         load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
+
+
+@pytest.mark.parametrize("family, name", [
+    ("dbp15k-jape", "sup_ent_ids"), ("dbp15k-jape", "ref_ent_ids"), ("dbp15k-full", "ill_ent_ids"),
+])
+def test_load_empty_alignment_file_names_it(jape_style_dir, tmp_path, capsys, family, name):
+    # an empty test file used to load as if the data shipped no split
+    root = jape_style_dir if family == "dbp15k-jape" else _full_dir(tmp_path, [(1, 7)])
+    (root / name).write_bytes(b"")
+    with pytest.raises(DataFormatError, match=rf"{name}: empty alignment file$"):
+        load(DatasetDescriptor(family, "zh-en", root_path=root))
+    assert main(["stats", family, "zh-en", "--root", str(root)]) == 3
+    assert f"{name}: empty alignment file" in json.loads(capsys.readouterr().err)["message"]
+
+
+_PLAIN = {
+    "triples_1": [(10, 100, 11), (11, 100, 12), (12, 101, 13)],
+    "triples_2": [(20, 200, 21), (21, 200, 22), (23, 201, 20)],
+    "ent_ids_1": [(10, "e:a"), (11, "e:b b"), (12, "北京"), (13, "e:d")],
+    "ent_ids_2": [(20, "f:a"), (21, "f:b"), (22, "f:cé"), (23, "f:d")],
+    "rel_ids_1": [(100, "r:p"), (101, "r:q")],
+    "rel_ids_2": [(200, "s:p"), (201, "s:q")],
+    "sup_ent_ids": [(10, 20), (11, 21)],
+    "ref_ent_ids": [(12, 22), (13, 23)],
+    "attrs_1": [(10, "pop"), (11, "area"), (10, "area")],
+    "attrs_2": [(20, "pop"), (23, "pop")],
+}
+_LABELLED = ("ent_ids_1", "ent_ids_2", "rel_ids_1", "rel_ids_2", "attrs_1", "attrs_2")
+
+
+def _write_forms(root, spell=str, maps_spell=None, line_end="\n", final_newline=True):
+    """Write _PLAIN with each raw id spelt by spell (by maps_spell in the
+    id maps, when given) and each line ended by line_end."""
+    root.mkdir()
+    for name, rows in _PLAIN.items():
+        speller = maps_spell if maps_spell and name.startswith(("ent_ids", "rel_ids")) else spell
+        lines = []
+        for row in rows:
+            ids, label = (row[:-1], row[-1:]) if name in _LABELLED else (row, ())
+            lines.append("\t".join([*map(speller, ids), *label]))
+        text = line_end.join(lines) + (line_end if final_newline else "")
+        (root / name).write_bytes(text.encode("utf-8"))
+    return root
+
+
+def _arabic_indic(value):
+    return "".join(chr(0x660 + int(d)) for d in str(value))
+
+
+@pytest.mark.parametrize("form", [
+    dict(line_end="  \n"),
+    dict(line_end="\t\n"),
+    dict(line_end="\r\n"),
+    dict(final_newline=False),
+    dict(spell=lambda v: f"007{v}"),
+    dict(spell=lambda v: f"+{v}"),
+    dict(spell=lambda v: str(v + 2**64)),
+    dict(maps_spell=_arabic_indic),
+], ids=["trailing-spaces", "trailing-tab", "crlf", "no-final-newline", "leading-zeros",
+        "plus-signs", "beyond-int64", "non-ascii-digits-in-id-maps"])
+def test_load_accepted_forms_like_plain(tmp_path, form):
+    desc = lambda root: DatasetDescriptor("dbp15k-jape", "zh-en", root_path=root)
+    plain = load(desc(_write_forms(tmp_path / "plain")))
+    other = load(desc(_write_forms(tmp_path / "other", **form)))
+    for side in ("left", "right"):
+        a, b = getattr(plain, side), getattr(other, side)
+        assert a.triples.dtype == b.triples.dtype and np.array_equal(a.triples, b.triples)
+        assert (a.entity_count, a.relation_count) == (b.entity_count, b.relation_count)
+        assert a.entity_labels == b.entity_labels and a.relation_labels == b.relation_labels
+        ta, tb = getattr(plain, f"attributes_{side}"), getattr(other, f"attributes_{side}")
+        assert np.array_equal(ta.features, tb.features) and ta.column_labels == tb.column_labels
+    assert plain.alignment.pairs.dtype == other.alignment.pairs.dtype
+    assert np.array_equal(plain.alignment.pairs, other.alignment.pairs)
+    assert plain.alignment.roles.dtype == other.alignment.roles.dtype
+    assert np.array_equal(plain.alignment.roles, other.alignment.roles)
+    assert plain.left.entity_labels[2] == "北京"
+
+
+def test_load_reads_each_file_once(jape_style_dir, monkeypatch):
+    (jape_style_dir / "attrs_1").write_text("10\tpop\n", encoding="utf-8")
+    (jape_style_dir / "attrs_2").write_text("20\tpop\n", encoding="utf-8")
+    pinned = {
+        name: hashlib.sha256((jape_style_dir / name).read_bytes()).hexdigest()
+        for name in ("triples_1", "ent_ids_2", "ref_ent_ids", "attrs_1")
+    }
+    (jape_style_dir / "manifest.json").write_text(json.dumps({"sha256": pinned}), encoding="utf-8")
+    reads = collections.Counter()
+    for method in ("read_bytes", "read_text"):
+        real = getattr(Path, method)
+
+        def counting(self, *args, _real=real, **kwargs):
+            if self.parent == jape_style_dir:
+                reads[self.name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counting)
+    load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
+    assert reads == {path.name: 1 for path in jape_style_dir.iterdir()}
 
 
 def test_load_wk3l_dangling_triple_alignment_errors(tmp_path):

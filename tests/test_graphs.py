@@ -88,3 +88,24 @@ def test_entity_label_fallback():
     g = KnowledgeGraph(2, 1, [(0, 0, 1)], entity_labels={0: "zero"})
     assert g.entity_label(0) == "zero"
     assert g.entity_label(1) == "1"
+
+
+@pytest.mark.parametrize(
+    "roles",
+    [np.array(["train", "test"]), ["train", "test"], [Role.TRAIN, Role.TEST],
+     np.array([Role.TRAIN, Role.TEST], dtype=object)],
+    ids=["str-array", "str-list", "member-list", "member-array"],
+)
+def test_alignment_roles_from_arrays_and_members(roles):
+    align = AlignmentSet(np.array([[0, 0], [1, 1]]), roles)
+    assert align.roles.dtype == np.dtype("U10") and align.roles.tolist() == ["train", "test"]
+    assert not align.roles.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "roles", [np.array(["train", "validationX"]), ["train", "bogus"]], ids=["array", "list"]
+)
+def test_alignment_rejects_unknown_role(roles):
+    # "validationX" would fit "<U10" as "validation" if it were cut first
+    with pytest.raises(ValueError, match="is not a valid Role"):
+        AlignmentSet(np.array([[0, 0], [1, 1]]), roles)
