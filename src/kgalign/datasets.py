@@ -214,23 +214,31 @@ def _line_rows(path: Path, data: bytes, n_ids: int, labelled: bool):
     """(raw ids, labels, error) by the per-line reader, for any other form.
 
     It takes what int() takes, such as "+5", "007", non-ASCII digits and
-    ids beyond int64. The raw ids stop before the first line with a
-    non-integer id, whose error comes back rather than raised: a line
-    before it may hold an id that a lookup rejects first.
+    ids beyond int64. Each id column is converted in one pass; only when
+    that fails are the lines scanned one by one, and the raw ids stop
+    before the first line with a non-integer id, whose error comes back
+    rather than raised: a line before it may hold an id that a lookup
+    rejects first.
     """
     rows = _split_rows(path, data, n_ids + labelled)
-    raw, error = [], None
+    error = None
     try:
-        for line_no, parts in enumerate(rows, start=1):
-            raw.append([_parse_id(token, path, line_no) for token in parts[:n_ids]])
-    except DataFormatError as exc:
-        error = exc
+        raw = [list(map(int, (parts[j] for parts in rows))) for j in range(n_ids)]
+    except ValueError:  # find the first offending line
+        raw = [[] for _ in range(n_ids)]
+        try:
+            for line_no, parts in enumerate(rows, start=1):
+                values = [_parse_id(token, path, line_no) for token in parts[:n_ids]]
+                for column, value in zip(raw, values):
+                    column.append(value)
+        except DataFormatError as exc:
+            error = exc
     try:
         raw = np.array(raw, dtype=np.int64)
     except OverflowError:  # ids beyond int64 stay Python ints
         raw = np.array(raw, dtype=object)
     labels = [parts[-1] for parts in rows] if labelled else None
-    return raw.reshape(-1, n_ids), labels, error
+    return raw.T, labels, error
 
 
 def _read_ids(path: Path, data: bytes, columns, labelled: bool = False) -> list:
@@ -265,10 +273,8 @@ def _read_ids(path: Path, data: bytes, columns, labelled: bool = False) -> list:
 def _load_id_map(path: Path, data: bytes):
     """The id map and dense index -> label.
 
-    The map holds the raw ids sorted, the dense index (file order) of
-    each and, when the ids span at most four times their count, as the
-    shipped benchmarks' consecutive ids do, a table from raw id minus
-    the smallest to dense index, -1 where no id is.
+    The map holds the raw ids sorted and the dense index (file order) of
+    each.
     """
     raw, labels = _read_ids(path, data, [None], labelled=True)
     dense = np.argsort(raw, kind="stable")
@@ -279,21 +285,12 @@ def _load_id_map(path: Path, data: bytes):
         raise DataFormatError(f"duplicate id {raw[first]}", path=path, line_no=first + 1)
     if not raw.size:
         raise DataFormatError("empty id map", path=path)
-    table = None
-    if keys.dtype == np.int64 and int(keys[-1]) - int(keys[0]) < 4 * len(keys):
-        table = np.full(keys[-1] - keys[0] + 1, -1)
-        table[keys - keys[0]] = dense
-    return (keys, dense, table), dict(enumerate(labels))
+    return (keys, dense), dict(enumerate(labels))
 
 
 def _lookup(id_map, raw: np.ndarray):
     """The dense index of each raw id, and whether the map has it."""
-    keys, dense, table = id_map
-    if table is not None and raw.dtype == np.int64:
-        at = raw - keys[0]
-        inside = (at >= 0) & (at < len(table))
-        index = table[np.where(inside, at, 0)]
-        return index, inside & (index >= 0)
+    keys, dense = id_map
     pos = np.searchsorted(keys, raw).clip(max=len(keys) - 1)
     return dense[pos], keys[pos] == raw
 
