@@ -226,9 +226,9 @@ def backward(
     state; the shared weight matrices accumulate gradient from both
     graphs.
 
-    Each graph accumulates its weight gradient in a buffer of its own,
-    and the shared gradient is built from zero as left, then right: the
-    bits of (0 + left) + right, whichever graph finishes first.
+    Each graph accumulates its weight gradient in a zeroed buffer of
+    its own, and the shared gradient is left += right: the bits of
+    (0 + left) + (0 + right), whichever graph finishes first.
     """
     if tape is None:
         raise ValueError("backward requires the tape from forward(..., keep_tape=True)")
@@ -245,10 +245,7 @@ def backward(
         ((grad_out_left, tape.left), (grad_out_right, tape.right)),
         max(grad_out_left.size, grad_out_right.size),
     )
-    grad_weights = None
     if cfg.use_weights:
-        grad_weights = [np.zeros_like(w) for w in state.weights]
-        for total, left, right in zip(grad_weights, own_l, own_r):
-            total += left
-            total += right
-    return EmbeddingState(features_left=gl, features_right=gr, weights=grad_weights)
+        for left, right in zip(own_l, own_r):
+            left += right
+    return EmbeddingState(features_left=gl, features_right=gr, weights=own_l)

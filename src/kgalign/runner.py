@@ -155,7 +155,7 @@ def load_state(path: Path) -> tuple[EmbeddingState, EmbeddingState | None]:
     """(structure state, attribute state or None) saved in path; an
     archive that cannot be read or lacks an array is a ConfigError."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as f, np.load(f) as data:
             def saved(prefix):  # only the attribute state is optional
                 if prefix and f"{prefix}features_left" not in data:
                     return None
@@ -441,6 +441,11 @@ def enumerate_grid(
             overrides["save_state"] = False
             overrides["evaluate_test"] = False
             configs.append(apply_overrides(cell_cfg, overrides))
+    # values equal once typed (1 and 1.0 on a float field) run a config twice
+    flats = [cfg.to_flat() for cfg in configs]
+    for key in keys:
+        if len({flat.get(key) for flat in flats}) < len(axes[key]):
+            raise ConfigError(f"grid axis {key!r} repeats a value: {axes[key]}")
     return configs
 
 
@@ -477,9 +482,11 @@ def run_grid(
     continues. The leaderboard file is written only by this process,
     which also prints a progress line to stderr per finished run.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    configs = enumerate_grid(base, axes)
     runs_root = Path(runs_root)
     runs_root.mkdir(parents=True, exist_ok=True)
-    configs = enumerate_grid(base, axes)
     jobs = [(cfg, runs_root) for cfg in configs]
     by_hash = {cfg.run_hash(): cfg for cfg in configs}
     best: dict[tuple[bool, str], tuple[float, RunConfig]] = {}

@@ -5,12 +5,12 @@ corruptions: hinge(pos_L1 + margin - neg_L1). Subgradient conventions:
 |x| has slope 0 at x = 0, and the hinge contributes nothing when exactly
 at its boundary. Negatives are resampled fresh every epoch.
 
-The loss's negatives and the optimizer's parameters are shared out to
-the threads of the process's budget (parallel.thread_count). No result
-depends on the thread count: the loss gradient is integer-valued (sums
-of signs and hinge counts, far below 2**53), so its accumulation order
-cannot change a bit, and the float loss is summed block by block in
-block order on the calling thread.
+The loss's one stream of negatives and the optimizer's parameters are
+shared out to the threads of the budget (parallel.thread_count). No
+result depends on the thread count: the loss gradient is integer-valued
+(sums of signs and hinge counts, far below 2**53), so its accumulation
+order cannot change a bit, and the float loss is summed per column
+block of the stream, in block order, on the calling thread.
 """
 from __future__ import annotations
 
@@ -182,44 +182,38 @@ def margin_rank_loss(
     pos_diff = emb_left[pl] - emb_right[pr]
     pos_dist = np.abs(pos_diff).sum(axis=1)
 
-    # negatives are processed in column blocks of roughly 16k rows, and
-    # each block's loss is summed on its own, in block order. A block's
-    # negatives are flat rows i * bk + j (positive i, negative j),
-    # gathered CHUNK_ROWS rows at a time. Thread t takes chunks t, t +
-    # threads, ... with its own two (chunk, dim) gather buffers and its
-    # own gradient pair, all allocated here on the calling thread; the
-    # pairs beyond the first stay within GRAD_COPY_BYTES.
+    # the negatives form one stream of column blocks of roughly 16k rows
+    # (one empty block when k = 0); row r belongs to positive owner[r].
+    # Each block's loss is summed on its own, in block order. Thread t
+    # gathers chunks t, t + threads, ... of CHUNK_ROWS rows into its own
+    # two (chunk, dim) buffers and its own gradient pair, all allocated
+    # here on the calling thread; the pairs beyond the first stay within
+    # GRAD_COPY_BYTES. A chunk may cross a block boundary.
     block_k = max(1, min(k, 16384 // max(m, 1)))
-    blocks = []  # per block: width, flat left and right ids, hinge terms
-    for j0 in range(0, k, block_k):
-        block = negatives[:, j0 : j0 + block_k, :]
-        nl, nr = block[:, :, 0].ravel(), block[:, :, 1].ravel()
-        blocks.append((block.shape[1], nl, nr, np.empty(len(nl))))
-    chunks = [(b, lo) for b, (_, nl, _, _) in enumerate(blocks)
-              for lo in range(0, len(nl), CHUNK_ROWS)]
-    rows = min(m * block_k, CHUNK_ROWS)
-    d = emb_left.shape[1]
+    starts = range(0, max(k, 1), block_k)
+    stream = np.concatenate([negatives[:, j : j + block_k].reshape(-1, 2) for j in starts])
+    owner = np.concatenate([np.repeat(np.arange(m), min(block_k, k - j)) for j in starts])
+    terms = pos_dist[owner] + margin  # minus each row's distance below: its hinge term
+    n, d = len(stream), emb_left.shape[1]
+    rows = min(n, CHUNK_ROWS)
     pair_bytes = max(1, emb_left.nbytes + emb_right.nbytes)
-    threads = min(threads_for(len(chunks), rows * d), 1 + GRAD_COPY_BYTES // pair_bytes)
+    threads = min(threads_for(-(-n // CHUNK_ROWS), rows * d), 1 + GRAD_COPY_BYTES // pair_bytes)
     buffers = [(np.empty((rows, d)), np.empty((rows, d))) for _ in range(threads)]
     grads = [(np.zeros_like(emb_left), np.zeros_like(emb_right)) for _ in range(threads)]
 
     def chunks_of(t):
         (diff, other), (grad_l, grad_r) = buffers[t], grads[t]
-        for b, lo in chunks[t::threads]:
-            bk, nl, nr, terms = blocks[b]
-            hi = lo + CHUNK_ROWS
-            nl, nr, terms = nl[lo:hi], nr[lo:hi], terms[lo:hi]
+        for lo in range(t * CHUNK_ROWS, n, threads * CHUNK_ROWS):
+            nl, nr = stream[lo : lo + CHUNK_ROWS].T
+            chunk = terms[lo : lo + CHUNK_ROWS]
             x, y = diff[: len(nl)], other[: len(nl)]
             # mode="clip" lets take write into out without a copy; the
             # indices were range-checked above
             np.take(emb_left, nl, axis=0, out=x, mode="clip")
             np.take(emb_right, nr, axis=0, out=y, mode="clip")
             np.subtract(x, y, out=x)
-            # the negatives' distances, then their hinge terms in place
-            np.abs(x, out=y).sum(axis=1, out=terms)
-            np.subtract(pos_dist[np.arange(lo, lo + len(nl)) // bk] + margin, terms, out=terms)
-            active = np.flatnonzero(terms > 0.0)
+            chunk -= np.abs(x, out=y).sum(axis=1)
+            active = np.flatnonzero(chunk > 0.0)
             # only the active rows' signs are needed; np.sign is several
             # times slower in place than into another array
             np.take(x, active, axis=0, out=y[: len(active)], mode="clip")
@@ -233,12 +227,10 @@ def margin_rank_loss(
         grad_left += gl
         grad_right += gr
     loss = 0.0
-    active_counts = np.zeros(m)
-    for bk, _, _, terms in blocks:
-        active = terms > 0.0
-        if active.any():
-            loss += terms[active].sum()
-            active_counts += active.reshape(m, bk).sum(axis=1)
+    for j in starts:
+        block = terms[m * j : m * min(j + block_k, k)]
+        loss += block[block > 0.0].sum()
+    active_counts = np.bincount(owner[terms > 0.0], minlength=m)
 
     pos_sign = np.sign(pos_diff) * active_counts[:, None]
     scatter_add_rows(grad_left, pl, pos_sign)

@@ -280,6 +280,29 @@ def test_grid_command(tmp_path, capsys):
     assert (runs / "grid_best.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "axis, flags, complaint",
+    [
+        ("grid.training.learning_rate = 0.5, 0.50\n", ["--workers", "2"], "repeats a value"),
+        ("grid.training.learning_rate = 1, 1.0\n", [], "repeats a value"),
+        ("grid.training.n_epochs = 10, 40\n", ["--workers", "-4"], "workers must be at least 1"),
+        ("grid.training.n_epochs = 10, 40\n", ["--workers", "0"], "workers must be at least 1"),
+    ],
+    ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers"],
+)
+def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
+    tmp_path, capsys, axis, flags, complaint
+):
+    config = tmp_path / "grid.cfg"
+    config.write_text(TOY_CONFIG + "train_fraction = 0.5\nval_fraction = 0.5\n" + axis,
+                      encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["grid", str(config), "--runs-root", str(runs), *flags]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "config" and complaint in err["message"]
+    assert not runs.exists()
+
+
 def test_grid_progress_goes_to_stderr_only(tmp_path, capsys):
     runs = tmp_path / "runs"
     assert main(["grid", str(_grid_config(tmp_path)), "--runs-root", str(runs)]) == 0

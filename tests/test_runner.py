@@ -1,5 +1,7 @@
+import gc
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +350,19 @@ def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_load_state_closes_a_truncated_archive(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "state.npz"
+    _save_state(path, EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4))), None)
+    path.write_bytes(path.read_bytes()[:300])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="not a complete state archive"):
+            load_state(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_error_record_carries_traceback(tmp_path, monkeypatch):
     import kgalign.runner as runner
 
@@ -429,6 +444,16 @@ def test_enumerate_grid_single_point_gives_one_per_cell():
 def test_enumerate_grid_empty_axis_rejected():
     with pytest.raises(ConfigError, match="empty"):
         enumerate_grid(toy_config(), {"training.n_epochs": []})
+
+
+@pytest.mark.parametrize("key, values", [
+    ("training.learning_rate", [1, 1.0]),
+    ("training.n_epochs", [5, 5.0]),
+    ("encoder.init", ["unit", "scaled", "unit"]),
+])
+def test_enumerate_grid_rejects_an_axis_with_equal_typed_values(key, values):
+    with pytest.raises(ConfigError, match=f"grid axis '{key}' repeats a value"):
+        enumerate_grid(toy_config(), {key: values, "training.optimizer": ["adam", "sgd"]})
 
 
 def test_run_grid_selects_best_and_writes_leaderboard(tmp_path):

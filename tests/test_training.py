@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from kgalign import parallel
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
 from kgalign.datasets import toy_cycle_pair
 from kgalign.encoder import EncoderConfig, forward, init_state
@@ -138,6 +141,54 @@ def test_loss_nonnegative_random():
         neg = rng.integers(0, 5, size=(2, 3, 2))
         loss, _, _ = margin_rank_loss(emb_l, emb_r, pos, neg, margin=1.0)
         assert loss >= 0.0
+
+
+def _blocked_loss_reference(emb_l, emb_r, pos, neg, margin):
+    """The loss and gradients of margin_rank_loss in plain numpy: the
+    float loss summed per column block of negatives, in block order, and
+    the gradients from np.add.at."""
+    m, k, _ = neg.shape
+    pos_diff = emb_l[pos[:, 0]] - emb_r[pos[:, 1]]
+    neg_diff = emb_l[neg[:, :, 0]] - emb_r[neg[:, :, 1]]  # (m, k, dim)
+    terms = np.abs(pos_diff).sum(axis=1)[:, None] + margin - np.abs(neg_diff).sum(axis=2)
+    block_k = max(1, min(k, 16384 // m))
+    loss = 0.0
+    for j in range(0, k, block_k):
+        block = terms[:, j : j + block_k].ravel()
+        loss += block[block > 0.0].sum()
+    active = terms > 0.0
+    neg_sign = np.sign(neg_diff[active])
+    pos_sign = np.sign(pos_diff) * active.sum(axis=1)[:, None]
+    grad_l, grad_r = np.zeros_like(emb_l), np.zeros_like(emb_r)
+    np.add.at(grad_l, neg[:, :, 0][active], -neg_sign)
+    np.add.at(grad_r, neg[:, :, 1][active], neg_sign)
+    np.add.at(grad_l, pos[:, 0], pos_sign)
+    np.add.at(grad_r, pos[:, 1], -pos_sign)
+    return loss, grad_l, grad_r
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize(
+    "m, k",
+    [(333, 57), (2000, 20), (7, 3), (300, 1)],
+    ids=["ragged-last-block", "chunks-inside-blocks", "single-block", "one-negative"],
+)
+def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k):
+    # 333 x 57: blocks of 49 and 8 columns, a chunk across their boundary;
+    # 2000 x 20: blocks of 8, 8 and 4 columns, each of several chunks
+    monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rng = np.random.default_rng(m + k)
+    # rows of widely varied length, so that summing the hinge terms in
+    # another order changes the loss's bits (at 333 x 57, one flat sum does)
+    emb_l = rng.normal(size=(2500, 8)) * np.exp(rng.normal(size=(2500, 1)))
+    emb_r = rng.normal(size=(2600, 8)) * np.exp(rng.normal(size=(2600, 1)))
+    pos = np.stack([rng.permutation(2500)[:m], rng.permutation(2600)[:m]], axis=1)
+    neg = sample_negatives(pos, 2500, 2600, k, rng)
+    loss, grad_l, grad_r = margin_rank_loss(emb_l, emb_r, pos, neg, 3.0)
+    ref_loss, ref_l, ref_r = _blocked_loss_reference(emb_l, emb_r, pos, neg, 3.0)
+    assert 0.0 < loss == ref_loss
+    assert np.array_equal(grad_l, ref_l) and np.array_equal(grad_r, ref_r)
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0, -1), (0, 1, 0, 5), (1, 0, 1, 7)])
