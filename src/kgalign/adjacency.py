@@ -53,6 +53,8 @@ class AdjacencyConfig:
             raise ConfigError(f"unknown adjacency variant {self.variant!r}")
         if self.normalization not in ("row", "symmetric"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
+        if not 0 < self.clamp_floor <= 1:  # a functionality score lies in (0, 1]
+            raise ConfigError(f"clamp_floor must lie in (0, 1], got {self.clamp_floor}")
 
 
 def compute_functionality(

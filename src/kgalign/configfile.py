@@ -83,14 +83,7 @@ def format_value(v) -> str:
 
 def format_config(flat: dict) -> str:
     """Canonical text form: sorted dotted keys, one per line."""
-    lines = []
-    for key in sorted(flat):
-        v = flat[key]
-        if isinstance(v, (list, tuple)):
-            lines.append(f"{key} = {', '.join(format_value(x) for x in v)}")
-        else:
-            lines.append(f"{key} = {format_value(v)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {format_value(flat[key])}" for key in sorted(flat)) + "\n"
 
 
 @functools.cache

@@ -341,7 +341,7 @@ def _read_files(desc: DatasetDescriptor, root: Path) -> dict[str, bytes]:
     """The bytes of each file of the family's layout, every one read once.
 
     A checksum pinned in manifest.json is verified on the same bytes
-    that are then parsed.
+    that are then parsed; a pin may name only a file of the layout.
     """
     _, alignment_files, optional_files = FAMILIES[desc.family]
     required = [*_GRAPH_FILES, *alignment_files]
@@ -364,12 +364,12 @@ def _read_files(desc: DatasetDescriptor, root: Path) -> dict[str, bytes]:
         )
     files = {name: _read_bytes(root / name) for name in known if (root / name).is_file()}
     for name, pinned in _local_checksums(root, files.get("manifest.json")).items():
-        if name not in files and not (root / name).is_file():
+        if name not in files:
+            what = "is missing" if name in known else f"is not a file of the {desc.family!r} layout"
             raise DataFormatError(
-                f"pins a checksum for {name}, which is missing", path=root / "manifest.json"
+                f"pins a checksum for {name}, which {what}", path=root / "manifest.json"
             )
-        data = files[name] if name in files else (root / name).read_bytes()
-        actual = hashlib.sha256(data).hexdigest()
+        actual = hashlib.sha256(files[name]).hexdigest()
         if actual != pinned:
             raise DataFormatError(
                 f"checksum mismatch for {name}: manifest pins {pinned}, file has {actual}",

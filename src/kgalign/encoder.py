@@ -15,6 +15,7 @@ the GIL, and neither graph reads what the other writes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ def resolve_init_std(init: str | float, dim: int) -> float:
     the quantity as a standard deviation).
     """
     if not isinstance(init, str):
+        if not 0 < init < math.inf:
+            raise ConfigError(f"init std must be positive and finite, got {init}")
         return float(init)
     if init == "unit":
         return 1.0

@@ -30,6 +30,8 @@ HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
 # the two ranking directions, then their average
 DIRECTIONS = ("left_to_right", "right_to_left", "mean")
+# rows of the distance matrix computed at once
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -181,16 +183,6 @@ def _distances(emb, attr, rows, cols, cfg):
     return dist
 
 
-def _levels(lines):
-    """The pairs grouped so that no line holds two pairs of one group:
-    group k has each line's (k+1)-th pair. A valid split has one group.
-    Returns (pairs, their lines) per group, sorted by line."""
-    order = np.argsort(lines, kind="stable")
-    ordered = lines[order]
-    level = np.arange(len(lines)) - np.searchsorted(ordered, ordered)
-    return [(order[level == k], ordered[level == k]) for k in range(level.max() + 1)]
-
-
 def _count(dist, d_t, pos):
     """Per row of dist, a line of candidate distances whose truth sits at
     position pos (which may lie outside the line): how many lie below d_t,
@@ -208,7 +200,7 @@ def _count(dist, d_t, pos):
     return np.stack([better, tied, before])
 
 
-def _rank_counts(emb, attr, ids, pairs, cfg, columns, block=512):
+def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     """Counts of each pair's truth in the matrix of the sorted entities
     ids[0] of emb[0] by the sorted entities ids[1] of emb[1]: along its
     row, and with columns also along its column. Returns per direction a
@@ -218,7 +210,10 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns, block=512):
     blocks, since every block's column counts need them. The 512-row
     blocks run on parallel.thread_map; a pair's row counts come from one
     block and its column counts are integers summed over blocks, so no
-    thread count can change a bit.
+    thread count can change a bit. Each direction of a block is counted
+    at once, its pairs in line order. Every line holds a pair, so a block
+    with as many pairs as lines is counted as it is; otherwise each line
+    is gathered once per pair it holds.
     """
     missing = np.setdiff1d(pairs[:, 1], ids[1])
     if missing.size:
@@ -233,26 +228,23 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns, block=512):
         _distances(emb, attr, pos[0][lo:lo + 16], pos[1][lo:lo + 16], cfg).diagonal()
         for lo in range(0, n_pairs, 16)
     ])
-    by_row = _levels(pos[0])
-    by_column = _levels(pos[1]) if columns else []
+    by_row, by_column = (np.argsort(p, kind="stable") for p in pos)
     row_counts = np.empty((3, n_pairs), dtype=np.int64)
 
     def count_block(lo):
-        hi = min(lo + block, n_rows)
+        hi = min(lo + BLOCK_ROWS, n_rows)
         dist = _distances(emb, attr, slice(lo, hi), slice(None), cfg)
-        # a line with several pairs is gathered once per extra pair
-        for p, rows in by_row:
-            s, e = np.searchsorted(rows, (lo, hi))
-            sub = dist if e - s == hi - lo else dist[rows[s:e] - lo]
-            row_counts[:, p[s:e]] = _count(sub, d_t[p[s:e]], pos[1][p[s:e]])
-        column_counts = np.zeros((3, n_pairs), dtype=np.int64)
-        for p, cols in by_column:
-            sub = dist.T if len(cols) == dist.shape[1] else dist.T[cols]
-            column_counts[:, p] = _count(sub, d_t[p], pos[0][p] - lo)
-        return column_counts
+        s, e = np.searchsorted(pos[0], (lo, hi), sorter=by_row)
+        p = by_row[s:e]
+        sub = dist if e - s == hi - lo else dist[pos[0][p] - lo]
+        row_counts[:, p] = _count(sub, d_t[p], pos[1][p])
+        if columns:
+            sub = dist.T if n_pairs == dist.shape[1] else dist.T[pos[1][by_column]]
+            return _count(sub, d_t[by_column], pos[0][by_column] - lo)
 
-    partial = thread_map(count_block, range(0, n_rows, block), block * len(ids[1]))
-    return (row_counts, sum(partial)) if columns else (row_counts,)
+    partial = thread_map(count_block, range(0, n_rows, BLOCK_ROWS), BLOCK_ROWS * len(ids[1]))
+    # the column counts are summed in line order, then put back in pair order
+    return (row_counts, sum(partial)[:, np.argsort(by_column)]) if columns else (row_counts,)
 
 
 def evaluate(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -74,8 +75,10 @@ class RunConfig:
             raise ConfigError(f"unknown candidate policy {self.candidate_policy!r}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be at least 1")
-        if self.attribute_margin is not None and self.attribute_margin < 0:
-            raise ConfigError("attribute_margin must be non-negative")
+        if self.attribute_margin is not None and not 0 <= self.attribute_margin < math.inf:
+            raise ConfigError(
+                f"attribute_margin must be non-negative and finite, got {self.attribute_margin}"
+            )
 
     def to_flat(self) -> dict:
         """Flat dotted-key mapping; the canonical serialized form."""

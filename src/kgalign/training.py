@@ -14,6 +14,7 @@ block of the stream, in block order, on the calling thread.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.n_negatives < 1:
             raise ConfigError("n_negatives must be at least 1")
-        if self.margin < 0:
-            raise ConfigError("margin must be non-negative")
+        if not 0 <= self.margin < math.inf:
+            raise ConfigError(f"margin must be non-negative and finite, got {self.margin}")
         if self.n_epochs < 0:
             raise ConfigError("n_epochs must be non-negative")
 

@@ -63,9 +63,12 @@ def test_stats_missing_dataset_exit_code(capsys):
         ("manifest.json", b"[]", "manifest.json"),
         ("manifest.json", b'{"sha256": ["triples_1"]}', "manifest.json"),
         ("manifest.json", b'{"sha256": {"attrs_1": "00"}}', "attrs_1"),
+        # a file outside the layout, reached through the parent directory
+        ("manifest.json", b'{"sha256": {"../zh_en/triples_1": "00"}}',
+         "manifest.json: pins a checksum for ../zh_en/triples_1, which is not a file of the"),
     ],
     ids=["non-utf8", "manifest-not-json", "manifest-not-object",
-         "manifest-sha256-not-mapping", "manifest-pins-absent-file"],
+         "manifest-sha256-not-mapping", "manifest-pins-absent-file", "manifest-pins-outside-file"],
 )
 def test_stats_unreadable_dataset_file_exit_code(jape_style_dir, capsys, name, content, culprit):
     (jape_style_dir / name).write_bytes(content)
@@ -154,8 +157,15 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
         ("candidate_policy = test_only", "unknown candidate policy"),
         ("n_seeds = 0", "n_seeds must be at least 1"),
         ("attribute_margin = -1.0", "attribute_margin must be non-negative"),
+        ("training.margin = nan", "margin must be non-negative and finite"),
+        ("training.learning_rate = inf", "learning_rate must be positive and finite"),
+        ("encoder.init = 0.0", "init std must be positive and finite"),
+        ("encoder.init = -1.0", "init std must be positive and finite"),
+        ("adjacency.clamp_floor = -1.0", "clamp_floor must lie in (0, 1]"),
+        ("attribute_margin = nan", "attribute_margin must be non-negative and finite"),
     ],
-    ids=["dim", "beta", "policy", "n-seeds", "attribute-margin"],
+    ids=["dim", "beta", "policy", "n-seeds", "attribute-margin", "margin-nan", "learning-rate-inf",
+         "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]

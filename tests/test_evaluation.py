@@ -425,17 +425,40 @@ def test_evaluate_float_data_matches_full_row_reference():
     )
 
 
-@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
-def test_evaluate_unvalidated_split_matches_oracle(policy):
-    """evaluate does not call validate_pair, so an entity may sit in two
-    test pairs; each pair is still ranked on its own."""
-    pair, emb, attr = _tied_pair()
-    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
-    extra = [
+def _extra_twice(test, train):
+    return [
         (test[0, 0], train[0, 1]),  # a left entity in two test pairs
         (train[1, 0], test[700, 1]),  # a right entity in two test pairs
         tuple(test[1200]),  # one pair twice
     ]
+
+
+def _extra_thrice(test, train):
+    """A left entity in three test pairs and a right entity in three,
+    each with partners on lines of two 512-row blocks."""
+    extra = [
+        (test[0, 0], train[3, 1]), (test[0, 0], train[5, 1]),
+        (train[0, 0], test[700, 1]), (train[2, 0], test[700, 1]),
+    ]
+    pairs = np.vstack([test, extra])
+    for side, entity in ((0, test[0, 0]), (1, test[700, 1])):
+        partners = pairs[pairs[:, side] == entity, 1 - side]
+        lines = np.searchsorted(np.unique(pairs[:, 1 - side]), partners)
+        assert len(partners) == 3 and len(np.unique(lines // 512)) == 2
+    return extra
+
+
+@pytest.mark.parametrize("policy, extra_pairs", [
+    pytest.param(policy, extra, id=policy + suffix)
+    for extra, suffix in ((_extra_twice, ""), (_extra_thrice, "-thrice"))
+    for policy in ("test-only", "all-entities")
+])
+def test_evaluate_unvalidated_split_matches_oracle(policy, extra_pairs):
+    """evaluate does not call validate_pair, so an entity may sit in
+    several test pairs; each pair is still ranked on its own."""
+    pair, emb, attr = _tied_pair()
+    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
+    extra = extra_pairs(test, train)
     alignment = AlignmentSet(
         np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]
     )
