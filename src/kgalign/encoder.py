@@ -152,8 +152,9 @@ def _forward_one(
         if layer < cfg.n_layers - 1:
             mask = p > 0.0
             masks.append(mask)
-            p[~mask] = 0.0  # p is this layer's own product
-            h = p
+            # in place, as p is this layer's own product; a NaN stays NaN
+            # and fails the finite check below
+            h = np.maximum(p, 0.0, out=p)
         else:
             h = p
     if not np.all(np.isfinite(h)):
@@ -197,7 +198,7 @@ def _backward_one(
     g = grad_out
     for layer in range(cfg.n_layers - 1, -1, -1):
         if layer < cfg.n_layers - 1:
-            g[~tape.relu_masks[layer]] = 0.0  # g is the adj_t product below
+            np.multiply(g, tape.relu_masks[layer], out=g)  # g is the adj_t product below
         if cfg.use_weights:
             grad_weights[layer] += tape.propagated[layer].T @ g
             g = g @ weights[layer].T

@@ -1,8 +1,9 @@
 """The few numeric helpers the encoder and trainer need.
 
-Dense matrices are plain float64 numpy arrays throughout; propagation
-matrices are canonical ``scipy.sparse.csr_array`` (duplicates summed,
-column indices sorted within each row).
+Dense matrices are plain float64 numpy arrays throughout, but for the
+margin loss's integer sign accumulators; propagation matrices are
+canonical ``scipy.sparse.csr_array`` (duplicates summed, column indices
+sorted within each row).
 """
 from __future__ import annotations
 
@@ -57,29 +58,38 @@ def degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:
     return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
-def scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
-    """out[indices[t]] += rows[t] for t in order, repeated indices
-    accumulated: the bits of np.add.at(out, indices, rows).
+def scatter_add_rows(
+    out: np.ndarray, indices: np.ndarray, rows: np.ndarray, scales=(1,)
+) -> None:
+    """out[indices[i][t]] += scales[i] * rows[t] for every i and t, in t
+    order for each i, repeated indices accumulated. indices holds one
+    line of len(rows) targets per scale; with the default, one line and
+    scale 1, these are the bits of np.add.at(out, indices, rows).
 
-    out is a C-contiguous float64 matrix. Once the rows hold thousands
-    of elements, a selector matrix whose row i holds a 1 for every t
-    with indices[t] == i, in t order, is multiplied into out in place by
+    out is a C-contiguous float64 or integer matrix, and rows are taken
+    in its dtype. Once the updates hold thousands of elements, a
+    selector matrix whose row j holds scales[i] at column t for every
+    indices[i][t] == j, in t order, is multiplied into out in place by
     the compiled sparse kernel: much faster than np.add.at, and with no
     temporary the size of out. Smaller updates take np.add.at itself,
     which costs less than building the selector, as do all updates
     where scipy has no such kernel.
     """
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("scatter_add_rows needs a C-contiguous float64 output")
-    m = len(indices)
+    if not (out.dtype == np.float64 or out.dtype.kind == "i") or not out.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous float64 or integer output")
+    indices = np.reshape(indices, (len(scales), -1))
+    m = indices.shape[1]
     if m == 0:
         return
-    if csr_matvecs is None or m * out.shape[1] < 8192:
-        np.add.at(out, indices, rows)
+    if csr_matvecs is None or indices.size * out.shape[1] < 8192:
+        for line, scale in zip(indices, scales):
+            np.add.at(out, line, rows if scale == 1 else scale * rows)
         return
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=out.dtype)
     if rows.shape != (m, out.shape[1]):  # the kernel reads m rows of out's width
         raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
-    sel = sp.csr_array((np.ones(m), (indices, np.arange(m))), shape=(out.shape[0], m))
+    data = np.repeat(np.asarray(scales, dtype=out.dtype), m)
+    columns = np.tile(np.arange(m), len(scales))
+    sel = sp.csr_array((data, (indices.ravel(), columns)), shape=(out.shape[0], m))
     csr_matvecs(out.shape[0], m, out.shape[1], sel.indptr, sel.indices, sel.data,
                 rows.ravel(), out.ravel())

@@ -5,12 +5,15 @@ corruptions: hinge(pos_L1 + margin - neg_L1). Subgradient conventions:
 |x| has slope 0 at x = 0, and the hinge contributes nothing when exactly
 at its boundary. Negatives are resampled fresh every epoch.
 
-The loss's one stream of negatives and the optimizer's parameters are
-shared out to the threads of the budget (parallel.thread_count). No
-result depends on the thread count: the loss gradient is integer-valued
-(sums of signs and hinge counts, far below 2**53), so its accumulation
-order cannot change a bit, and the float loss is summed per column
-block of the stream, in block order, on the calling thread.
+The loss's one stream of negatives and the optimizer's flat parameter
+blocks are shared out to the threads of the budget
+(parallel.thread_count). No result depends on the thread count: the
+loss gradient is integer-valued (sums of signs and hinge counts, far
+below 2**53), and each loss thread adds up its signs exactly in an
+integer accumulator, so their order cannot change a bit; the float loss
+is summed per column block of the stream, in block order, on the
+calling thread; and the optimizer's update is elementwise. The training
+loop drops each array of an epoch as soon as the epoch is done with it.
 """
 from __future__ import annotations
 
@@ -90,7 +93,11 @@ def optimizer_step(
     """One in-place update of all parameters.
 
     SGD: p -= lr * g. Adam: bias-corrected moment update with the usual
-    constants (0.9, 0.999, 1e-8).
+    constants (0.9, 0.999, 1e-8). Every parameter, with its gradient and
+    moments, is updated in flat blocks of OPT_BLOCK elements, thread t
+    taking blocks t, t + threads, ...; the update is elementwise, so the
+    blocks and threads cannot change a bit. Parameters must be
+    C-contiguous, so that their flat blocks are views.
     """
     if len(params) != len(grads):
         raise ValueError("params and grads must align")
@@ -98,6 +105,8 @@ def optimizer_step(
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ValueError(f"parameter {i} shape {p.shape} vs gradient {g.shape}")
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter {i} is not C-contiguous")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter {i}{where}")
     state.step_count += 1
@@ -105,19 +114,11 @@ def optimizer_step(
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     lr = cfg.learning_rate
-    # each parameter's temporaries (one for SGD, two for Adam) come from
-    # the calling thread, so the updating threads allocate nothing
-    scratch = [[np.empty_like(p) for _ in range(1 if cfg.optimizer == "sgd" else 2)]
-               for p in params]
 
-    def update(i):
-        p, g = params[i], grads[i]
-        if cfg.optimizer == "sgd":
-            (a,) = scratch[i]
-            p -= np.multiply(lr, g, out=a)  # p -= lr * g
-            return
-        a, b = scratch[i]
-        m, v = state.m[i], state.v[i]
+    def sgd(p, g, a):
+        p -= np.multiply(lr, g, out=a)  # p -= lr * g
+
+    def adam(p, g, m, v, a, b):
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
@@ -127,7 +128,31 @@ def optimizer_step(
         np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
         p -= np.divide(a, b, out=a)
 
-    thread_map(update, range(len(params)), max(p.size for p in params))
+    if cfg.optimizer == "adam":
+        step, moments, temporaries = adam, (state.m, state.v), 2
+    else:
+        step, moments, temporaries = sgd, (), 1
+    flat = [[x.reshape(-1) for x in arrays] for arrays in zip(params, grads, *moments)]
+    blocks = [(i, lo) for i, p in enumerate(params) for lo in range(0, p.size, OPT_BLOCK)]
+    size = sum(p.size for p in params)
+    threads = threads_for(len(blocks), size)
+    # each thread's temporary blocks come from the calling thread, so the
+    # updating threads allocate nothing
+    scratch = [[np.empty(OPT_BLOCK) for _ in range(temporaries)] for _ in range(threads)]
+
+    def update(t):
+        for i, lo in blocks[t::threads]:
+            views = [x[lo : lo + OPT_BLOCK] for x in flat[i]]
+            step(*views, *(a[: len(views[0])] for a in scratch[t]))
+
+    thread_map(update, range(threads), size)
+
+
+# elements per block of optimizer_step: Adam's six arrays of one block,
+# 1.5 MB in float64, stay in a core's 2 MB L2 cache between its passes.
+# A zh-en step on 2 cores took 54 ms against 153 ms for whole parameters
+# (104 ms at 8k elements, 55 ms at 128k)
+OPT_BLOCK = 1 << 15
 
 
 def sample_negatives(
@@ -188,24 +213,36 @@ def margin_rank_loss(
     # the negatives form one stream of column blocks of roughly 16k rows
     # (one empty block when k = 0); row r belongs to positive owner[r].
     # Each block's loss is summed on its own, in block order. Thread t
-    # gathers chunks t, t + threads, ... of CHUNK_ROWS rows into its own
-    # two (chunk, dim) buffers and its own gradient pair, all allocated
-    # here on the calling thread; the pairs beyond the first stay within
-    # GRAD_COPY_BYTES. A chunk may cross a block boundary.
+    # takes chunks t, t + threads, ... of CHUNK_ROWS rows; a chunk may
+    # cross a block boundary.
     block_k = max(1, min(k, 16384 // max(m, 1)))
     starts = range(0, max(k, 1), block_k)
     stream = np.concatenate([negatives[:, j : j + block_k].reshape(-1, 2) for j in starts])
     owner = np.concatenate([np.repeat(np.arange(m), min(block_k, k - j)) for j in starts])
     terms = pos_dist[owner] + margin  # minus each row's distance below: its hinge term
     n, d = len(stream), emb_left.shape[1]
+    n_left = len(emb_left)
+    # The negatives' part of the gradient is a sum of hinge signs, so
+    # each thread adds them up in one integer accumulator, left rows
+    # first and right rows after: int16 while no entity is named by 2**15
+    # rows of one side, which bounds every entry and every sum of the
+    # threads' copies, else int32.
+    named = max(np.bincount(stream[:, 0], minlength=1).max(),
+                np.bincount(stream[:, 1], minlength=1).max())
+    acc = np.int16 if named < 2**15 else np.int32
     rows = min(n, CHUNK_ROWS)
-    pair_bytes = max(1, emb_left.nbytes + emb_right.nbytes)
-    threads = min(threads_for(-(-n // CHUNK_ROWS), rows * d), 1 + GRAD_COPY_BYTES // pair_bytes)
-    buffers = [(np.empty((rows, d)), np.empty((rows, d))) for _ in range(threads)]
-    grads = [(np.zeros_like(emb_left), np.zeros_like(emb_right)) for _ in range(threads)]
+    acc_bytes = max(1, (n_left + len(emb_right)) * d * np.dtype(acc).itemsize)
+    threads = min(threads_for(-(-n // CHUNK_ROWS), rows * d), 1 + GRAD_COPY_BYTES // acc_bytes)
+    # each thread's two (rows, dim) float gather buffers, two integer sign
+    # buffers and accumulator are allocated here on the calling thread;
+    # the accumulators beyond the first stay within GRAD_COPY_BYTES
+    buffers = [(np.empty((rows, d)), np.empty((rows, d)),
+                np.empty((rows, d), dtype=acc), np.empty((rows, d), dtype=acc))
+               for _ in range(threads)]
+    accs = [np.zeros((n_left + len(emb_right), d), dtype=acc) for _ in range(threads)]
 
     def chunks_of(t):
-        (diff, other), (grad_l, grad_r) = buffers[t], grads[t]
+        diff, other, signs, picked = buffers[t]
         for lo in range(t * CHUNK_ROWS, n, threads * CHUNK_ROWS):
             nl, nr = stream[lo : lo + CHUNK_ROWS].T
             chunk = terms[lo : lo + CHUNK_ROWS]
@@ -217,18 +254,17 @@ def margin_rank_loss(
             np.subtract(x, y, out=x)
             chunk -= np.abs(x, out=y).sum(axis=1)
             active = np.flatnonzero(chunk > 0.0)
-            # only the active rows' signs are needed; np.sign is several
-            # times slower in place than into another array
-            np.take(x, active, axis=0, out=y[: len(active)], mode="clip")
-            neg_sign = np.sign(y[: len(active)], out=x[: len(active)])
-            scatter_add_rows(grad_r, nr[active], neg_sign)
-            scatter_add_rows(grad_l, nl[active], np.negative(neg_sign, out=neg_sign))
+            s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
+            s = np.take(s, active, axis=0, out=picked[: len(active)], mode="clip")
+            # d loss / d left row = -sign, d loss / d right row = +sign
+            scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
 
     thread_map(chunks_of, range(threads), rows * d)
-    grad_left, grad_right = grads[0]
-    for gl, gr in grads[1:]:
-        grad_left += gl
-        grad_right += gr
+    total = accs[0]
+    for copy in accs[1:]:
+        total += copy
+    grad_left = total[:n_left].astype(np.float64)
+    grad_right = total[n_left:].astype(np.float64)
     loss = 0.0
     for j in starts:
         block = terms[m * j : m * min(j + block_k, k)]
@@ -242,11 +278,11 @@ def margin_rank_loss(
 
 
 # negatives gathered at a time by margin_rank_loss: two (rows, dim)
-# buffers per thread, 6.5 MB each at dim 200
+# float buffers per thread, 6.5 MB each at dim 200
 CHUNK_ROWS = 4096
-# bytes of the gradient pairs margin_rank_loss's threads may hold beyond
-# the first pair, whatever the core count: two extra pairs at zh-en and
-# dim 200, about a sixth of that run's peak memory
+# bytes of the integer accumulators margin_rank_loss's threads may hold
+# beyond the first, whatever the core count: eight extra int16 ones at
+# zh-en and dim 200 (15.6 MB each), one at the DWY100k shape
 GRAD_COPY_BYTES = 128 << 20
 
 
@@ -303,8 +339,13 @@ def train(
         loss, g_l, g_r = margin_rank_loss(
             out_l, out_r, positives, negatives, train_cfg.margin
         )
+        # each array is dropped once the epoch is done with it, so no stage
+        # holds what an earlier one left (at zh-en, ~250 MB in all)
+        del out_l, out_r, negatives
         grads = backward(g_l, g_r, tape, enc_cfg, state)
+        del g_l, g_r, tape
         optimizer_step(params, grads.parameters(), opt_state, train_cfg, context=f"epoch {epoch}")
+        del grads
         losses.append(loss)
     return state, losses
 

@@ -141,6 +141,32 @@ def test_non_finite_output_errors():
         forward(adj, adj, state, cfg)
 
 
+@pytest.mark.parametrize(
+    "bad, normalize",
+    [(np.nan, True), (np.nan, False), (np.inf, True), (-np.inf, True), (np.inf, False)],
+)
+def test_non_finite_features_are_not_hidden_by_relu(bad, normalize):
+    # a hidden layer's ReLU must pass NaN on to the finite check rather
+    # than map it to 0; normalizing an infinite row gives NaN
+    rng = np.random.default_rng(12)
+    adj = _adj(random_graph(rng, 6, 1, 10))
+    cfg = EncoderConfig(n_layers=2, dim=3, normalize_features=normalize, seed=0)
+    state = init_state(cfg, 6, 6)
+    state.features_left[0, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+        forward(adj, adj, state, cfg)
+
+
+def test_relu_maps_minus_infinity_to_zero():
+    rng = np.random.default_rng(12)
+    adj = _adj(random_graph(rng, 6, 1, 10))
+    cfg = EncoderConfig(n_layers=2, dim=3, normalize_features=False, seed=0)
+    state = init_state(cfg, 6, 6)
+    state.features_left[0, 0] = -np.inf
+    out_l, _, _ = forward(adj, adj, state, cfg)
+    assert np.all(np.isfinite(out_l))
+
+
 def test_zero_upstream_gradient_gives_zero_parameter_gradient():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 6, 1, 9)

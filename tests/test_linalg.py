@@ -205,3 +205,20 @@ def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
     without = start.copy()
     scatter_add_rows(without, idx, rows)
     assert np.array_equal(with_kernel, without)
+
+
+def test_scatter_add_rows_scales_integer_lines_with_and_without_the_kernel(monkeypatch):
+    # the loss adds each row of signs to two targets, with -1 and +1
+    import kgalign.linalg as linalg
+
+    rng = np.random.default_rng(9)
+    idx = rng.integers(0, 50, (2, 5000))
+    rows = rng.integers(-1, 2, (5000, 3)).astype(np.int16)
+    expected = np.zeros((50, 3), dtype=np.int64)
+    np.subtract.at(expected, idx[0], rows)
+    np.add.at(expected, idx[1], rows)
+    for kernel in (linalg.csr_matvecs, None):
+        monkeypatch.setattr(linalg, "csr_matvecs", kernel)
+        out = np.zeros((50, 3), dtype=np.int16)
+        scatter_add_rows(out, idx, rows, (-1, 1))
+        assert np.array_equal(out, expected)

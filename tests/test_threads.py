@@ -245,8 +245,9 @@ def test_small_items_stay_on_the_calling_thread(monkeypatch):
 
 
 def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
-    # every loss thread holds a gradient pair; on many cores the pairs
-    # beyond the first are capped by bytes, not by the core count
+    # every loss thread holds an integer accumulator of both sides' rows;
+    # on many cores the accumulators beyond the first are capped by bytes,
+    # not by the core count
     pair = _mid_pair()
     rng = np.random.default_rng(0)
     out_l = rng.normal(size=(pair.left.entity_count, 16))
@@ -264,13 +265,14 @@ def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
 
     monkeypatch.setattr(training, "thread_map", counting_map)
     unbounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
-    pair_bytes = out_l.nbytes + out_r.nbytes
-    monkeypatch.setattr(training, "GRAD_COPY_BYTES", 2 * pair_bytes + pair_bytes // 2)
+    # int16: no entity is named by 2**15 of the 40,000 rows of negatives
+    acc_bytes = (len(out_l) + len(out_r)) * 16 * np.dtype(np.int16).itemsize
+    monkeypatch.setattr(training, "GRAD_COPY_BYTES", 2 * acc_bytes + acc_bytes // 2)
     bounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
-    monkeypatch.setattr(training, "GRAD_COPY_BYTES", pair_bytes - 1)
+    monkeypatch.setattr(training, "GRAD_COPY_BYTES", acc_bytes - 1)
     serial = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
 
-    # ten chunks on eight cores, then two extra pairs, then none
+    # ten chunks on eight cores, then two extra accumulators, then none
     assert threads == [8, 3, 1]
     for a, b, c in zip(unbounded, bounded, serial):
         assert np.array_equal(a, b) and np.array_equal(a, c)

@@ -1,9 +1,10 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from kgalign import parallel
+from kgalign import parallel, training
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
 from kgalign.datasets import toy_cycle_pair
 from kgalign.encoder import EncoderConfig, forward, init_state
@@ -170,12 +171,15 @@ def _blocked_loss_reference(emb_l, emb_r, pos, neg, margin):
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize(
     "m, k",
-    [(333, 57), (2000, 20), (7, 3), (300, 1)],
-    ids=["ragged-last-block", "chunks-inside-blocks", "single-block", "one-negative"],
+    [(333, 57), (2000, 20), (7, 3), (300, 1), (1, 70_000)],
+    ids=["ragged-last-block", "chunks-inside-blocks", "single-block", "one-negative",
+         "int32-accumulator"],
 )
 def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k):
     # 333 x 57: blocks of 49 and 8 columns, a chunk across their boundary;
-    # 2000 x 20: blocks of 8, 8 and 4 columns, each of several chunks
+    # 2000 x 20: blocks of 8, 8 and 4 columns, each of several chunks;
+    # 1 x 70,000: each side's positive entity is named by ~35,000 rows,
+    # more than an int16 accumulator can count
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rng = np.random.default_rng(m + k)
@@ -184,6 +188,10 @@ def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k):
     emb_l = rng.normal(size=(2500, 8)) * np.exp(rng.normal(size=(2500, 1)))
     emb_r = rng.normal(size=(2600, 8)) * np.exp(rng.normal(size=(2600, 1)))
     pos = np.stack([rng.permutation(2500)[:m], rng.permutation(2600)[:m]], axis=1)
+    if m == 1:
+        # the pair far apart, so that every negative is active and each
+        # side's gradient row sums ~35,000 equal signs
+        emb_l[pos[0, 0]], emb_r[pos[0, 1]] = 100.0, -100.0
     neg = sample_negatives(pos, 2500, 2600, k, rng)
     loss, grad_l, grad_r = margin_rank_loss(emb_l, emb_r, pos, neg, 3.0)
     ref_loss, ref_l, ref_r = _blocked_loss_reference(emb_l, emb_r, pos, neg, 3.0)
@@ -265,6 +273,36 @@ def test_training_is_deterministic():
     assert l1 == l2
     assert np.array_equal(s1.features_left, s2.features_left)
     assert np.array_equal(s1.features_right, s2.features_right)
+
+
+def test_each_epoch_drops_its_arrays_once_they_are_used(monkeypatch):
+    # by weak reference, what each stage of the last epoch returned:
+    # "forward[2]" is the tape, "margin_rank_loss[1]" the left gradient
+    made = {}
+
+    def stage(name, dead):
+        real = getattr(training, name)
+
+        def wrapped(*args, **kwargs):
+            for key in dead:
+                ref = made.get(key)
+                assert ref is None or ref() is None, f"{key} is alive when {name} starts"
+            result = real(*args, **kwargs)
+            for i, x in enumerate(result if isinstance(result, tuple) else (result,)):
+                if x is not None and not isinstance(x, float):
+                    made[f"{name}[{i}]"] = weakref.ref(x)
+            return result
+
+        monkeypatch.setattr(training, name, wrapped)
+
+    stage("sample_negatives", ["backward[0]", "forward[2]", "margin_rank_loss[1]"])
+    stage("forward", ["backward[0]", "forward[0]", "forward[1]", "forward[2]"])
+    stage("backward", ["sample_negatives[0]", "forward[0]", "forward[1]"])
+    stage("optimizer_step", ["forward[2]", "margin_rank_loss[1]", "margin_rank_loss[2]"])
+    pair = toy_cycle_pair(6, 3, seed=1)
+    tc = TrainConfig(n_negatives=3, n_epochs=3, seed=4)
+    _, losses = train(pair, AdjacencyConfig(), EncoderConfig(n_layers=2, dim=8, seed=3), tc)
+    assert len(losses) == 3 and {"backward[0]", "forward[2]"} <= set(made)
 
 
 def test_empty_train_split_errors():
