@@ -4,7 +4,8 @@ Layer rule per graph: H_{i+1} = act(A_hat @ H_i @ W_i), where the weight
 product is skipped entirely in the weightless variant. ReLU on every
 layer except the last, identity on the last. Node features are re-scaled
 to unit Euclidean row length at the start of every forward pass (when
-enabled), so the trainable features parameterize directions only.
+enabled), so the trainable features parameterize directions only; a
+non-finite feature is then an error naming its graph and row.
 
 Both graphs run through the same layer stack; the weight matrices, when
 present, are shared between them. In the weightless variant the encoder
@@ -111,8 +112,10 @@ def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
 
 @dataclass
 class _GraphTape:
-    norms: np.ndarray | None  # feature row norms (None when not normalizing)
-    h0: np.ndarray  # layer-0 input (normalized features)
+    # when normalizing, the features themselves (not a copy) and their row
+    # norms, from which backward rebuilds the normalized rows; else None
+    features: np.ndarray | None
+    norms: np.ndarray | None
     relu_masks: list[np.ndarray]  # one bool mask per non-final layer
     propagated: list[np.ndarray] | None  # A_hat @ H_i per layer, weighted runs only
     adj: sp.csr_array
@@ -126,7 +129,7 @@ class ForwardTape:
 
 
 def _forward_one(
-    adj: sp.csr_array, features: np.ndarray, weights, cfg: EncoderConfig
+    side: str, adj: sp.csr_array, features: np.ndarray, weights, cfg: EncoderConfig
 ) -> tuple[np.ndarray, _GraphTape]:
     if adj.shape[1] != features.shape[0]:
         raise ValueError(
@@ -136,11 +139,16 @@ def _forward_one(
         raise ValueError(f"features have width {features.shape[1]}, config says {cfg.dim}")
 
     if cfg.normalize_features:
-        h, norms = unit_rows(features)
+        features = np.asarray(features, dtype=np.float64)
+        norms = np.linalg.norm(features, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        # a finite row whose squares overflow has an infinite norm too
+        bad = bad[~np.isfinite(features[bad]).all(axis=1)]
+        if bad.size:
+            raise NumericError(f"non-finite feature in row {bad[0]} of the {side} graph")
+        h = unit_rows(features, norms)
     else:
-        norms = None
-        h = features
-    h0 = h
+        h, features, norms = features, None, None
 
     masks: list[np.ndarray] = []
     propagated: list[np.ndarray] | None = [] if cfg.use_weights else None
@@ -159,7 +167,7 @@ def _forward_one(
             h = p
     if not np.all(np.isfinite(h)):
         raise NumericError("encoder produced non-finite embeddings")
-    return h, _GraphTape(norms=norms, h0=h0, relu_masks=masks, propagated=propagated, adj=adj)
+    return h, _GraphTape(features, norms, masks, propagated, adj)
 
 
 def forward(
@@ -179,7 +187,7 @@ def forward(
         raise ConfigError("state carries weights but config disables them")
     (out_l, tape_l), (out_r, tape_r) = thread_map(
         lambda graph: _forward_one(*graph, state.weights, cfg),
-        ((adj_left, state.features_left), (adj_right, state.features_right)),
+        (("left", adj_left, state.features_left), ("right", adj_right, state.features_right)),
         max(state.features_left.size, state.features_right.size),
     )
     tape = ForwardTape(cfg=cfg, left=tape_l, right=tape_r) if keep_tape else None
@@ -206,14 +214,25 @@ def _backward_one(
 
     if tape.norms is None:
         return g
-    # through row normalization x -> x / |x|: g -> (g - (g . xhat) xhat) / |x|,
-    # in place: g is the adj_t product above
-    xhat = tape.h0
-    dots = np.einsum("ij,ij->i", g, xhat)
-    g -= dots[:, None] * xhat
-    g /= np.where(tape.norms > 0.0, tape.norms, 1.0)[:, None]
-    g[tape.norms == 0.0] = 0.0
+    # through row normalization x -> xhat = x / |x|:
+    # g -> (g - (g . xhat) xhat) / |x|, in place (g is the adj_t product
+    # above), a block of rows at a time with xhat rebuilt as forward built
+    # it; each step is per row or per element, so the blocks cannot change
+    # a bit
+    rows = max(1, NORM_BLOCK // cfg.dim)
+    for lo in range(0, len(g), rows):
+        block, norms = g[lo : lo + rows], tape.norms[lo : lo + rows]
+        xhat = unit_rows(tape.features[lo : lo + rows], norms)
+        xhat *= np.einsum("ij,ij->i", block, xhat)[:, None]
+        block -= xhat
+        block /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        block[norms == 0.0] = 0.0
     return g
+
+
+# elements per row block of the normalization's backward: its rebuilt
+# unit rows, 256 KB in float64, stay in a core's L2 cache
+NORM_BLOCK = 1 << 15
 
 
 def backward(

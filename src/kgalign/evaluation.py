@@ -11,7 +11,9 @@ Under test-only, both directions share one distance matrix, the split's
 left entities by its right entities: left to right is counted along its
 rows and right to left along its columns. Under all-entities the two
 query sets differ, so each direction has a matrix of its own, counted
-along its rows. Either way the matrix is built in blocks of 512 rows.
+along its rows. Either way the matrix is built in blocks of about
+BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries and
+candidates, and each thread keeps one running count of the columns.
 """
 from __future__ import annotations
 
@@ -24,14 +26,15 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graphs import GraphPair, Role
-from .parallel import thread_map
+from .parallel import thread_map, threads_for
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
 # the two ranking directions, then their average
 DIRECTIONS = ("left_to_right", "right_to_left", "mean")
-# rows of the distance matrix computed at once
-BLOCK_ROWS = 512
+# distances computed at once: a block holds max(1, BLOCK_ELEMENTS //
+# candidates) rows of the matrix
+BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -207,13 +210,15 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     (3, pairs) array: better, tied (the truth included) and tied before.
 
     The truth distances come first, from the diagonals of small per-pair
-    blocks, since every block's column counts need them. The 512-row
-    blocks run on parallel.thread_map; a pair's row counts come from one
-    block and its column counts are integers summed over blocks, so no
-    thread count can change a bit. Each direction of a block is counted
-    at once, its pairs in line order. Every line holds a pair, so a block
-    with as many pairs as lines is counted as it is; otherwise each line
-    is gathered once per pair it holds.
+    blocks, since every block's column counts need them. Thread t of
+    parallel.thread_map counts blocks t, t + threads, ... into one
+    running column count of its own; a pair's row counts come from one
+    block and its column counts are integers summed over blocks, so
+    neither the block size nor the thread count can change a bit. Each
+    direction of a block is counted at once, its pairs in line order.
+    Every line holds a pair, so a block with as many pairs as lines is
+    counted as it is; otherwise each line is gathered once per pair it
+    holds.
     """
     missing = np.setdiff1d(pairs[:, 1], ids[1])
     if missing.size:
@@ -230,9 +235,12 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     ])
     by_row, by_column = (np.argsort(p, kind="stable") for p in pos)
     row_counts = np.empty((3, n_pairs), dtype=np.int64)
+    rows = max(1, BLOCK_ELEMENTS // len(ids[1]))
+    blocks = range(0, n_rows, rows)
+    threads = threads_for(len(blocks), rows * len(ids[1]))
 
-    def count_block(lo):
-        hi = min(lo + BLOCK_ROWS, n_rows)
+    def count_block(lo, column_counts):
+        hi = min(lo + rows, n_rows)
         dist = _distances(emb, attr, slice(lo, hi), slice(None), cfg)
         s, e = np.searchsorted(pos[0], (lo, hi), sorter=by_row)
         p = by_row[s:e]
@@ -240,9 +248,17 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
         row_counts[:, p] = _count(sub, d_t[p], pos[1][p])
         if columns:
             sub = dist.T if n_pairs == dist.shape[1] else dist.T[pos[1][by_column]]
-            return _count(sub, d_t[by_column], pos[0][by_column] - lo)
+            column_counts += _count(sub, d_t[by_column], pos[0][by_column] - lo)
 
-    partial = thread_map(count_block, range(0, n_rows, BLOCK_ROWS), BLOCK_ROWS * len(ids[1]))
+    def count_blocks(t):
+        # one block at a time: a block's arrays are freed when count_block
+        # returns, before the next is computed
+        column_counts = np.zeros((3, n_pairs), dtype=np.int64)  # in line order
+        for lo in blocks[t::threads]:
+            count_block(lo, column_counts)
+        return column_counts
+
+    partial = thread_map(count_blocks, range(threads), rows * len(ids[1]))
     # the column counts are summed in line order, then put back in pair order
     return (row_counts, sum(partial)[:, np.argsort(by_column)]) if columns else (row_counts,)
 

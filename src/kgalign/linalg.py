@@ -22,15 +22,15 @@ from .errors import NumericError
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean length; all-zero rows pass through."""
-    return unit_rows(m)[0]
-
-
-def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row_l2_normalize(m), the row norms it divided by), the norms
-    computed once."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    return m / np.where(norms > 0.0, norms, 1.0)[:, None], norms
+    return unit_rows(m, np.linalg.norm(m, axis=1))
+
+
+def unit_rows(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The rows of m divided by their given Euclidean norms; rows of norm
+    0 pass through. Elementwise, so a block of rows with its norms gives
+    the bits of those rows of the whole."""
+    return m / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 def degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:

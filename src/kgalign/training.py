@@ -260,9 +260,11 @@ def margin_rank_loss(
             scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
 
     thread_map(chunks_of, range(threads), rows * d)
-    total = accs[0]
-    for copy in accs[1:]:
-        total += copy
+    # the buffers and the other copies go before the float gradients come
+    del buffers
+    total = accs.pop(0)
+    while accs:
+        total += accs.pop()
     grad_left = total[:n_left].astype(np.float64)
     grad_right = total[n_left:].astype(np.float64)
     loss = 0.0

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kgalign import encoder, parallel
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
 from kgalign.encoder import (
     EncoderConfig,
@@ -153,8 +156,26 @@ def test_non_finite_features_are_not_hidden_by_relu(bad, normalize):
     cfg = EncoderConfig(n_layers=2, dim=3, normalize_features=normalize, seed=0)
     state = init_state(cfg, 6, 6)
     state.features_left[0, 0] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+    with pytest.raises(NumericError, match="non-finite"):
         forward(adj, adj, state, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_names_its_graph_and_first_row(bad):
+    # under normalization the check runs on the row norms, before any layer
+    rng = np.random.default_rng(12)
+    adj = _adj(random_graph(rng, 6, 1, 10))
+    cfg = EncoderConfig(n_layers=2, dim=3, seed=0)
+    state = init_state(cfg, 6, 6)
+    state.features_right[[4, 2], 1] = bad
+    with pytest.raises(NumericError, match="non-finite feature in row 2 of the right graph"):
+        forward(adj, adj, state, cfg)
+    # rows whose squares overflow (numpy warns of it) are finite, as
+    # before: they normalize to 0
+    state.features_right[[4, 2], 1] = 1e200
+    with np.errstate(over="ignore"):
+        out_l, out_r, _ = forward(adj, adj, state, cfg)
+    assert np.all(np.isfinite(out_r))
 
 
 def test_relu_maps_minus_infinity_to_zero():
@@ -250,3 +271,50 @@ def test_gradients_match_finite_differences(n_layers, use_weights, normalize):
             flat_n[i] = (up - down) / (2 * h)
         scale = max(np.abs(numeric).max(), 1.0)
         assert np.abs(numeric - g_analytic).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("use_weights", [False, True])
+@pytest.mark.parametrize("n, dim, block", [(5000, 16, None), (50, 8, 24)])
+def test_blocked_normalization_backward_matches_full_formula(monkeypatch, n_layers, use_weights, n, dim, block):
+    """The normalization's backward, run in row blocks on unit rows rebuilt
+    from the features, gives the bits of the full-matrix formula on the
+    normalized features: three blocks of 2,048, 2,048 and 904 rows at
+    the default size, and seventeen of 3 rows (with a zero row)."""
+    if block is not None:
+        monkeypatch.setattr(encoder, "NORM_BLOCK", block)
+    assert n > 2 * max(1, encoder.NORM_BLOCK // dim)
+    rng = np.random.default_rng(n_layers)
+    adj_l, adj_r = (_adj(random_graph(rng, n, 2, 4 * n)) for _ in range(2))
+    cfg = EncoderConfig(n_layers=n_layers, dim=dim, use_weights=use_weights, seed=5)
+    state = init_state(cfg, n, n)
+    state.features_left[n // 2] = 0.0
+    upstream = [rng.normal(size=(n, dim)) for _ in range(2)]
+    out_l, out_r, tape = forward(adj_l, adj_r, state, cfg, keep_tape=True)
+    grads = backward(*(u.copy() for u in upstream), tape, cfg, state)
+
+    for graph_tape, features, u, got in (
+        (tape.left, state.features_left, upstream[0], grads.features_left),
+        (tape.right, state.features_right, upstream[1], grads.features_right),
+    ):
+        # the tape holds the features themselves and, weightless, no
+        # other float matrix
+        assert graph_tape.features is features
+        if not use_weights:
+            held = [getattr(graph_tape, f.name) for f in dataclasses.fields(graph_tape)
+                    if f.name not in ("features", "adj")]
+            arrays = [a for x in held if x is not None for a in (x if isinstance(x, list) else [x])]
+            assert not any(a.dtype.kind == "f" and a.ndim == 2 for a in arrays)
+        # the gradient reaching the normalized features, from the same tape
+        # cut before the normalization, then the full-matrix formula
+        cut = dataclasses.replace(graph_tape, features=None, norms=None)
+        own = [np.zeros_like(w) for w in state.weights] if use_weights else None
+        with parallel.one_blas_thread():
+            g = encoder._backward_one(u.copy(), cut, state.weights, own, cfg)
+        norms = np.linalg.norm(features, axis=1)
+        xhat = row_l2_normalize(features)
+        dots = np.einsum("ij,ij->i", g, xhat)
+        g -= dots[:, None] * xhat
+        g /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        g[norms == 0.0] = 0.0
+        assert np.array_equal(got.view(np.uint64), g.view(np.uint64))

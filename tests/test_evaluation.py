@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from kgalign import evaluation, parallel
 from kgalign.errors import ConfigError
 from kgalign.evaluation import (
     MetricsReport,
@@ -234,8 +237,8 @@ def test_evaluate_blended_matches_per_query_scores():
 
 
 def _tied_pair(n=1400, n_test=1300, seed=12):
-    """A pair whose test split spans three 512-row ranking blocks, with
-    integer-valued embeddings so that ties are common. The widths (4 and
+    """A pair whose 1,300 test pairs span two ranking blocks at the
+    default budget, with integer-valued embeddings so that ties are common. The widths (4 and
     2) and the betas used with it are powers of two or exact binary
     fractions, so every distance is exact whatever the order of the
     arithmetic, and the oracle and the kernel see the same ties."""
@@ -302,7 +305,7 @@ def _assert_matches_oracle(report, pair, emb, attr, cfg, policy):
 @pytest.mark.parametrize("policy", ["test-only", "all-entities"])
 def test_evaluate_across_blocks_matches_oracle(beta, policy):
     pair, emb, attr = _tied_pair()
-    assert len(pair.alignment.test_pairs) > 2 * 512
+    assert len(pair.alignment.test_pairs) > evaluation.BLOCK_ELEMENTS // pair.right.entity_count
     cfg = ScoreConfig(beta=beta)
     report = evaluate(
         *emb, pair, cfg, policy=policy,
@@ -325,6 +328,9 @@ def test_evaluate_report_independent_of_thread_count(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    # blocks of 512 rows under test-only (1,300 candidates) and of 475
+    # under all-entities (1,400): three blocks for the 1,300 queries
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 512 * 1300)
     pair, emb, attr = _tied_pair()
     cfg = ScoreConfig(beta=0.75)
     # eight CPUs give one thread per block, three (the calling thread and
@@ -385,10 +391,11 @@ def _full_row_ranks(emb_q, emb_c, attr_q, attr_c, candidates, truths, beta):
     return better + before + 1, better + 1, better + tied.sum(axis=1)
 
 
-def test_evaluate_float_data_matches_full_row_reference():
-    # 1,100 test pairs span three 512-row blocks; width 200 and beta 0.7
-    # give scales that are not powers of two
-    n, n_test, beta = 1200, 1100, 0.7
+def _float_pair():
+    """1,100 test pairs of float embeddings, which span two ranking blocks
+    at the default budget; width 200 and beta 0.7 give scales that are
+    not powers of two, and copied rows give exact ties on both sides."""
+    n, n_test = 1200, 1100
     rng = np.random.default_rng(21)
     graph = KnowledgeGraph(n, 1, [(0, 0, 1)])
     right_ids = rng.permutation(n)
@@ -401,6 +408,12 @@ def test_evaluate_float_data_matches_full_row_reference():
     for side in (emb, attr):
         side[0][copies] = side[0][:60]
         side[1][right_ids[copies]] = side[1][right_ids[:60]]
+    return pair, emb, attr
+
+
+def test_evaluate_float_data_matches_full_row_reference():
+    pair, emb, attr = _float_pair()
+    beta = 0.7
     report = evaluate(
         *emb, pair, ScoreConfig(beta=beta),
         attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
@@ -448,6 +461,15 @@ def _extra_thrice(test, train):
     return extra
 
 
+def _with_extra_test_pairs(pair, extra_pairs):
+    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
+    extra = extra_pairs(test, train)
+    alignment = AlignmentSet(
+        np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]
+    )
+    return GraphPair(pair.left, pair.right, alignment)
+
+
 @pytest.mark.parametrize("policy, extra_pairs", [
     pytest.param(policy, extra, id=policy + suffix)
     for extra, suffix in ((_extra_twice, ""), (_extra_thrice, "-thrice"))
@@ -457,12 +479,7 @@ def test_evaluate_unvalidated_split_matches_oracle(policy, extra_pairs):
     """evaluate does not call validate_pair, so an entity may sit in
     several test pairs; each pair is still ranked on its own."""
     pair, emb, attr = _tied_pair()
-    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
-    extra = extra_pairs(test, train)
-    alignment = AlignmentSet(
-        np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]
-    )
-    pair = GraphPair(pair.left, pair.right, alignment)
+    pair = _with_extra_test_pairs(pair, extra_pairs)
     violations = validate_pair(pair)
     for side in ("left", "right"):
         assert any(f"{side} entity" in v and "more than one pair" in v for v in violations)
@@ -472,3 +489,62 @@ def test_evaluate_unvalidated_split_matches_oracle(policy, extra_pairs):
         attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
     )
     _assert_matches_oracle(report, pair, emb, attr, cfg, policy)
+
+
+@pytest.mark.parametrize("data", ["tied", "tied-unvalidated", "float"])
+def test_evaluate_report_independent_of_block_size(monkeypatch, data):
+    """Blocks of one row, of three and of 150 or so, on 1, 2 and 8
+    threads, give the bytes of a ranking in one block under both
+    policies, tie diagnostics included; also with an entity in three
+    test pairs per side, whose lines fall in several blocks."""
+    if data == "float":
+        (pair, emb, attr), cfg = _float_pair(), ScoreConfig(beta=0.7)
+    else:
+        (pair, emb, attr), cfg = _tied_pair(), ScoreConfig(beta=0.75)
+        if data == "tied-unvalidated":
+            pair = _with_extra_test_pairs(pair, _extra_thrice)
+    monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
+
+    def report(policy, budget, cpus):
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return evaluate(
+            *emb, pair, cfg, policy=policy,
+            attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
+        ).to_json()
+
+    for policy in ("test-only", "all-entities"):
+        whole = report(policy, 1 << 40, 1)
+        for budget in (300, 4096, 200_000):
+            for cpus in (1, 2, 8):
+                assert report(policy, budget, cpus) == whole, (policy, budget, cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_all_entities_ranking_holds_a_few_blocks_per_thread(monkeypatch, cpus):
+    """The all-entities ranking's traced peak is its per-query and
+    per-candidate arrays plus a few distance blocks per thread: it does
+    not grow with queries x candidates."""
+    budget = 1 << 14
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for n in (1000, 4000):
+        rng = np.random.default_rng(n)
+        graph = KnowledgeGraph(n, 1, [(0, 0, 1)])
+        right_ids = rng.permutation(n)
+        records = [(i, int(right_ids[i]), Role.TEST if i < n // 2 else Role.TRAIN) for i in range(n)]
+        pair = GraphPair(graph, graph, AlignmentSet.from_records(records))
+        emb = [rng.normal(size=(n, 8)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            evaluate(*emb, pair, ScoreConfig(), policy="all-entities")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gathered query and candidate embeddings, 128 bytes more per
+        # query and candidate, and four blocks of float64 per thread: at
+        # most 1.3 MB at n = 1000 and 2.2 MB at n = 4000 on 2 threads,
+        # where one matrix of all distances takes 4 MB and 64 MB
+        bound = (n // 2 + n) * (8 * 8 + 128) + cpus * 4 * 8 * budget
+        assert peak < bound
