@@ -14,7 +14,7 @@ from pathlib import Path
 from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .errors import ConfigError, KgalignError
-from .evaluation import DIRECTIONS, evaluate
+from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, evaluate
 from .graphs import Role
 from .runner import (
     RunConfig,
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="re-evaluate a persisted run")
     p.add_argument("run_dir")
-    p.add_argument("--policy", choices=["test-only", "all-entities"], default=None)
+    p.add_argument("--policy", choices=CANDIDATE_POLICIES, default=None)
     p.add_argument("--split", choices=["validation", "test"], default="test")
     p.add_argument("--tie-diagnostics", action="store_true")
     p.set_defaults(func=cmd_evaluate)

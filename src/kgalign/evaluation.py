@@ -224,8 +224,9 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     if missing.size:
         raise ValueError(f"truth entity {missing[0]} missing from candidate set")
     pos = [np.searchsorted(i, p) for i, p in zip(ids, pairs.T)]
-    emb = [e[i] for e, i in zip(emb, ids)]
-    attr = [None if a is None else a[i] for a, i in zip(attr, ids)]
+    # ids are sorted unique, so as many ids as rows name every row: read in place
+    emb = [e if len(i) == len(e) else e[i] for e, i in zip(emb, ids)]
+    attr = [a if a is None or len(i) == len(a) else a[i] for a, i in zip(attr, ids)]
     n_pairs, n_rows = len(pairs), len(ids[0])
 
     # off the diagonals of 16 x 16 blocks: 16 distances per pair in all

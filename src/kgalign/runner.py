@@ -426,9 +426,7 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
         raise
 
 
-def enumerate_grid(
-    base: RunConfig, axes: dict[str, list] | None = None, cells=ABLATION_CELLS
-) -> list[RunConfig]:
+def enumerate_grid(base: RunConfig, axes: dict[str, list] | None = None) -> list[RunConfig]:
     """All run configs of the search: Cartesian product of the axes,
     repeated for every ablation cell."""
     axes = dict(axes if axes is not None else DEFAULT_GRID_AXES)
@@ -437,7 +435,7 @@ def enumerate_grid(
             raise ConfigError(f"grid axis {key!r} is empty")
     keys = sorted(axes)
     configs = []
-    for use_weights, init_preset in cells:
+    for use_weights, init_preset in ABLATION_CELLS:
         cell_cfg = with_cell(base, use_weights, init_preset)
         for combo in product(*(axes[k] for k in keys)):
             overrides = dict(zip(keys, combo))

@@ -5,15 +5,16 @@ corruptions: hinge(pos_L1 + margin - neg_L1). Subgradient conventions:
 |x| has slope 0 at x = 0, and the hinge contributes nothing when exactly
 at its boundary. Negatives are resampled fresh every epoch.
 
-The loss's one stream of negatives and the optimizer's flat parameter
-blocks are shared out to the threads of the budget
+The loss's negatives, walked as sampled, and the optimizer's flat
+parameter blocks are shared out to the threads of the budget
 (parallel.thread_count). No result depends on the thread count: the
 loss gradient is integer-valued (sums of signs and hinge counts, far
 below 2**53), and each loss thread adds up its signs exactly in an
 integer accumulator, so their order cannot change a bit; the float loss
-is summed per column block of the stream, in block order, on the
-calling thread; and the optimizer's update is elementwise. The training
-loop drops each array of an epoch as soon as the epoch is done with it.
+is summed per column block of the (positive, negative) hinge terms, in
+block order, on the calling thread; and the optimizer's update is
+elementwise. The training loop drops each array of an epoch as soon as
+the epoch is done with it.
 """
 from __future__ import annotations
 
@@ -210,16 +211,10 @@ def margin_rank_loss(
     pos_diff = emb_left[pl] - emb_right[pr]
     pos_dist = np.abs(pos_diff).sum(axis=1)
 
-    # the negatives form one stream of column blocks of roughly 16k rows
-    # (one empty block when k = 0); row r belongs to positive owner[r].
-    # Each block's loss is summed on its own, in block order. Thread t
-    # takes chunks t, t + threads, ... of CHUNK_ROWS rows; a chunk may
-    # cross a block boundary.
-    block_k = max(1, min(k, 16384 // max(m, 1)))
-    starts = range(0, max(k, 1), block_k)
-    stream = np.concatenate([negatives[:, j : j + block_k].reshape(-1, 2) for j in starts])
-    owner = np.concatenate([np.repeat(np.arange(m), min(block_k, k - j)) for j in starts])
-    terms = pos_dist[owner] + margin  # minus each row's distance below: its hinge term
+    # the negatives are walked as sampled, row r belonging to positive
+    # r // k: thread t takes chunks t, t + threads, ... of CHUNK_ROWS rows
+    stream = negatives.reshape(-1, 2)
+    terms = np.repeat(pos_dist + margin, k)  # minus each row's distance below: its hinge term
     n, d = len(stream), emb_left.shape[1]
     n_left = len(emb_left)
     # The negatives' part of the gradient is a sum of hinge signs, so
@@ -267,15 +262,18 @@ def margin_rank_loss(
         total += accs.pop()
     grad_left = total[:n_left].astype(np.float64)
     grad_right = total[n_left:].astype(np.float64)
+    # the loss is summed per column block of roughly 16k terms, in block
+    # order, each block's terms taken positive by positive
+    by_positive = terms.reshape(m, k)
+    block_k = max(1, min(k, 16384 // max(m, 1)))
     loss = 0.0
-    for j in starts:
-        block = terms[m * j : m * min(j + block_k, k)]
+    for j in range(0, k, block_k):
+        block = by_positive[:, j : j + block_k]
         loss += block[block > 0.0].sum()
-    active_counts = np.bincount(owner[terms > 0.0], minlength=m)
 
-    pos_sign = np.sign(pos_diff) * active_counts[:, None]
+    pos_sign = np.sign(pos_diff) * np.count_nonzero(by_positive > 0.0, axis=1)[:, None]
     scatter_add_rows(grad_left, pl, pos_sign)
-    scatter_add_rows(grad_right, pr, -pos_sign)
+    scatter_add_rows(grad_right, pr, pos_sign, (-1,))
     return float(loss), grad_left, grad_right
 
 

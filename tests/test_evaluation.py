@@ -524,7 +524,8 @@ def test_evaluate_report_independent_of_block_size(monkeypatch, data):
 def test_all_entities_ranking_holds_a_few_blocks_per_thread(monkeypatch, cpus):
     """The all-entities ranking's traced peak is its per-query and
     per-candidate arrays plus a few distance blocks per thread: it does
-    not grow with queries x candidates."""
+    not grow with queries x candidates, and it copies no candidate
+    embedding, since the candidates are every entity."""
     budget = 1 << 14
     monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", budget)
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
@@ -535,16 +536,17 @@ def test_all_entities_ranking_holds_a_few_blocks_per_thread(monkeypatch, cpus):
         right_ids = rng.permutation(n)
         records = [(i, int(right_ids[i]), Role.TEST if i < n // 2 else Role.TRAIN) for i in range(n)]
         pair = GraphPair(graph, graph, AlignmentSet.from_records(records))
-        emb = [rng.normal(size=(n, 8)) for _ in range(2)]
+        emb = [rng.normal(size=(n, 64)) for _ in range(2)]
         tracemalloc.start()
         try:
             evaluate(*emb, pair, ScoreConfig(), policy="all-entities")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the gathered query and candidate embeddings, 128 bytes more per
-        # query and candidate, and four blocks of float64 per thread: at
-        # most 1.3 MB at n = 1000 and 2.2 MB at n = 4000 on 2 threads,
-        # where one matrix of all distances takes 4 MB and 64 MB
-        bound = (n // 2 + n) * (8 * 8 + 128) + cpus * 4 * 8 * budget
+        # the gathered query embeddings, 128 bytes per query and
+        # candidate, and four blocks of float64 per thread: at most 1.5 MB
+        # at n = 1000 and 2.8 MB at n = 4000 on 2 threads, where one
+        # matrix of all distances takes 4 MB and 64 MB, and a copy of the
+        # candidate embeddings 0.5 MB and 2 MB
+        bound = (n // 2) * 8 * 64 + (n // 2 + n) * 128 + cpus * 4 * 8 * budget
         assert peak < bound

@@ -170,16 +170,22 @@ def _blocked_loss_reference(emb_l, emb_r, pos, neg, margin):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize(
-    "m, k",
-    [(333, 57), (2000, 20), (7, 3), (300, 1), (1, 70_000)],
+    "m, k, shared",
+    [(333, 57, False), (2000, 20, False), (7, 3, False), (300, 1, False),
+     (1, 70_000, False), (50, 0, False), (7, 3, True), (2000, 20, True)],
     ids=["ragged-last-block", "chunks-inside-blocks", "single-block", "one-negative",
-         "int32-accumulator"],
+         "int32-accumulator", "no-negatives", "shared-positive-add-at",
+         "shared-positive-selector"],
 )
-def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k):
+def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k, shared):
     # 333 x 57: blocks of 49 and 8 columns, a chunk across their boundary;
     # 2000 x 20: blocks of 8, 8 and 4 columns, each of several chunks;
     # 1 x 70,000: each side's positive entity is named by ~35,000 rows,
-    # more than an int16 accumulator can count
+    # more than an int16 accumulator can count; 50 x 0: no hinge term, so
+    # a zero loss and zero gradients; shared: pairs 0 and 1 share their
+    # right entity and pairs 0 and 2 their left one, so the positives'
+    # scatter repeats an index through np.add.at (7 rows of dim 8) and
+    # through the selector (2000 rows)
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rng = np.random.default_rng(m + k)
@@ -192,11 +198,17 @@ def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k):
         # the pair far apart, so that every negative is active and each
         # side's gradient row sums ~35,000 equal signs
         emb_l[pos[0, 0]], emb_r[pos[0, 1]] = 100.0, -100.0
-    neg = sample_negatives(pos, 2500, 2600, k, rng)
+    if shared:
+        pos[1, 1], pos[2, 0] = pos[0, 1], pos[0, 0]
+    if k:
+        neg = sample_negatives(pos, 2500, 2600, k, rng)
+    else:  # sample_negatives refuses k = 0
+        neg = np.empty((m, 0, 2), dtype=np.int64)
     loss, grad_l, grad_r = margin_rank_loss(emb_l, emb_r, pos, neg, 3.0)
     ref_loss, ref_l, ref_r = _blocked_loss_reference(emb_l, emb_r, pos, neg, 3.0)
-    assert 0.0 < loss == ref_loss
+    assert loss == ref_loss and (loss > 0.0) == (k > 0)
     assert np.array_equal(grad_l, ref_l) and np.array_equal(grad_r, ref_r)
+    assert (k > 0) == (grad_l.any() and grad_r.any())
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0, -1), (0, 1, 0, 5), (1, 0, 1, 7)])
