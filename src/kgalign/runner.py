@@ -21,9 +21,9 @@ import warnings
 import zipfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -195,19 +195,7 @@ def prepare_pair(cfg: RunConfig) -> GraphPair:
 _shared: dict | None = None
 
 
-@contextmanager
-def _sharing_inputs():
-    """Let prepare_run share its inputs between runs until the block
-    ends, also when it raises."""
-    global _shared
-    _shared = {}
-    try:
-        yield
-    finally:
-        _shared = None
-
-
-def _init_grid_worker(share: int) -> None:
+def _init_worker(share: int) -> None:
     """Pool initializer: the worker's thread share, and inputs shared by
     its runs until the pool shuts down."""
     global _shared
@@ -450,16 +438,46 @@ def enumerate_grid(base: RunConfig, axes: dict[str, list] | None = None) -> list
     return configs
 
 
-def _grid_worker(args):
-    cfg, runs_root = args
+def _outcome(cfg: RunConfig, runs_root: Path):
+    """run_single's result, or the exception it raised."""
     try:
-        result = run_single(cfg, runs_root)
-        h1 = None
-        if result.validation is not None:
-            h1 = result.validation.mean.hits_at[1]
-        return (cfg.run_hash(), h1, None)
-    except Exception as exc:  # recorded, grid continues
-        return (cfg.run_hash(), None, f"{type(exc).__name__}: {exc}")
+        return run_single(cfg, runs_root)
+    except Exception as exc:
+        return exc
+
+
+def _execute(label: str, configs: list[RunConfig], runs_root: Path, workers: int):
+    """Yield (config, RunResult or the exception its run raised) for
+    every config, in order, and print a progress line to stderr per run.
+
+    More than one worker runs them in a process pool, each worker with
+    its share of the cores; one runs them in this process. The runs of a
+    process share their inputs until the caller stops, also part-way.
+    """
+    global _shared
+    start = time.perf_counter()
+    n_failures = 0
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(max(1, thread_count() // workers),),
+            ))
+            outcomes = pool.map(_outcome, configs, repeat(runs_root))
+        else:
+            _shared = {}
+            outcomes = map(_outcome, configs, repeat(runs_root))
+        try:
+            for done, (cfg, outcome) in enumerate(zip(configs, outcomes), start=1):
+                n_failures += isinstance(outcome, Exception)
+                elapsed = time.perf_counter() - start
+                eta = elapsed / done * (len(configs) - done)
+                print(f"{label}: {done}/{len(configs)} runs, {n_failures} failed, "
+                      f"{elapsed:.1f}s elapsed, ETA {eta:.1f}s", file=sys.stderr, flush=True)
+                yield cfg, outcome
+        finally:
+            _shared = None
 
 
 @dataclass
@@ -488,43 +506,26 @@ def run_grid(
     configs = enumerate_grid(base, axes)
     runs_root = Path(runs_root)
     runs_root.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, runs_root) for cfg in configs]
-    by_hash = {cfg.run_hash(): cfg for cfg in configs}
     best: dict[tuple[bool, str], tuple[float, RunConfig]] = {}
     n_failures = 0
     leaderboard = runs_root / "leaderboard.tsv"
     # the ledger is append-only while the grid runs, written by this
-    # process alone; workers only produce (hash, h1, error) outcomes
-    start = time.perf_counter()
-    with leaderboard.open("w", encoding="utf-8") as ledger, ExitStack() as stack:
+    # process alone
+    with leaderboard.open("w", encoding="utf-8") as ledger:
         ledger.write("run_hash\tuse_weights\tinit\tvalidation_h1\terror\n")
-        if workers > 1:
-            # each worker gets its share of the cores for its own threads
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_grid_worker,
-                initargs=(max(1, thread_count() // workers),),
-            ))
-            outcomes = pool.map(_grid_worker, jobs)
-        else:
-            stack.enter_context(_sharing_inputs())
-            outcomes = map(_grid_worker, jobs)
-        for done, (run_hash, h1, err) in enumerate(outcomes, start=1):
-            cfg = by_hash[run_hash]
-            cell = (cfg.encoder.use_weights, cfg.encoder.init)
+        for cfg, outcome in _execute("grid", configs, runs_root, workers):
+            failed = isinstance(outcome, Exception)
+            h1 = None if failed or outcome.validation is None else outcome.validation.mean.hits_at[1]
+            err = f"{type(outcome).__name__}: {outcome}" if failed else ""
             ledger.write(
-                f"{run_hash}\t{cfg.encoder.use_weights}\t{cfg.encoder.init}"
-                f"\t{'' if h1 is None else repr(h1)}\t{err or ''}\n"
+                f"{cfg.run_hash()}\t{cfg.encoder.use_weights}\t{cfg.encoder.init}"
+                f"\t{'' if h1 is None else repr(h1)}\t{err}\n"
             )
             ledger.flush()
-            if err is not None:
-                n_failures += 1
-            elif h1 is not None and (cell not in best or h1 > best[cell][0]):
+            n_failures += failed
+            cell = (cfg.encoder.use_weights, cfg.encoder.init)
+            if h1 is not None and (cell not in best or h1 > best[cell][0]):
                 best[cell] = (h1, cfg)
-            elapsed = time.perf_counter() - start
-            eta = elapsed / done * (len(jobs) - done)
-            print(f"grid: {done}/{len(jobs)} runs, {n_failures} failed, "
-                  f"{elapsed:.1f}s elapsed, ETA {eta:.1f}s", file=sys.stderr, flush=True)
 
     best_cfgs = {
         cell: apply_overrides(cfg, {"save_state": True, "evaluate_test": True})
@@ -590,42 +591,39 @@ def run_ablation(
     datasets: list[DatasetDescriptor],
     runs_root: Path,
     n_seeds: int | None = None,
-    cells=ABLATION_CELLS,
     use_tuned: bool = True,
 ) -> list[AblationCell]:
     """Seed-aggregated results for every dataset and ablation cell.
 
     Hyperparameters per cell come from the tuned presets unless
     use_tuned is off (then the base config's values apply everywhere).
+    The first failed run ends the ablation with that run's exception.
     """
-    runs_root = Path(runs_root)
     n = n_seeds if n_seeds is not None else base.n_seeds
     if n < 1:
         raise ConfigError("n_seeds must be at least 1")
     if not base.evaluate_test:
         raise ConfigError("ablation runs must evaluate the test split")
-    results = []
-    with _sharing_inputs():
-        for desc in datasets:
-            ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
-            for use_weights, init_preset in cells:
-                cfg = with_cell(ds_base, use_weights, init_preset)
-                if use_tuned and not desc.is_toy:
-                    cfg = apply_overrides(cfg, tuned_hyperparameters(
-                        desc.family, desc.subset, use_weights, init_preset))
-                seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
-                reports = [run_single(seed_cfg, runs_root).test for seed_cfg in seed_cfgs]
-                results.append(
-                    AblationCell(
-                        use_weights=use_weights,
-                        init_preset=init_preset,
-                        dataset=desc.key(),
-                        n_seeds=n,
-                        aggregates=_aggregate(reports),
-                        run_hashes=[seed_cfg.run_hash() for seed_cfg in seed_cfgs],
-                    )
-                )
-    return results
+    cells, configs = [], []
+    for desc in datasets:
+        ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
+        for use_weights, init_preset in ABLATION_CELLS:
+            cfg = with_cell(ds_base, use_weights, init_preset)
+            if use_tuned and not desc.is_toy:
+                cfg = apply_overrides(cfg, tuned_hyperparameters(
+                    desc.family, desc.subset, use_weights, init_preset))
+            seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
+            configs += seed_cfgs
+            cells.append(AblationCell(use_weights, init_preset, desc.key(), n, aggregates={},
+                                      run_hashes=[c.run_hash() for c in seed_cfgs]))
+    reports = []
+    for _, outcome in _execute("ablate", configs, runs_root, workers=1):
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome.test)
+    for i, cell in enumerate(cells):
+        cell.aggregates = _aggregate(reports[i * n:(i + 1) * n])
+    return cells
 
 
 def ablation_table(cells: list[AblationCell], direction: str = "left_to_right") -> str:

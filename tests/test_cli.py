@@ -339,13 +339,44 @@ def test_ablate_command(tmp_path, capsys):
     config.write_text(TOY_CONFIG, encoding="utf-8")
     runs = tmp_path / "runs"
     assert main(["ablate", str(config), "--runs-root", str(runs), "--seeds", "2"]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "no-weights/unit" in out
-    assert (runs / "ablation.json").is_file()
-    assert (runs / "ablation.txt").is_file()
+    # stdout holds the table and where it went; progress goes to stderr
+    assert out == (runs / "ablation.txt").read_text() + f"written: {runs / 'ablation.json'}\n"
+    assert [line.split(",")[0] for line in err.splitlines()] == [
+        f"ablate: {k}/8 runs" for k in range(1, 9)
+    ]
     cells = json.loads((runs / "ablation.json").read_text())
     assert len(cells) == 4
     assert all(c["n_seeds"] == 2 for c in cells)
+
+
+def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
+    # beta < 1 fails on the attribute-less toy, in the first run
+    config = tmp_path / "ablate.cfg"
+    config.write_text(TOY_CONFIG + "score.beta = 0.5\n", encoding="utf-8")
+    argv = ["ablate", str(config), "--runs-root", str(tmp_path / "runs"), "--seeds", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("ablate: 1/4 runs, 1 failed, ")
+    assert json.loads(lines[1]) == {
+        "error": "config", "message": "score.beta < 1 but the dataset has no attribute tables"
+    }
+
+
+@pytest.mark.parametrize("extra, argv, message", [
+    ("", ["--seeds", "0"], "n_seeds must be at least 1"),
+    ("evaluate_test = false\n", [], "ablation runs must evaluate the test split"),
+], ids=["no-seeds", "no-test-split"])
+def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
+    config = tmp_path / "ablate.cfg"
+    config.write_text(TOY_CONFIG + extra, encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["ablate", str(config), "--runs-root", str(runs), *argv]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert not runs.exists()
 
 
 def _jape_ablate_config(tmp_path, root):

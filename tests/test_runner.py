@@ -577,13 +577,14 @@ def test_grid_worker_prepares_inputs_once_per_process(tmp_path, monkeypatch):
     assert str(os.getpid()) not in pids
 
 
-def test_shared_adjacencies_are_read_only():
+def test_shared_adjacencies_are_read_only(tmp_path, monkeypatch):
     import kgalign.runner as runner
 
     cfg = toy_config()
-    with runner._sharing_inputs():
-        pair, adjacencies = runner.prepare_run(cfg)
-        assert runner.prepare_run(cfg)[1] is adjacencies
+    # the runs of one executor in this process get the same inputs
+    monkeypatch.setattr(runner, "run_single", lambda cfg, runs_root: runner.prepare_run(cfg))
+    (_, (pair, adjacencies)), (_, (_, again)) = runner._execute("grid", [cfg, cfg], tmp_path, 1)
+    assert again is adjacencies
     for adj in adjacencies:
         for arr in (adj.data, adj.indices, adj.indptr):
             with pytest.raises(ValueError, match="read-only"):
@@ -654,8 +655,7 @@ def test_dataset_rewritten_between_calls_is_read_again(tmp_path, monkeypatch, co
         if command == "grid":
             run_grid(cfg, tmp_path / runs, axes={"training.learning_rate": [0.5]})
         else:
-            run_ablation(cfg, [cfg.dataset], tmp_path / runs, cells=ABLATION_CELLS[:2],
-                         use_tuned=False)
+            run_ablation(cfg, [cfg.dataset], tmp_path / runs, use_tuned=False)
     assert sizes == [6, 10]
 
 
@@ -683,7 +683,7 @@ def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, monkeypatch):
     assert runner._shared is None
 
     def interrupted(cfg, runs_root, force=False):
-        raise KeyboardInterrupt  # not caught by the grid worker
+        raise KeyboardInterrupt  # not caught by the executor
 
     monkeypatch.setattr(runner, "run_single", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -726,14 +726,26 @@ def test_forkserver_grid_matches_serial_grid(tmp_path, monkeypatch):
         assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
+def test_pool_failures_match_serial_grid(tmp_path):
+    # beta < 1 fails on the attribute-less toy: the pool workers send
+    # those runs' exceptions back, and they land on the same ledger rows
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    axes = {"score.beta": [1.0, 0.5]}
+    for workers in (1, 2):
+        result = run_grid(base, tmp_path / str(workers), axes=axes, workers=workers)
+        assert result.n_failures == 4
+    for name in ("leaderboard.tsv", "grid_best.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    rows = (tmp_path / "2" / "leaderboard.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(row.endswith("ConfigError: score.beta < 1 but the dataset has no "
+                            "attribute tables") for row in rows) == 4
+
+
 def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
     base = toy_config(**{"training.n_epochs": 60})
     desc = DatasetDescriptor("toy", "cycle-8-4")
-    cells = run_ablation(
-        base, [desc], tmp_path, n_seeds=2,
-        cells=((False, "unit"), (True, "scaled")),
-    )
-    assert len(cells) == 2
+    cells = run_ablation(base, [desc], tmp_path, n_seeds=2)
+    assert len(cells) == 4
     for cell in cells:
         assert cell.n_seeds == 2
         # recompute the aggregate from the persisted per-seed reports
@@ -749,9 +761,9 @@ def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
 def test_ablation_single_seed_omits_std(tmp_path):
     base = toy_config(**{"training.n_epochs": 30})
     desc = DatasetDescriptor("toy", "cycle-6-3")
-    cells = run_ablation(base, [desc], tmp_path, n_seeds=1, cells=((False, "unit"),))
-    (cell,) = cells
-    assert cell.aggregates["left_to_right"]["h1"]["std"] is None
+    cells = run_ablation(base, [desc], tmp_path, n_seeds=1)
+    assert len(cells) == 4
+    assert all(cell.aggregates["left_to_right"]["h1"]["std"] is None for cell in cells)
     table = ablation_table(cells)
     assert "+-" not in table
     assert "no-weights/unit" in table
