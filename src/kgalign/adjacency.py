@@ -72,9 +72,10 @@ def compute_functionality(
         raise NumericError(f"relation {r} occurs in no triple; functionality undefined")
 
     def distinct_count(endpoints):
-        # distinct (relation, endpoint) combinations, grouped by relation
-        combo = np.unique(np.stack([rels, endpoints], axis=1), axis=0)
-        return np.bincount(combo[:, 0], minlength=n_rel).astype(np.float64)
+        # distinct (relation, endpoint) combinations as one int64 key each,
+        # relation-major; an endpoint out of range raises ValueError
+        combo = np.unique(np.ravel_multi_index((rels, endpoints), (n_rel, g.entity_count)))
+        return np.bincount(combo // g.entity_count, minlength=n_rel).astype(np.float64)
 
     fun = distinct_count(heads) / triple_counts
     ifun = distinct_count(tails) / triple_counts

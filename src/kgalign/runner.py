@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import time
 import traceback
@@ -37,7 +38,7 @@ from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConf
 from .graphs import GraphPair, Role, require_valid
 from .parallel import set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
-from .training import TrainConfig, loss_trace_tsv, train
+from .training import TrainConfig, advance, loss_trace_tsv, start
 
 REPORT_FORMAT = 1
 
@@ -252,36 +253,50 @@ def encode(cfg: RunConfig, pair: GraphPair, adjacencies, state, attr_state=None)
     return (out_l, out_r), (a_l, a_r)
 
 
-def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
-    """Structure training plus the optional independent attribute run."""
-    enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
-    enc_cfg = replace(cfg.encoder, seed=enc_seed)
-    train_cfg = replace(cfg.training, seed=train_seed)
-    # derived first, so a dataset without attribute tables fails untrained
-    attr_enc = None
-    if cfg.score.beta < 1.0:
-        attr_enc = replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0)
-    state, losses = train(pair, cfg.adjacency, enc_cfg, train_cfg, adjacencies=adjacencies)
+def _sibling_key(cfg: RunConfig) -> RunConfig:
+    """What cfg shares with the configs that differ from it in
+    training.n_epochs alone: its siblings, which follow one trajectory."""
+    return replace(cfg, training=replace(cfg.training, n_epochs=0))
 
-    attr_state = None
-    if attr_enc is not None:
-        attr_train = replace(
-            cfg.training,
-            seed=attr_train_seed,
-            margin=cfg.attribute_margin if cfg.attribute_margin is not None else cfg.training.margin,
-        )
-        attr_state, _ = train(
-            pair,
-            cfg.adjacency,
-            attr_enc,
-            attr_train,
-            initial_features=(
-                pair.attributes_left.features,
-                pair.attributes_right.features,
-            ),
-            adjacencies=adjacencies,
-        )
-    return (state, attr_state, losses, *encode(cfg, pair, adjacencies, state, attr_state))
+
+# the trajectories (structure, then the optional attribute one) the
+# last run of the job in progress left, by the sibling key of its
+# config; None outside a job with more than one run
+_carried: dict | None = None
+
+
+def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
+    """Structure training plus the optional independent attribute run.
+
+    Inside a job, the pathways continue the trajectories a shorter
+    sibling left, and leave theirs for the next.
+    """
+    enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
+    # (encoder, training, initial features) per pathway; the attribute
+    # encoder is derived first, so a dataset without attribute tables
+    # fails untrained
+    pathways = [(replace(cfg.encoder, seed=enc_seed), replace(cfg.training, seed=train_seed), None)]
+    if cfg.score.beta < 1.0:
+        pathways.append((
+            replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0),
+            replace(cfg.training, seed=attr_train_seed, margin=cfg.attribute_margin
+                    if cfg.attribute_margin is not None else cfg.training.margin),
+            (pair.attributes_left.features, pair.attributes_right.features),
+        ))
+    key = _sibling_key(cfg)
+    # taken, not read, so a run that raises hands nothing on
+    trajectories = (_carried or {}).pop(key, None) or [
+        start(pair, cfg.adjacency, enc_cfg, train_cfg, features, adjacencies)
+        for enc_cfg, train_cfg, features in pathways
+    ]
+    for trajectory in trajectories:
+        advance(trajectory, cfg.training.n_epochs)
+    if _carried is not None:
+        _carried[key] = trajectories
+    state = trajectories[0].state
+    attr_state = trajectories[1].state if len(trajectories) > 1 else None
+    return (state, attr_state, trajectories[0].losses,
+            *encode(cfg, pair, adjacencies, state, attr_state))
 
 
 def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
@@ -443,20 +458,66 @@ def _outcome(cfg: RunConfig, runs_root: Path):
     try:
         return run_single(cfg, runs_root)
     except Exception as exc:
+        # a pool worker sends it back pickled, and one that does not
+        # unpickle would break the pool: its stand-in renders the same
+        # "TypeName: message" in every process
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            return _stand_in(type(exc).__name__, str(exc))
         return exc
+
+
+def _stand_in(name: str, message: str) -> Exception:
+    """An exception of a class named name, with message as its text; it
+    pickles as this call."""
+    cls = type(name, (Exception,), {"__reduce__": lambda self: (_stand_in, (name, message))})
+    return cls(message)
+
+
+def _jobs(configs: list[RunConfig]) -> list[list[int]]:
+    """The indices of configs in jobs of siblings, each job in ascending
+    epoch order, the jobs in the order of their first config."""
+    jobs: dict[RunConfig, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        jobs.setdefault(_sibling_key(cfg), []).append(i)
+    return [sorted(job, key=lambda i: configs[i].training.n_epochs) for job in jobs.values()]
+
+
+def _run_job(job: list[RunConfig], runs_root: Path) -> list:
+    """The outcomes of a job's runs, in its order. A run continues the
+    trajectory its shorter sibling left, unless that sibling failed or
+    was served from its report; the last trajectory ends with the job.
+    """
+    global _carried
+    _carried = {} if len(job) > 1 else None
+    try:
+        outcomes = []
+        for cfg in job:
+            outcomes.append(_outcome(cfg, runs_root))
+            if _carried and (not isinstance(outcomes[-1], RunResult) or outcomes[-1].resumed):
+                _carried.clear()
+        return outcomes
+    finally:
+        _carried = None
 
 
 def _execute(label: str, configs: list[RunConfig], runs_root: Path, workers: int):
     """Yield (config, RunResult or the exception its run raised) for
     every config, in order, and print a progress line to stderr per run.
 
-    More than one worker runs them in a process pool, each worker with
-    its share of the cores; one runs them in this process. The runs of a
-    process share their inputs until the caller stops, also part-way.
+    Configs that differ only in training.n_epochs form one job, which
+    runs in one process and trains once, to its largest epoch count.
+    More than one worker runs the jobs in a process pool, each worker
+    with its share of the cores; one runs them in this process. The runs
+    of a process share their inputs until the caller stops, also
+    part-way.
     """
     global _shared
-    start = time.perf_counter()
+    began = time.perf_counter()
     n_failures = 0
+    jobs = _jobs(configs)
+    job_configs = ([configs[i] for i in job] for job in jobs)
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
@@ -464,14 +525,21 @@ def _execute(label: str, configs: list[RunConfig], runs_root: Path, workers: int
                 initializer=_init_worker,
                 initargs=(max(1, thread_count() // workers),),
             ))
-            outcomes = pool.map(_outcome, configs, repeat(runs_root))
+            finished = zip(jobs, pool.map(_run_job, job_configs, repeat(runs_root)))
         else:
             _shared = {}
-            outcomes = map(_outcome, configs, repeat(runs_root))
+            finished = zip(jobs, map(_run_job, job_configs, repeat(runs_root)))
         try:
-            for done, (cfg, outcome) in enumerate(zip(configs, outcomes), start=1):
+            outcomes = {}
+            for done, cfg in enumerate(configs, start=1):
+                # jobs come in the order of their first configs, so this
+                # config's job is among those up to its own
+                while done - 1 not in outcomes:
+                    job, job_outcomes = next(finished)
+                    outcomes.update(zip(job, job_outcomes))
+                outcome = outcomes.pop(done - 1)
                 n_failures += isinstance(outcome, Exception)
-                elapsed = time.perf_counter() - start
+                elapsed = time.perf_counter() - began
                 eta = elapsed / done * (len(configs) - done)
                 print(f"{label}: {done}/{len(configs)} runs, {n_failures} failed, "
                       f"{elapsed:.1f}s elapsed, ETA {eta:.1f}s", file=sys.stderr, flush=True)

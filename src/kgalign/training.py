@@ -286,6 +286,91 @@ CHUNK_ROWS = 4096
 GRAD_COPY_BYTES = 128 << 20
 
 
+@dataclass
+class Trajectory:
+    """A training run in progress: its inputs, and the state that
+    advance() carries from epoch to epoch. Only the state changes: the
+    parameters in place, the optimizer's moments and step count, the
+    sampling generator and the loss list, one entry per epoch run.
+    """
+
+    pair: GraphPair
+    adjacencies: tuple
+    enc_cfg: EncoderConfig
+    train_cfg: TrainConfig
+    state: EmbeddingState
+    optimizer: OptimizerState
+    rng: np.random.Generator
+    losses: list[float]
+
+
+def start(
+    pair: GraphPair,
+    adj_cfg: AdjacencyConfig,
+    enc_cfg: EncoderConfig,
+    train_cfg: TrainConfig,
+    initial_features: tuple[np.ndarray, np.ndarray] | None = None,
+    adjacencies=None,
+) -> Trajectory:
+    """The trajectory of train() at epoch 0; train_cfg.n_epochs is not
+    read. Takes the arguments of train()."""
+    if pair.alignment.train_pairs.shape[0] == 0:
+        raise ConfigError("train split is empty; nothing to optimize")
+    if adjacencies is None:
+        require_valid(pair)
+        adjacencies = (build_adjacency(pair.left, adj_cfg), build_adjacency(pair.right, adj_cfg))
+
+    state = init_state(enc_cfg, pair.left.entity_count, pair.right.entity_count)
+    if initial_features is not None:
+        fl, fr = initial_features
+        state.features_left = np.array(fl, dtype=np.float64)
+        state.features_right = np.array(fr, dtype=np.float64)
+    return Trajectory(
+        pair, tuple(adjacencies), enc_cfg, train_cfg, state,
+        OptimizerState(state.parameters(), train_cfg),
+        np.random.default_rng(train_cfg.seed), [],
+    )
+
+
+def advance(traj: Trajectory, n_epochs: int) -> Trajectory:
+    """Run epochs len(traj.losses) .. n_epochs - 1 of traj, in place.
+
+    Nothing an epoch does depends on the epoch count: the negatives are
+    the generator's next draws and Adam's bias correction follows the
+    step count. So advancing to n and then to m > n gives the bits of
+    advancing to m at once.
+    """
+    if n_epochs < len(traj.losses):
+        raise ValueError(f"trajectory is at epoch {len(traj.losses)}, past {n_epochs}")
+    pair, (adj_left, adj_right), enc_cfg, train_cfg = (
+        traj.pair, traj.adjacencies, traj.enc_cfg, traj.train_cfg)
+    positives = pair.alignment.train_pairs
+    state = traj.state
+    params = state.parameters()
+    for epoch in range(len(traj.losses), n_epochs):
+        negatives = sample_negatives(
+            positives,
+            pair.left.entity_count,
+            pair.right.entity_count,
+            train_cfg.n_negatives,
+            traj.rng,
+        )
+        out_l, out_r, tape = forward(adj_left, adj_right, state, enc_cfg, keep_tape=True)
+        loss, g_l, g_r = margin_rank_loss(
+            out_l, out_r, positives, negatives, train_cfg.margin
+        )
+        # each array is dropped once the epoch is done with it, so no stage
+        # holds what an earlier one left (at zh-en, ~250 MB in all)
+        del out_l, out_r, negatives
+        grads = backward(g_l, g_r, tape, enc_cfg, state)
+        del g_l, g_r, tape
+        optimizer_step(params, grads.parameters(), traj.optimizer, train_cfg,
+                       context=f"epoch {epoch}")
+        del grads
+        traj.losses.append(loss)
+    return traj
+
+
 def train(
     pair: GraphPair,
     adj_cfg: AdjacencyConfig,
@@ -305,49 +390,11 @@ def train(
     encode afterwards can share them, and they were built from a pair
     the caller has validated; without them the pair is validated here.
     """
-    positives = pair.alignment.train_pairs
-    if positives.shape[0] == 0:
-        raise ConfigError("train split is empty; nothing to optimize")
-
-    if adjacencies is None:
-        require_valid(pair)
-        adj_left = build_adjacency(pair.left, adj_cfg)
-        adj_right = build_adjacency(pair.right, adj_cfg)
-    else:
-        adj_left, adj_right = adjacencies
-
-    state = init_state(enc_cfg, pair.left.entity_count, pair.right.entity_count)
-    if initial_features is not None:
-        fl, fr = initial_features
-        state.features_left = np.array(fl, dtype=np.float64)
-        state.features_right = np.array(fr, dtype=np.float64)
-
-    params = state.parameters()
-    opt_state = OptimizerState(params, train_cfg)
-    rng = np.random.default_rng(train_cfg.seed)
-
-    losses: list[float] = []
-    for epoch in range(train_cfg.n_epochs):
-        negatives = sample_negatives(
-            positives,
-            pair.left.entity_count,
-            pair.right.entity_count,
-            train_cfg.n_negatives,
-            rng,
-        )
-        out_l, out_r, tape = forward(adj_left, adj_right, state, enc_cfg, keep_tape=True)
-        loss, g_l, g_r = margin_rank_loss(
-            out_l, out_r, positives, negatives, train_cfg.margin
-        )
-        # each array is dropped once the epoch is done with it, so no stage
-        # holds what an earlier one left (at zh-en, ~250 MB in all)
-        del out_l, out_r, negatives
-        grads = backward(g_l, g_r, tape, enc_cfg, state)
-        del g_l, g_r, tape
-        optimizer_step(params, grads.parameters(), opt_state, train_cfg, context=f"epoch {epoch}")
-        del grads
-        losses.append(loss)
-    return state, losses
+    traj = advance(
+        start(pair, adj_cfg, enc_cfg, train_cfg, initial_features, adjacencies),
+        train_cfg.n_epochs,
+    )
+    return traj.state, traj.losses
 
 
 def loss_trace_tsv(losses: list[float]) -> str:

@@ -42,6 +42,32 @@ def test_functionality_zero_triple_relation_errors():
         compute_functionality(g)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_functionality_counts_equal_the_stacked_unique_formula(seed):
+    # duplicate triples, and a relation with one endpoint only, count once
+    rng = np.random.default_rng(seed)
+    n, n_rel = 9, 4
+    triples = np.stack([rng.integers(0, n, 60), rng.integers(0, n_rel, 60),
+                        rng.integers(0, 3, 60)], axis=1)
+    triples[:n_rel, 1] = np.arange(n_rel)
+    triples = np.concatenate([triples, triples[::3], [[8, 3, 8]] * 4])
+    g = KnowledgeGraph(n, n_rel, triples)
+    counts = np.bincount(triples[:, 1], minlength=n_rel).astype(np.float64)
+
+    def distinct(endpoints):
+        combo = np.unique(np.stack([triples[:, 1], endpoints], axis=1), axis=0)
+        return np.bincount(combo[:, 0], minlength=n_rel).astype(np.float64)
+
+    w = compute_functionality(g)
+    assert np.array_equal(w.fun, distinct(triples[:, 0]) / counts)
+    assert np.array_equal(w.ifun, distinct(triples[:, 2]) / counts)
+
+
+def test_functionality_rejects_an_endpoint_out_of_range():
+    with pytest.raises(ValueError):
+        compute_functionality(KnowledgeGraph(2, 1, [(0, 0, 2)]))
+
+
 def test_empty_graph_count_variant_is_identity():
     g = KnowledgeGraph(3, 1, np.zeros((0, 3), dtype=np.int64))
     out = build_adjacency(g, AdjacencyConfig(variant="count", normalization="row"))

@@ -159,7 +159,7 @@ def test_attribute_less_dataset_fails_before_training(tmp_path, monkeypatch):
     def train(*args, **kwargs):
         raise AssertionError("trained before the attribute tables were checked")
 
-    monkeypatch.setattr(runner, "train", train)
+    monkeypatch.setattr(runner, "start", train)
     cfg = toy_config(**{"score.beta": 0.5})  # toy has no attributes
     with pytest.raises(ConfigError, match="attribute"):
         run_single(cfg, tmp_path)
@@ -802,3 +802,202 @@ def test_apply_overrides_creates_new_config():
     out = apply_overrides(cfg, {"training.n_epochs": 7})
     assert out.training.n_epochs == 7
     assert cfg.training.n_epochs == 120
+
+
+# ---- epoch siblings: configs that differ only in training.n_epochs ----
+
+EPOCH_AXES = {"training.optimizer": ["adam", "sgd"], "training.n_epochs": [0, 1, 3, 5]}
+
+
+@pytest.fixture
+def blend_base(jape_style_dir):
+    """An attribute-blend (score.beta < 1) base over a tiny pair."""
+    (jape_style_dir / "attrs_1").write_text(
+        "10\tpopulation\n11\tarea\n12\tarea\n13\televation\n", encoding="utf-8")
+    (jape_style_dir / "attrs_2").write_text(
+        "20\tpopulation\n21\tarea\n22\tpopulation\n23\televation\n", encoding="utf-8")
+    return RunConfig.from_flat({
+        "dataset.family": "dbp15k-jape",
+        "dataset.subset": "zh-en",
+        "dataset.root": str(jape_style_dir),
+        "encoder.dim": 8,
+        "training.learning_rate": 0.5,
+        "training.n_negatives": 2,
+        "score.beta": 0.7,
+        "val_fraction": 0.5,
+    })
+
+
+def _alone(monkeypatch):
+    """From now on every run of an executor is a job of its own."""
+    import kgalign.runner as runner
+
+    monkeypatch.setattr(runner, "_jobs", lambda configs: [[i] for i in range(len(configs))])
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_epoch_siblings_give_the_bytes_of_runs_alone(tmp_path, monkeypatch, blend_base):
+    import functools
+    import multiprocessing
+
+    import kgalign.runner as runner
+
+    run_grid(blend_base, tmp_path / "serial", axes=EPOCH_AXES)
+    run_grid(blend_base, tmp_path / "pool", axes=EPOCH_AXES, workers=2)
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        with monkeypatch.context() as m:
+            m.setattr(runner, "ProcessPoolExecutor", functools.partial(
+                runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
+            run_grid(blend_base, tmp_path / "forkserver", axes=EPOCH_AXES, workers=2)
+    _alone(monkeypatch)
+    run_grid(blend_base, tmp_path / "alone", axes=EPOCH_AXES)
+    alone = _files(tmp_path / "alone")
+    assert sum(name.endswith("/loss_trace.tsv") for name in alone) == 32
+    assert b"ConfigError" not in alone["leaderboard.tsv"]
+    for root in tmp_path.iterdir():
+        if root.name != "alone" and root.name != "zh_en":
+            assert _files(root) == alone, root.name
+    assert runner._carried is None
+
+
+def test_epoch_siblings_train_once_to_their_largest_count(tmp_path, monkeypatch):
+    from kgalign import training
+
+    epochs = []
+    real = training.sample_negatives
+
+    def counting(*args, **kwargs):
+        epochs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "sample_negatives", counting)
+    result = run_grid(toy_config(), tmp_path, axes=EPOCH_AXES)
+    assert result.n_runs == 32 and result.n_failures == 0
+    # 8 jobs of the epoch counts {0, 1, 3, 5} train 5 epochs each, not 9
+    assert len(epochs) == 8 * 5
+
+
+def test_grid_calls_run_single_once_per_config(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+
+    calls = []
+    real = runner.run_single
+
+    def counting(cfg, runs_root, force=False):
+        calls.append(cfg.run_hash())
+        return real(cfg, runs_root, force)
+
+    monkeypatch.setattr(runner, "run_single", counting)
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    result = run_grid(base, tmp_path, axes=EPOCH_AXES)
+    assert sorted(calls) == sorted(c.run_hash() for c in enumerate_grid(base, EPOCH_AXES))
+    assert len(set(calls)) == len(calls) == result.n_runs == 32
+
+
+def test_a_sibling_failing_mid_trajectory_fails_as_alone(tmp_path, monkeypatch):
+    from kgalign import training
+    from kgalign.errors import NumericError
+
+    real = training.optimizer_step
+
+    def failing_at_epoch_2(params, grads, state, cfg, context=""):
+        if context == "epoch 2":
+            raise NumericError(f"non-finite gradient in parameter 0 ({context})")
+        return real(params, grads, state, cfg, context)
+
+    monkeypatch.setattr(training, "optimizer_step", failing_at_epoch_2)
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    shared = run_grid(base, tmp_path / "shared", axes=EPOCH_AXES)
+    _alone(monkeypatch)
+    alone = run_grid(base, tmp_path / "alone", axes=EPOCH_AXES)
+    # the runs of 3 and 5 epochs fail, those of 0 and 1 succeed
+    assert shared.n_failures == alone.n_failures == 16
+    for cfg in enumerate_grid(base, EPOCH_AXES):
+        run_dirs = [tmp_path / root / cfg.run_hash() for root in ("shared", "alone")]
+        if cfg.training.n_epochs < 3:
+            assert all((d / "report.json").is_file() for d in run_dirs)
+            continue
+        messages = [json.loads((d / "error.json").read_text())["message"] for d in run_dirs]
+        assert messages[0] == messages[1] == "non-finite gradient in parameter 0 (epoch 2)"
+    for name in ("leaderboard.tsv", "grid_best.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def _report_stamps(root: Path) -> dict:
+    return {p.parent.name: (p.stat().st_mtime_ns, p.read_bytes())
+            for p in root.glob("*/report.json")}
+
+
+@pytest.mark.parametrize("deleted, trained", [
+    # its siblings are served from their reports, so it trains from epoch 0
+    ((5,), 5),
+    # a run served from its report hands nothing on: 1 epoch, then 5 from 0
+    ((1, 5), 1 + 5),
+])
+def test_deleted_reports_recompute_only_their_runs(tmp_path, monkeypatch, deleted, trained):
+    from kgalign import training
+
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    axes = {"training.n_epochs": [0, 1, 3, 5]}
+    run_grid(base, tmp_path, axes=axes)
+    before = _report_stamps(tmp_path)
+    gone = sorted(c.run_hash() for c in enumerate_grid(base, axes)
+                  if c.training.n_epochs in deleted)
+    for run_hash in gone:
+        (tmp_path / run_hash / "report.json").unlink()
+
+    epochs = []
+    real = training.sample_negatives
+    monkeypatch.setattr(training, "sample_negatives",
+                        lambda *args: epochs.append(1) or real(*args))
+    run_grid(base, tmp_path, axes=axes)
+    after = _report_stamps(tmp_path)
+    assert after.keys() == before.keys() and len(after) == 16
+    assert sorted(h for h in after if after[h] != before[h]) == gone
+    assert all(after[h][1] == before[h][1] for h in gone)
+    assert len(epochs) == 4 * trained
+
+
+class TwoArgumentError(Exception):
+    """An exception that does not unpickle: pickle calls the class with
+    its args, one message."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} failed: {why}")
+
+
+def test_an_exception_that_does_not_unpickle_lands_on_its_ledger_row(tmp_path, monkeypatch):
+    import functools
+    import multiprocessing
+    import pickle
+
+    import kgalign.runner as runner
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(TwoArgumentError("a", "b")))
+    real = runner.start
+
+    def failing(pair, adj_cfg, enc_cfg, train_cfg, *args, **kwargs):
+        if train_cfg.learning_rate == 0.5:
+            raise TwoArgumentError("training", f"lr {train_cfg.learning_rate}")
+        return real(pair, adj_cfg, enc_cfg, train_cfg, *args, **kwargs)
+
+    # forked workers inherit the failing start
+    monkeypatch.setattr(runner, "start", failing)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    axes = {"training.learning_rate": [0.05, 0.5], "training.n_epochs": [1, 3]}
+    for workers in (1, 2):
+        result = run_grid(base, tmp_path / str(workers), axes=axes, workers=workers)
+        assert result.n_failures == 8
+    for name in ("leaderboard.tsv", "grid_best.json"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    rows = (tmp_path / "2" / "leaderboard.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(row.endswith("\tTwoArgumentError: training failed: lr 0.5") for row in rows) == 8

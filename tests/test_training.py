@@ -354,3 +354,19 @@ def test_loss_trace_tsv_roundtrip():
     assert lines[0] == "epoch\tloss"
     assert lines[1].split("\t") == ["0", "1.5"]
     assert lines[2].split("\t") == ["1", "0.25"]
+
+
+@pytest.mark.parametrize("optimizer, use_weights", [("adam", False), ("sgd", True)])
+def test_advance_in_steps_equals_train(optimizer, use_weights):
+    pair = toy_cycle_pair(6, 3, seed=1)
+    enc = EncoderConfig(n_layers=2, dim=8, use_weights=use_weights, seed=3)
+    tc = TrainConfig(optimizer=optimizer, learning_rate=0.5, n_negatives=3, n_epochs=5, seed=4)
+    state, losses = train(pair, AdjacencyConfig(), enc, tc)
+    traj = training.start(pair, AdjacencyConfig(), enc, tc)
+    assert training.advance(traj, 2) is traj and len(traj.losses) == 2
+    training.advance(traj, 5)
+    assert traj.losses == losses and traj.optimizer.step_count == 5
+    for a, b in zip(traj.state.parameters(), state.parameters()):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="past 4"):
+        training.advance(traj, 4)
