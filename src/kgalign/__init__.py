@@ -34,7 +34,7 @@ from .graphs import (
     Role,
     validate_pair,
 )
-from .linalg import degree_normalize, row_l2_normalize
+from .linalg import degree_normalize
 from .runner import RunConfig, enumerate_grid, run_ablation, run_grid, run_single
 from .training import (
     OptimizerState,
@@ -81,7 +81,6 @@ __all__ = [
     "margin_rank_loss",
     "optimizer_step",
     "rank_of",
-    "row_l2_normalize",
     "run_ablation",
     "run_grid",
     "run_single",

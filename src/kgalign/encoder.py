@@ -203,7 +203,9 @@ def _backward_one(
             f"forward output ({tape.adj.shape[0]}, {cfg.dim})"
         )
     adj_t = tape.adj.T  # a CSC view, no copy
-    g = grad_out
+    # an integer upstream gradient (the loss's) becomes a float copy that
+    # the first product below frees; a float one is read, never written
+    g = np.asarray(grad_out, dtype=np.float64)
     for layer in range(cfg.n_layers - 1, -1, -1):
         if layer < cfg.n_layers - 1:
             np.multiply(g, tape.relu_masks[layer], out=g)  # g is the adj_t product below
@@ -247,7 +249,8 @@ def backward(
 
     The tape must come from a forward() call with the same config and
     state; the shared weight matrices accumulate gradient from both
-    graphs.
+    graphs. The upstream gradients are never written; integer ones (the
+    loss's) are converted to float64 copies of backward's own.
 
     Each graph accumulates its weight gradient in a zeroed buffer of
     its own, and the shared gradient is left += right: the bits of

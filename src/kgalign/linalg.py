@@ -11,19 +11,13 @@ import numpy as np
 import scipy.sparse as sp
 
 try:
-    # the kernel behind csr @ dense, which adds into an existing array:
+    # the kernel behind csc @ dense, which adds into an existing array:
     # y[i] += a[i, j] * x[j], entry by entry in storage order
-    from scipy.sparse._sparsetools import csr_matvecs
+    from scipy.sparse._sparsetools import csc_matvecs
 except ImportError:  # a private module; np.add.at gives the same bits
-    csr_matvecs = None
+    csc_matvecs = None
 
 from .errors import NumericError
-
-
-def row_l2_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale every row to unit Euclidean length; all-zero rows pass through."""
-    m = np.asarray(m, dtype=np.float64)
-    return unit_rows(m, np.linalg.norm(m, axis=1))
 
 
 def unit_rows(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -62,34 +56,37 @@ def scatter_add_rows(
     out: np.ndarray, indices: np.ndarray, rows: np.ndarray, scales=(1,)
 ) -> None:
     """out[indices[i][t]] += scales[i] * rows[t] for every i and t, in t
-    order for each i, repeated indices accumulated. indices holds one
-    line of len(rows) targets per scale; with the default, one line and
-    scale 1, these are the bits of np.add.at(out, indices, rows).
+    order, repeated indices accumulated. indices holds one line of
+    len(rows) targets per scale; where no two lines name the same row (as
+    in the loss), these are the bits of np.add.at line by line.
 
     out is a C-contiguous float64 or integer matrix, and rows are taken
-    in its dtype. Once the updates hold thousands of elements, a
-    selector matrix whose row j holds scales[i] at column t for every
-    indices[i][t] == j, in t order, is multiplied into out in place by
-    the compiled sparse kernel: much faster than np.add.at, and with no
-    temporary the size of out. Smaller updates take np.add.at itself,
-    which costs less than building the selector, as do all updates
-    where scipy has no such kernel.
+    in its dtype. Once the updates hold thousands of elements, a CSC
+    selector whose column t holds scales[i] at row indices[i][t], built
+    with no sort, is multiplied into out in place by the compiled sparse
+    kernel: much faster than np.add.at, and with no temporary the size
+    of out. Smaller updates take np.add.at itself, which costs less than
+    building the selector, as do all updates where scipy has no such
+    kernel.
     """
     if not (out.dtype == np.float64 or out.dtype.kind == "i") or not out.flags.c_contiguous:
         raise ValueError("scatter_add_rows needs a C-contiguous float64 or integer output")
     indices = np.reshape(indices, (len(scales), -1))
-    m = indices.shape[1]
+    lines, m = indices.shape
     if m == 0:
         return
-    if csr_matvecs is None or indices.size * out.shape[1] < 8192:
+    if csc_matvecs is None or indices.size * out.shape[1] < 8192:
         for line, scale in zip(indices, scales):
             np.add.at(out, line, rows if scale == 1 else scale * rows)
         return
     rows = np.ascontiguousarray(rows, dtype=out.dtype)
     if rows.shape != (m, out.shape[1]):  # the kernel reads m rows of out's width
         raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
-    data = np.repeat(np.asarray(scales, dtype=out.dtype), m)
-    columns = np.tile(np.arange(m), len(scales))
-    sel = sp.csr_array((data, (indices.ravel(), columns)), shape=(out.shape[0], m))
-    csr_matvecs(out.shape[0], m, out.shape[1], sel.indptr, sel.indices, sel.data,
+    # the kernel does not check its row indices
+    if indices.min() < 0 or indices.max() >= len(out):
+        raise IndexError(f"row index out of range for {len(out)} rows")
+    targets = indices.ravel(order="F").astype(np.int64, copy=False)
+    data = np.tile(np.asarray(scales, dtype=out.dtype), m)
+    columns = np.arange(0, targets.size + 1, lines, dtype=np.int64)
+    csc_matvecs(out.shape[0], m, out.shape[1], columns, targets, data,
                 rows.ravel(), out.ravel())

@@ -8,9 +8,9 @@ at its boundary. Negatives are resampled fresh every epoch.
 The loss's negatives, walked as sampled, and the optimizer's flat
 parameter blocks are shared out to the threads of the budget
 (parallel.thread_count). No result depends on the thread count: the
-loss gradient is integer-valued (sums of signs and hinge counts, far
-below 2**53), and each loss thread adds up its signs exactly in an
-integer accumulator, so their order cannot change a bit; the float loss
+loss gradient is integer-valued (sums of signs and hinge counts), summed
+exactly in an integer accumulator per loss thread and returned in its
+dtype, so the threads' order cannot change a bit; the float loss
 is summed per column block of the (positive, negative) hinge terms, in
 block order, on the calling thread; and the optimizer's update is
 elementwise. The training loop drops each array of an epoch as soon as
@@ -196,7 +196,9 @@ def margin_rank_loss(
 
     positives: (m, 2) index pairs; negatives: (m, k, 2), row i holding
     the corruptions of positive i. Returns (loss, grad_left, grad_right)
-    with gradients shaped like the embedding matrices.
+    with gradients shaped like the embedding matrices. The gradients are
+    integer-valued and come as int16 or int32 (views of one array), which
+    backward() takes as they are. No input is written.
     """
     m, k = negatives.shape[0], negatives.shape[1]
     if positives.shape[0] != m:
@@ -212,22 +214,22 @@ def margin_rank_loss(
     pos_dist = np.abs(pos_diff).sum(axis=1)
 
     # the negatives are walked as sampled, row r belonging to positive
-    # r // k: thread t takes chunks t, t + threads, ... of CHUNK_ROWS rows
+    # r // k: thread t takes chunks t, t + threads, ... of `rows` rows
     stream = negatives.reshape(-1, 2)
     terms = np.repeat(pos_dist + margin, k)  # minus each row's distance below: its hinge term
     n, d = len(stream), emb_left.shape[1]
     n_left = len(emb_left)
-    # The negatives' part of the gradient is a sum of hinge signs, so
-    # each thread adds them up in one integer accumulator, left rows
-    # first and right rows after: int16 while no entity is named by 2**15
-    # rows of one side, which bounds every entry and every sum of the
-    # threads' copies, else int32.
-    named = max(np.bincount(stream[:, 0], minlength=1).max(),
-                np.bincount(stream[:, 1], minlength=1).max())
+    # The gradient, hinge signs plus each positive's signs times its
+    # active count, is summed in integer accumulators of both sides'
+    # rows, left rows first and right rows after: int16 while no entity's
+    # negative rows plus k per positive naming it reach 2**15, which
+    # bounds every entry and every partial sum, else int32.
+    named = max((np.bincount(s, minlength=len(e)) + k * np.bincount(p, minlength=len(e))).max()
+                for s, p, e in ((stream[:, 0], pl, emb_left), (stream[:, 1], pr, emb_right)))
     acc = np.int16 if named < 2**15 else np.int32
-    rows = min(n, CHUNK_ROWS)
+    rows = max(1, min(n, CHUNK_ELEMENTS // d))
     acc_bytes = max(1, (n_left + len(emb_right)) * d * np.dtype(acc).itemsize)
-    threads = min(threads_for(-(-n // CHUNK_ROWS), rows * d), 1 + GRAD_COPY_BYTES // acc_bytes)
+    threads = min(threads_for(-(-n // rows), rows * d), 1 + GRAD_COPY_BYTES // acc_bytes)
     # each thread's two (rows, dim) float gather buffers, two integer sign
     # buffers and accumulator are allocated here on the calling thread;
     # the accumulators beyond the first stay within GRAD_COPY_BYTES
@@ -238,9 +240,9 @@ def margin_rank_loss(
 
     def chunks_of(t):
         diff, other, signs, picked = buffers[t]
-        for lo in range(t * CHUNK_ROWS, n, threads * CHUNK_ROWS):
-            nl, nr = stream[lo : lo + CHUNK_ROWS].T
-            chunk = terms[lo : lo + CHUNK_ROWS]
+        for lo in range(t * rows, n, threads * rows):
+            nl, nr = stream[lo : lo + rows].T
+            chunk = terms[lo : lo + rows]
             x, y = diff[: len(nl)], other[: len(nl)]
             # mode="clip" lets take write into out without a copy; the
             # indices were range-checked above
@@ -255,13 +257,9 @@ def margin_rank_loss(
             scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
 
     thread_map(chunks_of, range(threads), rows * d)
-    # the buffers and the other copies go before the float gradients come
-    del buffers
     total = accs.pop(0)
     while accs:
         total += accs.pop()
-    grad_left = total[:n_left].astype(np.float64)
-    grad_right = total[n_left:].astype(np.float64)
     # the loss is summed per column block of roughly 16k terms, in block
     # order, each block's terms taken positive by positive
     by_positive = terms.reshape(m, k)
@@ -271,15 +269,16 @@ def margin_rank_loss(
         block = by_positive[:, j : j + block_k]
         loss += block[block > 0.0].sum()
 
-    pos_sign = np.sign(pos_diff) * np.count_nonzero(by_positive > 0.0, axis=1)[:, None]
-    scatter_add_rows(grad_left, pl, pos_sign)
-    scatter_add_rows(grad_right, pr, pos_sign, (-1,))
-    return float(loss), grad_left, grad_right
+    pos_sign = np.subtract(pos_diff > 0.0, pos_diff < 0.0, dtype=acc)
+    pos_sign *= np.count_nonzero(by_positive > 0.0, axis=1).astype(acc)[:, None]
+    scatter_add_rows(total, np.stack([pl, pr + n_left]), pos_sign, (1, -1))
+    return float(loss), total[:n_left], total[n_left:]
 
 
-# negatives gathered at a time by margin_rank_loss: two (rows, dim)
-# float buffers per thread, 6.5 MB each at dim 200
-CHUNK_ROWS = 4096
+# elements of the negatives gathered at a time by margin_rank_loss: two
+# (rows, dim) float buffers per thread, 2 MB each, of 1,310 rows at dim
+# 200, 4,096 at dim 64 and 8,192 at dim 32
+CHUNK_ELEMENTS = 1 << 18
 # bytes of the integer accumulators margin_rank_loss's threads may hold
 # beyond the first, whatever the core count: eight extra int16 ones at
 # zh-en and dim 200 (15.6 MB each), one at the DWY100k shape

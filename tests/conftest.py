@@ -30,6 +30,14 @@ def tiny_pair():
     return GraphPair(left=left, right=right, alignment=align)
 
 
+def row_l2_normalize(m):
+    """Every row scaled to unit Euclidean length, all-zero rows passed
+    through: the encoder's feature normalization, as an oracle."""
+    m = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1)
+    return m / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
 def random_graph(rng, n_entities, n_relations, n_triples):
     triples = np.stack(
         [

@@ -13,9 +13,8 @@ from kgalign.encoder import (
     init_state,
 )
 from kgalign.errors import ConfigError, NumericError
-from kgalign.linalg import row_l2_normalize
 
-from conftest import random_graph
+from conftest import random_graph, row_l2_normalize
 
 
 def _adj(graph):
@@ -271,6 +270,28 @@ def test_gradients_match_finite_differences(n_layers, use_weights, normalize):
             flat_n[i] = (up - down) / (2 * h)
         scale = max(np.abs(numeric).max(), 1.0)
         assert np.abs(numeric - g_analytic).max() / scale < 1e-4
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("use_weights", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_integer_upstream_gradient_equals_its_float64_conversion(n_layers, use_weights, dtype):
+    # the loss hands backward its integer gradient: backward converts a
+    # copy of its own and writes neither that nor a float upstream array
+    rng = np.random.default_rng(n_layers)
+    adj_l, adj_r = (_adj(random_graph(rng, 300, 2, 1200)) for _ in range(2))
+    cfg = EncoderConfig(n_layers=n_layers, dim=8, use_weights=use_weights, seed=6)
+    state = init_state(cfg, 300, 300)
+    upstream = [rng.integers(-60, 61, (300, 8)).astype(dtype) for _ in range(2)]
+    as_float = [u.astype(np.float64) for u in upstream]
+    kept = [u.copy() for u in upstream + as_float]
+    _, _, tape = forward(adj_l, adj_r, state, cfg, keep_tape=True)
+    from_int = backward(*upstream, tape, cfg, state)
+    from_float = backward(*as_float, tape, cfg, state)
+    for a, b in zip(from_int.parameters(), from_float.parameters()):
+        assert a.dtype == np.float64 and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    for u, k in zip(upstream + as_float, kept):
+        assert u.dtype == k.dtype and np.array_equal(u, k)
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])

@@ -6,7 +6,9 @@ from kgalign.adjacency import AdjacencyConfig, build_adjacency_unnormalized
 from kgalign.encoder import EncoderConfig, forward, init_state
 from kgalign.errors import NumericError
 from kgalign.graphs import KnowledgeGraph
-from kgalign.linalg import degree_normalize, row_l2_normalize, scatter_add_rows
+from kgalign.linalg import degree_normalize, scatter_add_rows
+
+from conftest import row_l2_normalize
 
 
 def test_identity_spmm_returns_operand():
@@ -188,6 +190,10 @@ def test_scatter_add_rows_is_add_at_bit_for_bit():
         scatter_add_rows(np.zeros((3, 50)).T, idx, rows)
     with pytest.raises(ValueError):
         scatter_add_rows(np.zeros((50, 4)), idx, rows)
+    # the compiled kernel does not check its targets, so the call does
+    for bad in (-1, 50):
+        with pytest.raises(IndexError):
+            scatter_add_rows(np.zeros((50, 3)), np.where(idx == idx[7], bad, idx), rows)
 
 
 def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
@@ -201,7 +207,7 @@ def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
     start = rng.normal(size=(50, 3))
     with_kernel = start.copy()
     scatter_add_rows(with_kernel, idx, rows)
-    monkeypatch.setattr(linalg, "csr_matvecs", None)
+    monkeypatch.setattr(linalg, "csc_matvecs", None)
     without = start.copy()
     scatter_add_rows(without, idx, rows)
     assert np.array_equal(with_kernel, without)
@@ -217,8 +223,35 @@ def test_scatter_add_rows_scales_integer_lines_with_and_without_the_kernel(monke
     expected = np.zeros((50, 3), dtype=np.int64)
     np.subtract.at(expected, idx[0], rows)
     np.add.at(expected, idx[1], rows)
-    for kernel in (linalg.csr_matvecs, None):
-        monkeypatch.setattr(linalg, "csr_matvecs", kernel)
+    for kernel in (linalg.csc_matvecs, None):
+        monkeypatch.setattr(linalg, "csc_matvecs", kernel)
         out = np.zeros((50, 3), dtype=np.int16)
         scatter_add_rows(out, idx, rows, (-1, 1))
         assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float64])
+def test_scatter_add_rows_two_lines_are_add_at_bit_for_bit(monkeypatch, dtype):
+    # the loss's lines: each repeats its targets, and they name disjoint
+    # rows (left rows, then right rows); the CSC selector adds in t order
+    import kgalign.linalg as linalg
+
+    rng = np.random.default_rng(10)
+    kernel_found = linalg.csc_matvecs
+    for m in (10, 5000):  # np.add.at itself, then the kernel when it is there
+        idx = np.stack([rng.integers(0, 25, m), rng.integers(25, 50, m)])
+        if dtype == np.float64:  # magnitudes so varied that order shows in the bits
+            rows = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+            start = rng.normal(size=(50, 3))
+        else:
+            rows = rng.integers(-1, 2, (m, 3)).astype(dtype)
+            start = rng.integers(-100, 100, (50, 3)).astype(dtype)
+        expected = start.copy()
+        np.add.at(expected, idx[0], -rows)
+        np.add.at(expected, idx[1], rows)
+        for kernel in (kernel_found, None):
+            monkeypatch.setattr(linalg, "csc_matvecs", kernel)
+            out = start.copy()
+            scatter_add_rows(out, idx, rows, (-1, 1))
+            assert out.dtype == dtype
+            assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))

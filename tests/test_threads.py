@@ -55,7 +55,7 @@ def each_core_count(monkeypatch):
 
 def _mid_pair():
     # 400 train pairs x 100 negatives: loss blocks of 40, 40 and 20
-    # columns, ten chunks of negatives
+    # columns; at dim 16, three chunks of negatives
     return random_pair(np.random.default_rng(3), n=500, n_train=400, n_test=50, n_triples=2500)
 
 
@@ -195,6 +195,27 @@ def test_loss_gradient_is_integer_valued_and_order_free(monkeypatch):
         assert not np.signbit(a[a == 0.0]).any()  # no -0.0
 
 
+def test_loss_independent_of_chunk_size_and_cores(each_core_count, monkeypatch):
+    # at dim 16: chunks of 256, 16,384 and 262,144 rows of the 40,000
+    # negatives, on 1, 2 and 8 cores; rows of widely varied length, so a
+    # loss summed in another order would show in its bits
+    pair = _mid_pair()
+    rng = np.random.default_rng(4)
+    out_l, out_r = (rng.normal(size=(500, 16)) * np.exp(rng.normal(size=(500, 1))) for _ in range(2))
+    pos = pair.alignment.train_pairs
+    neg = sample_negatives(pos, len(out_l), len(out_r), 100, rng)
+    results = []
+    for elements in (1 << 12, 1 << 18, 1 << 22):
+        monkeypatch.setattr(training, "CHUNK_ELEMENTS", elements)
+        results += each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
+    loss, grad_l, grad_r = results[0]
+    assert grad_l.any() and grad_r.any()
+    for other in results:
+        assert other[0] == loss
+        for got, first in zip(other[1:], (grad_l, grad_r)):
+            assert got.dtype == np.int16 and np.array_equal(got, first)
+
+
 def test_grid_workers_share_the_cores(tmp_path, monkeypatch):
     # two workers on two cores get one thread each: no thread pool in them
     class NoPool:
@@ -256,6 +277,8 @@ def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
     neg = sample_negatives(pos, len(out_l), len(out_r), 100, rng)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
+    # chunks of 4,096 rows at dim 16: ten of the 40,000 rows
+    monkeypatch.setattr(training, "CHUNK_ELEMENTS", 4096 * 16)
     threads = []
 
     def counting_map(fn, items, item_size):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -204,11 +205,34 @@ def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k, shar
         neg = sample_negatives(pos, 2500, 2600, k, rng)
     else:  # sample_negatives refuses k = 0
         neg = np.empty((m, 0, 2), dtype=np.int64)
+    inputs = (emb_l, emb_r, pos, neg)
+    kept = [x.copy() for x in inputs]
     loss, grad_l, grad_r = margin_rank_loss(emb_l, emb_r, pos, neg, 3.0)
+    # the loss writes none of its arguments: perfbench recomputes
+    # training.active_frac from them after the run
+    assert all(np.array_equal(x, y) for x, y in zip(inputs, kept))
     ref_loss, ref_l, ref_r = _blocked_loss_reference(emb_l, emb_r, pos, neg, 3.0)
     assert loss == ref_loss and (loss > 0.0) == (k > 0)
     assert np.array_equal(grad_l, ref_l) and np.array_equal(grad_r, ref_r)
     assert (k > 0) == (grad_l.any() and grad_r.any())
+
+
+def test_positive_counts_enter_the_accumulator_bound():
+    # one positive and 2**15 active negatives: the positive's left entity
+    # gets -2**15 from its own signs times its active count and about
+    # -2**14 from the negatives that keep it, past int16, though no entity
+    # is named by 2**15 rows of negatives
+    k = 2**15
+    emb_l, emb_r = np.zeros((10, 2)), np.full((10, 2), -1.0)
+    emb_r[0] = 100.0
+    pos = np.array([[0, 0]])
+    neg = sample_negatives(pos, 10, 10, k, np.random.default_rng(0))
+    assert max(np.bincount(neg[0, :, 0]).max(), np.bincount(neg[0, :, 1]).max()) < 2**15
+    loss, grad_l, grad_r = margin_rank_loss(emb_l, emb_r, pos, neg, 50.0)
+    ref_loss, ref_l, ref_r = _blocked_loss_reference(emb_l, emb_r, pos, neg, 50.0)
+    assert grad_l.dtype == grad_r.dtype == np.int32 and ref_l.min() < -(2**15)
+    assert loss == ref_loss
+    assert np.array_equal(grad_l, ref_l) and np.array_equal(grad_r, ref_r)
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0, -1), (0, 1, 0, 5), (1, 0, 1, 7)])
@@ -315,6 +339,24 @@ def test_each_epoch_drops_its_arrays_once_they_are_used(monkeypatch):
     tc = TrainConfig(n_negatives=3, n_epochs=3, seed=4)
     _, losses = train(pair, AdjacencyConfig(), EncoderConfig(n_layers=2, dim=8, seed=3), tc)
     assert len(losses) == 3 and {"backward[0]", "forward[2]"} <= set(made)
+
+
+def test_one_epoch_peaks_within_five_embedding_arrays(monkeypatch):
+    # an epoch's working set over what it starts with, counted in (n, dim)
+    # float64 arrays: forward's outputs, the loss's integer gradients and
+    # backward's float copy and products, on two cores
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    n, dim = 20_000, 64
+    pair = random_pair(np.random.default_rng(11), n=n, n_train=n // 5, n_triples=3 * n)
+    traj = training.start(pair, AdjacencyConfig(), EncoderConfig(dim=dim, seed=1),
+                          TrainConfig(n_negatives=10, seed=2))
+    tracemalloc.start()
+    try:
+        training.advance(traj, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.losses) == 1 and peak <= 5 * n * dim * 8
 
 
 def test_empty_train_split_errors():
