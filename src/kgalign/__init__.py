@@ -25,7 +25,7 @@ from .errors import (
     KgalignError,
     NumericError,
 )
-from .evaluation import MetricsReport, ScoreConfig, evaluate, rank_of, score
+from .evaluation import MetricsReport, ScoreConfig, evaluate, score
 from .graphs import (
     AlignmentSet,
     AttributeTable,
@@ -80,7 +80,6 @@ __all__ = [
     "load",
     "margin_rank_loss",
     "optimizer_step",
-    "rank_of",
     "run_ablation",
     "run_grid",
     "run_single",

@@ -64,6 +64,10 @@ _TOY_SUBSET = re.compile(r"^cycle-(\d+)-(\d+)$")
 
 ATTRIBUTE_VOCABULARY_SIZE = 1000
 
+# an id map whose keys span at most this many times their count is read
+# through a table indexed by id rather than binary-searched (_lookup)
+_TABLE_SPAN = 4
+
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
@@ -289,8 +293,24 @@ def _load_id_map(path: Path, data: bytes):
 
 
 def _lookup(id_map, raw: np.ndarray):
-    """The dense index of each raw id, and whether the map has it."""
+    """The dense index of each raw id, and whether the map has it; the
+    index of an unknown id means nothing.
+
+    When the keys and the ids are int64 and the keys span at most
+    _TABLE_SPAN times their count, each id reads a table that holds the
+    dense index of key k at k - keys[0] and -1 in the gaps: an id outside
+    the span, or on a -1, is unknown. Any other map (a sparse span, or
+    ids beyond int64) is binary-searched.
+    """
     keys, dense = id_map
+    span = int(keys[-1]) - int(keys[0]) + 1
+    if keys.dtype == raw.dtype == np.int64 and span <= _TABLE_SPAN * len(keys):
+        table = np.full(span + 1, -1, dtype=dense.dtype)  # its last slot: outside the span
+        table[keys - keys[0]] = dense
+        # the difference wraps, so read as unsigned an id below the span
+        # lies above it, like an id past its end
+        index = table[np.minimum((raw - keys[0]).view(np.uint64), span)]
+        return index, index >= 0
     pos = np.searchsorted(keys, raw).clip(max=len(keys) - 1)
     return dense[pos], keys[pos] == raw
 

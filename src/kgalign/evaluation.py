@@ -13,7 +13,9 @@ rows and right to left along its columns. Under all-entities the two
 query sets differ, so each direction has a matrix of its own, counted
 along its rows. Either way the matrix is built in blocks of about
 BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries and
-candidates, and each thread keeps one running count of the columns.
+candidates, and each thread keeps one running count of the columns. A
+block is counted in its own layout, along axis 1 for its rows and along
+axis 0 for its columns, so no count reads a transposed copy.
 """
 from __future__ import annotations
 
@@ -72,23 +74,6 @@ def score(
             raise ValueError(f"attribute embedding shapes differ: {a_l.shape} vs {a_r.shape}")
         total += (1.0 - cfg.beta) * np.abs(a_l - a_r).sum() / a_l.shape[-1]
     return float(-total)
-
-
-def rank_of(query, truth, candidates, scores) -> int:
-    """1-based rank of the truth among candidates sorted by descending
-    score, ties broken by ascending candidate index."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if candidates.shape != scores.shape:
-        raise ValueError("candidates and scores must align")
-    matches = np.flatnonzero(candidates == truth)
-    if matches.size == 0:
-        raise ValueError(f"truth entity {truth} missing from candidate set (query {query})")
-    t = matches[0]
-    s_t = scores[t]
-    better = int(np.count_nonzero(scores > s_t))
-    tied_before = int(np.count_nonzero((scores == s_t) & (candidates < truth)))
-    return better + tied_before + 1
 
 
 @dataclass
@@ -186,19 +171,31 @@ def _distances(emb, attr, rows, cols, cfg):
     return dist
 
 
-def _count(dist, d_t, pos):
-    """Per row of dist, a line of candidate distances whose truth sits at
-    position pos (which may lie outside the line): how many lie below d_t,
-    how many equal it, and how many equal it before pos."""
-    n = dist.shape[1]
-    better = np.count_nonzero(dist < d_t[:, None], axis=1)
-    tied = np.count_nonzero(dist <= d_t[:, None], axis=1) - better
+def _count(dist, d_t, pos, axis):
+    """Per line of dist along axis (its rows for axis 1, its columns for
+    axis 0), the candidate distances of one pair whose truth sits at
+    position pos (which may lie outside the line): how many lie below
+    d_t, how many equal it, and how many equal it before pos. The block
+    is compared in its own layout, the truth distances broadcast across
+    the lines, and the masks are summed as bytes; a line is shorter than
+    2**31."""
+    n = dist.shape[axis]
+
+    def per_line(v):  # a value per line, broadcast along it
+        return np.expand_dims(v, axis)
+
+    def count(mask):
+        return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
+
+    better = count(dist < per_line(d_t))
+    tied = count(dist <= per_line(d_t)) - better
     # every tie of a line lies before a truth past its end; only a line
     # that holds its truth and a tie besides it needs the positions
     before = np.where(pos >= n, tied, 0)
     ties = np.flatnonzero((tied > 1) & (0 <= pos) & (pos < n))
-    before[ties] = np.count_nonzero(
-        (dist[ties] == d_t[ties, None]) & (np.arange(n) < pos[ties, None]), axis=1
+    before[ties] = count(
+        (dist.take(ties, axis=1 - axis) == per_line(d_t[ties]))
+        & (np.expand_dims(np.arange(n), 1 - axis) < per_line(pos[ties]))
     )
     return np.stack([better, tied, before])
 
@@ -246,10 +243,10 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
         s, e = np.searchsorted(pos[0], (lo, hi), sorter=by_row)
         p = by_row[s:e]
         sub = dist if e - s == hi - lo else dist[pos[0][p] - lo]
-        row_counts[:, p] = _count(sub, d_t[p], pos[1][p])
+        row_counts[:, p] = _count(sub, d_t[p], pos[1][p], axis=1)
         if columns:
-            sub = dist.T if n_pairs == dist.shape[1] else dist.T[pos[1][by_column]]
-            column_counts += _count(sub, d_t[by_column], pos[0][by_column] - lo)
+            sub = dist if n_pairs == dist.shape[1] else dist[:, pos[1][by_column]]
+            column_counts += _count(sub, d_t[by_column], pos[0][by_column] - lo, axis=0)
 
     def count_blocks(t):
         # one block at a time: a block's arrays are freed when count_block

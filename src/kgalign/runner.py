@@ -152,7 +152,7 @@ def _save_state(path: Path, state: EmbeddingState, attr_state: EmbeddingState | 
             arrays[f"{prefix}features_right"] = s.features_right
             for i, w in enumerate(s.weights or ()):
                 arrays[f"{prefix}weight_{i}"] = w
-    write_atomic(path, lambda f: np.savez_compressed(f, **arrays))
+    write_atomic(path, lambda f: np.savez(f, **arrays))
 
 
 def load_state(path: Path) -> tuple[EmbeddingState, EmbeddingState | None]:

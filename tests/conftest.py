@@ -38,6 +38,24 @@ def row_l2_normalize(m):
     return m / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
+def rank_of(query, truth, candidates, scores) -> int:
+    """1-based rank of the truth among candidates sorted by descending
+    score, ties broken by ascending candidate index: the ranking rule of
+    evaluation.evaluate, one query at a time, as an oracle."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if candidates.shape != scores.shape:
+        raise ValueError("candidates and scores must align")
+    matches = np.flatnonzero(candidates == truth)
+    if matches.size == 0:
+        raise ValueError(f"truth entity {truth} missing from candidate set (query {query})")
+    t = matches[0]
+    s_t = scores[t]
+    better = int(np.count_nonzero(scores > s_t))
+    tied_before = int(np.count_nonzero((scores == s_t) & (candidates < truth)))
+    return better + tied_before + 1
+
+
 def random_graph(rng, n_entities, n_relations, n_triples):
     triples = np.stack(
         [

@@ -22,7 +22,7 @@ from kgalign.adjacency import (
 )
 from kgalign.datasets import DatasetDescriptor, statistics_for
 from kgalign.encoder import EncoderConfig, backward, forward, init_state
-from kgalign.evaluation import metrics_from_ranks, rank_of
+from kgalign.evaluation import metrics_from_ranks
 from kgalign.presets import ABLATION_CELLS, tuned_hyperparameters
 from kgalign.runner import (
     DEFAULT_GRID_AXES,
@@ -34,7 +34,7 @@ from kgalign.runner import (
 )
 from kgalign.training import margin_rank_loss, sample_negatives
 
-from conftest import ACCEPTANCE_LOG, random_graph, record_run_single, require_golden
+from conftest import ACCEPTANCE_LOG, random_graph, rank_of, record_run_single, require_golden
 
 # --------------------------------------------------------------------------
 

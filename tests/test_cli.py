@@ -209,6 +209,22 @@ def test_evaluate_reproduces_report_test_block(tmp_path, capsys):
     assert written == report["test"]
 
 
+@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
+def test_evaluate_reads_a_compressed_state_alike(tmp_path, capsys, policy):
+    # run directories written before state.npz was stored hold a
+    # np.savez_compressed archive of the same arrays
+    run_dir = _train_toy(tmp_path, capsys)
+    out = run_dir / f"evaluation-{policy}-test.json"
+    assert main(["evaluate", str(run_dir), "--policy", policy]) == 0
+    written = out.read_bytes()
+    out.unlink()
+    with np.load(run_dir / "state.npz") as data:
+        arrays = dict(data)
+    np.savez_compressed(run_dir / "state.npz", **arrays)
+    assert main(["evaluate", str(run_dir), "--policy", policy]) == 0
+    assert out.read_bytes() == written
+
+
 def test_evaluate_hint_names_new_run_directory_for_stateless_run(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgalign import datasets
 from kgalign.datasets import (
     DatasetDescriptor,
     build_attribute_tables,
@@ -216,6 +217,45 @@ def test_load_bad_id_names_file_and_line(jape_style_dir, name, text, message):
     (jape_style_dir / name).write_text(text, encoding="utf-8")
     with pytest.raises(DataFormatError, match=message):
         load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
+
+
+def _searched(id_map, raw):
+    """The binary search formula of an id lookup, as an oracle."""
+    keys, dense = id_map
+    pos = np.searchsorted(keys, raw).clip(max=len(keys) - 1)
+    return dense[pos], keys[pos] == raw
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize(
+    "ids, raw, table",
+    [
+        ([7, 3, 12, 4, 9], [3, 12, 9, 4, 7, 2, 1, 5, 13, _INT64.min, _INT64.max, 8], True),
+        ([-5, 0, -9, 2, -1], [-9, -5, 2, -1, 0, -10, -11, -4, 3, _INT64.min], True),
+        ([0, 15, 5, 10], [15, 0, 10, 5, 16, -1, 1, 14], True),
+        ([0, 16, 5, 10], [16, 0, 10, 5, 17, -1, 1, 15], False),
+        ([_INT64.max, 0, _INT64.min], [0, _INT64.min, _INT64.max, 1, -1], False),
+        ([3, 1, 2], np.array([2, 2**70, 1, -2**70, 4], dtype=object), False),
+        (np.array([3, 2**70, 1], dtype=object), [2**70, 1, 3, 2, 2**71], False),
+    ],
+    ids=["gaps-unsorted-unknown-below-inside-above", "negative-ids", "span-at-table-bound",
+         "span-past-table-bound", "int64-extremes", "ids-beyond-int64", "keys-beyond-int64"],
+)
+def test_lookup_matches_binary_search(monkeypatch, ids, raw, table):
+    # the id map as _load_id_map builds it, from raw ids in file order
+    ids = np.asarray(ids)
+    dense = np.argsort(ids, kind="stable")
+    id_map, raw = (ids[dense], dense), np.asarray(raw)
+    want_index, want_known = _searched(id_map, raw)
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(a) or search(*a, **k))
+    index, known = datasets._lookup(id_map, raw)
+    assert known.tolist() == want_known.tolist()
+    assert index[known].tolist() == want_index[want_known].tolist()
+    assert not searches if table else searches
 
 
 @pytest.mark.parametrize("family, name", [

@@ -14,10 +14,11 @@ from kgalign.evaluation import (
     ScoreConfig,
     evaluate,
     metrics_from_ranks,
-    rank_of,
     score,
 )
 from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role, validate_pair
+
+from conftest import rank_of
 
 
 def test_score_identical_embeddings_is_zero():

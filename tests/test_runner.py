@@ -2,6 +2,7 @@ import gc
 import json
 import shutil
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,27 @@ def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
         assert (after.weights is None) == (before.weights is None)
         for a, b in zip(before.parameters(), after.parameters(), strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_state_archive_is_stored_and_a_compressed_one_loads_alike(tmp_path):
+    # deflating float embeddings saves a few percent of the bytes at many
+    # times the time, so state.npz is stored; the compressed archives of
+    # older run directories still load to the same bits
+    rng = np.random.default_rng(0)
+    saved = EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4)),
+                           [rng.normal(size=(4, 4)) for _ in range(2)])
+    attr = EmbeddingState(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))
+    stored, compressed = tmp_path / "stored.npz", tmp_path / "compressed.npz"
+    _save_state(stored, saved, attr)
+    with np.load(stored) as data:
+        np.savez_compressed(compressed, **data)
+    for path, kind in ((stored, zipfile.ZIP_STORED), (compressed, zipfile.ZIP_DEFLATED)):
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {kind}
+    (a, a_attr), (b, b_attr) = (load_state(path) for path in (stored, compressed))
+    for x, y in zip([*a.parameters(), *a_attr.parameters()],
+                    [*b.parameters(), *b_attr.parameters()], strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_load_state_closes_a_truncated_archive(tmp_path):
