@@ -25,13 +25,11 @@ class RelationWeights:
 
     fun[r] is the number of distinct head entities of r divided by the
     number of triples containing r; ifun[r] is the same with distinct
-    tails. When clamping is enabled both are floored at clamp_floor.
+    tails.
     """
 
     fun: np.ndarray
     ifun: np.ndarray
-    clamp_floor: float = 0.3
-    clamped: bool = False
 
     def __post_init__(self):
         for name in ("fun", "ifun"):
@@ -60,7 +58,8 @@ class AdjacencyConfig:
 def compute_functionality(
     g: KnowledgeGraph, clamp: bool = False, clamp_floor: float = 0.3
 ) -> RelationWeights:
-    """Per-relation functionality and inverse functionality scores.
+    """Per-relation functionality and inverse functionality scores,
+    both floored at clamp_floor when clamp is set.
 
     Every relation in the vocabulary must occur in at least one triple.
     """
@@ -82,7 +81,7 @@ def compute_functionality(
     if clamp:
         fun = np.maximum(fun, clamp_floor)
         ifun = np.maximum(ifun, clamp_floor)
-    return RelationWeights(fun=fun, ifun=ifun, clamp_floor=clamp_floor, clamped=clamp)
+    return RelationWeights(fun=fun, ifun=ifun)
 
 
 def build_adjacency_unnormalized(

@@ -3,8 +3,9 @@
 One `dotted.key = value` assignment per line; '#' starts a comment.
 Keys mirror the RunConfig field tree (dataset.family, encoder.dim,
 training.learning_rate, ...). Values are parsed as bool/int/float when
-they look like one, strings otherwise; comma-separated lists are only
-legal for grid axes and ablation dataset lists.
+they look like one, strings otherwise; a field typed str or Path takes
+the value's text as written. Comma-separated lists are only legal for
+grid axes and ablation dataset lists.
 
 The flat form of a config dataclass tree is derived from its fields:
 a field's key is `section.field`, and each value is coerced to the
@@ -40,9 +41,15 @@ def parse_scalar(token: str):
     return t
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Flat dict of dotted key -> scalar (or list for grid./ablate. keys)."""
-    out: dict = {}
+class ParsedConfig(dict):
+    """A flat dict of dotted key -> scalar (or list for grid./ablate.
+    keys); its .text keeps each scalar's text as written."""
+
+
+def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
+    """The ParsedConfig of a config file's text."""
+    out = ParsedConfig()
+    out.text = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,10 +67,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             out[key] = [parse_scalar(v) for v in value.split(",")]
         else:
             out[key] = parse_scalar(value)
+            out.text[key] = value
     return out
 
 
-def read_config_file(path: Path) -> dict:
+def read_config_file(path: Path) -> ParsedConfig:
     """parse_config_text of a file; a missing file is a ConfigError."""
     path = Path(path)
     try:
@@ -138,14 +146,16 @@ def config_to_flat(cfg, prefix: str = "") -> dict:
     return flat
 
 
-def _from_flat(cls, flat: dict, prefix: str, source: str):
+def _from_flat(cls, flat: dict, prefix: str, source: str, text: dict):
     kwargs = {}
     for f, key, tp, nested in _flat_fields(cls):
         key = prefix + key
         if nested:
-            kwargs[f.name] = _from_flat(tp, flat, key + ".", source)
+            kwargs[f.name] = _from_flat(tp, flat, key + ".", source, text)
         elif key in flat:
             value = flat.pop(key)
+            if key in text and set(typing.get_args(tp) or [tp]) <= {str, Path, type(None)}:
+                value = text[key]  # a text field: no int, float or bool of it
             try:
                 kwargs[f.name] = _coerce(value, tp)
             except TypeError:
@@ -162,9 +172,10 @@ def _from_flat(cls, flat: dict, prefix: str, source: str):
 
 def config_from_flat(cls, flat: dict, source: str = "<config>"):
     """Config dataclass tree cls from its flat form; absent keys take the
-    field defaults. grid.* and ablate.* keys are left to their commands."""
+    field defaults. grid.* and ablate.* keys are left to their commands.
+    A field typed str or Path takes the text of a ParsedConfig value."""
     rest = dict(flat)
-    cfg = _from_flat(cls, rest, "", source)
+    cfg = _from_flat(cls, rest, "", source, getattr(flat, "text", {}))
     unknown = [k for k in rest if not k.startswith(("grid.", "ablate."))]
     if unknown:
         raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")

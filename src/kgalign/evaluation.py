@@ -48,34 +48,6 @@ class ScoreConfig:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
 
 
-def score(
-    s_l: np.ndarray,
-    s_r: np.ndarray,
-    cfg: ScoreConfig,
-    a_l: np.ndarray | None = None,
-    a_r: np.ndarray | None = None,
-) -> float:
-    """Similarity of one candidate pair; higher is better.
-
-    Negated blend of the per-dimension-normalized L1 distances of the
-    structure embeddings and (when beta < 1) the attribute embeddings.
-    """
-    s_l = np.asarray(s_l, dtype=np.float64)
-    s_r = np.asarray(s_r, dtype=np.float64)
-    if s_l.shape != s_r.shape:
-        raise ValueError(f"embedding shapes differ: {s_l.shape} vs {s_r.shape}")
-    total = cfg.beta * np.abs(s_l - s_r).sum() / s_l.shape[-1]
-    if cfg.beta < 1.0:
-        if a_l is None or a_r is None:
-            raise ConfigError("beta < 1 requires attribute embeddings")
-        a_l = np.asarray(a_l, dtype=np.float64)
-        a_r = np.asarray(a_r, dtype=np.float64)
-        if a_l.shape != a_r.shape:
-            raise ValueError(f"attribute embedding shapes differ: {a_l.shape} vs {a_r.shape}")
-        total += (1.0 - cfg.beta) * np.abs(a_l - a_r).sum() / a_l.shape[-1]
-    return float(-total)
-
-
 @dataclass
 class DirectionMetrics:
     hits_at: dict[int, float]  # k -> percentage in [0, 100]

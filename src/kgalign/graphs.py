@@ -49,11 +49,6 @@ class KnowledgeGraph:
     def triple_count(self) -> int:
         return self.triples.shape[0]
 
-    def entity_label(self, index: int) -> str:
-        if self.entity_labels and index in self.entity_labels:
-            return self.entity_labels[index]
-        return str(index)
-
 
 @dataclass(frozen=True, eq=False)
 class AlignmentSet:

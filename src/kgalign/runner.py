@@ -486,18 +486,14 @@ def _jobs(configs: list[RunConfig]) -> list[list[int]]:
 
 def _run_job(job: list[RunConfig], runs_root: Path) -> list:
     """The outcomes of a job's runs, in its order. A run continues the
-    trajectory its shorter sibling left, unless that sibling failed or
-    was served from its report; the last trajectory ends with the job.
+    last trajectory a shorter sibling left whole: a sibling served from
+    its report leaves none, and one that raises while training takes its
+    trajectory with it. The last trajectory ends with the job.
     """
     global _carried
     _carried = {} if len(job) > 1 else None
     try:
-        outcomes = []
-        for cfg in job:
-            outcomes.append(_outcome(cfg, runs_root))
-            if _carried and (not isinstance(outcomes[-1], RunResult) or outcomes[-1].resumed):
-                _carried.clear()
-        return outcomes
+        return [_outcome(cfg, runs_root) for cfg in job]
     finally:
         _carried = None
 

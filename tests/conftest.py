@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgalign.errors import ConfigError
 from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role
 
 # One (criterion number, status, detail) entry per acceptance criterion,
@@ -54,6 +55,28 @@ def rank_of(query, truth, candidates, scores) -> int:
     better = int(np.count_nonzero(scores > s_t))
     tied_before = int(np.count_nonzero((scores == s_t) & (candidates < truth)))
     return better + tied_before + 1
+
+
+def score(s_l, s_r, cfg, a_l=None, a_r=None) -> float:
+    """Similarity of one candidate pair, higher is better: the negated
+    blend of the per-dimension-normalized L1 distances of the structure
+    embeddings and (when cfg.beta < 1) the attribute embeddings. The
+    scoring rule of evaluation.evaluate, one pair at a time, as an
+    oracle."""
+    s_l = np.asarray(s_l, dtype=np.float64)
+    s_r = np.asarray(s_r, dtype=np.float64)
+    if s_l.shape != s_r.shape:
+        raise ValueError(f"embedding shapes differ: {s_l.shape} vs {s_r.shape}")
+    total = cfg.beta * np.abs(s_l - s_r).sum() / s_l.shape[-1]
+    if cfg.beta < 1.0:
+        if a_l is None or a_r is None:
+            raise ConfigError("beta < 1 requires attribute embeddings")
+        a_l = np.asarray(a_l, dtype=np.float64)
+        a_r = np.asarray(a_r, dtype=np.float64)
+        if a_l.shape != a_r.shape:
+            raise ValueError(f"attribute embedding shapes differ: {a_l.shape} vs {a_r.shape}")
+        total += (1.0 - cfg.beta) * np.abs(a_l - a_r).sum() / a_l.shape[-1]
+    return float(-total)
 
 
 def random_graph(rng, n_entities, n_relations, n_triples):

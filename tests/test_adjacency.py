@@ -33,7 +33,6 @@ def test_functionality_clamp_floor():
     assert raw.fun[0] == pytest.approx(0.1)
     clamped = compute_functionality(g, clamp=True)
     assert clamped.fun[0] == pytest.approx(0.3)
-    assert clamped.clamped
 
 
 def test_functionality_zero_triple_relation_errors():

@@ -225,6 +225,32 @@ def test_evaluate_reads_a_compressed_state_alike(tmp_path, capsys, policy):
     assert out.read_bytes() == written
 
 
+@pytest.mark.parametrize("root", ["2024", "007", "1e3", "nan", "inf", "true"])
+def test_dataset_root_is_taken_as_written(tmp_path, monkeypatch, capsys, root):
+    # each of these once parsed into a number or a boolean and was
+    # rejected as no path
+    monkeypatch.chdir(tmp_path)
+    jape_chain(tmp_path / root, 6)
+    config = tmp_path / "jape.cfg"
+    config.write_text(
+        "dataset.family = dbp15k-jape\n"
+        "dataset.subset = zh-en\n"
+        f"dataset.root = {root}\n"
+        "encoder.dim = 8\n"
+        "training.n_negatives = 2\n"
+        "training.n_epochs = 3\n",
+        encoding="utf-8",
+    )
+    assert main(["train", str(config), "--runs-root", "runs"]) == 0
+    capsys.readouterr()
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert f"dataset.root = {root}\n" in (run_dir / "config.txt").read_text()
+    assert main(["evaluate", str(run_dir)]) == 0
+    capsys.readouterr()
+    written = json.loads((run_dir / "evaluation-test-only-test.json").read_text())
+    assert written == json.loads((run_dir / "report.json").read_text())["test"]
+
+
 def test_evaluate_hint_names_new_run_directory_for_stateless_run(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")

@@ -9,16 +9,10 @@ from scipy.spatial.distance import cdist
 
 from kgalign import evaluation, parallel
 from kgalign.errors import ConfigError
-from kgalign.evaluation import (
-    MetricsReport,
-    ScoreConfig,
-    evaluate,
-    metrics_from_ranks,
-    score,
-)
+from kgalign.evaluation import MetricsReport, ScoreConfig, evaluate, metrics_from_ranks
 from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role, validate_pair
 
-from conftest import rank_of
+from conftest import rank_of, score
 
 
 def test_score_identical_embeddings_is_zero():

@@ -84,12 +84,6 @@ def test_require_valid_raises_with_detail():
         require_valid(GraphPair(left, right, align))
 
 
-def test_entity_label_fallback():
-    g = KnowledgeGraph(2, 1, [(0, 0, 1)], entity_labels={0: "zero"})
-    assert g.entity_label(0) == "zero"
-    assert g.entity_label(1) == "1"
-
-
 @pytest.mark.parametrize(
     "roles",
     [np.array(["train", "test"]), ["train", "test"], [Role.TRAIN, Role.TEST],

@@ -949,6 +949,38 @@ def test_a_sibling_failing_mid_trajectory_fails_as_alone(tmp_path, monkeypatch):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
+def test_a_sibling_failing_after_training_hands_on_its_trajectory(tmp_path, monkeypatch):
+    import kgalign.runner as runner
+    from kgalign import training
+    from kgalign.errors import NumericError
+
+    n_epochs = []
+    real_prepare, real_evaluate = runner.prepare_run, runner.evaluate
+
+    def failing_after_3_epochs(*args, **kwargs):
+        if n_epochs[-1] == 3:
+            raise NumericError("evaluation failed after 3 epochs")
+        return real_evaluate(*args, **kwargs)
+
+    epochs = []
+    real_sample = training.sample_negatives
+    monkeypatch.setattr(runner, "prepare_run",
+                        lambda cfg: n_epochs.append(cfg.training.n_epochs) or real_prepare(cfg))
+    monkeypatch.setattr(runner, "evaluate", failing_after_3_epochs)
+    monkeypatch.setattr(training, "sample_negatives",
+                        lambda *args: epochs.append(1) or real_sample(*args))
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    axes = {"training.n_epochs": [0, 1, 3, 5]}
+    shared = run_grid(base, tmp_path / "shared", axes=axes)
+    # the 3-epoch run fails with its trajectory whole, so the 5-epoch run
+    # continues it: each job trains 5 epochs, not 1 + 2 + 5
+    assert len(epochs) == 4 * 5
+    _alone(monkeypatch)
+    alone = run_grid(base, tmp_path / "alone", axes=axes)
+    assert shared.n_failures == alone.n_failures == 4
+    assert _files(tmp_path / "shared") == _files(tmp_path / "alone")
+
+
 def _report_stamps(root: Path) -> dict:
     return {p.parent.name: (p.stat().st_mtime_ns, p.read_bytes())
             for p in root.glob("*/report.json")}
@@ -957,8 +989,9 @@ def _report_stamps(root: Path) -> dict:
 @pytest.mark.parametrize("deleted, trained", [
     # its siblings are served from their reports, so it trains from epoch 0
     ((5,), 5),
-    # a run served from its report hands nothing on: 1 epoch, then 5 from 0
-    ((1, 5), 1 + 5),
+    # the run of 1 epoch hands its trajectory past the resumed run of 3
+    # to the run of 5, which trains the 4 epochs left
+    ((1, 5), 5),
 ])
 def test_deleted_reports_recompute_only_their_runs(tmp_path, monkeypatch, deleted, trained):
     from kgalign import training
