@@ -156,9 +156,11 @@ def _ablation_datasets(base: RunConfig, tokens: list, source: str) -> list[Datas
         family_root = root.parent.parent
     descriptors = []
     for token in tokens:
-        family, _, subset = str(token).partition(":")
+        family, _, subset = token.partition(":")
         if not subset:
-            raise ConfigError(f"ablate.datasets entries look like family:subset, got {token!r}")
+            raise ConfigError(
+                f"{source}: ablate.datasets entries look like family:subset, got {token!r}"
+            )
         desc = DatasetDescriptor(family=family, subset=subset)
         if desc.key() == own.key():
             desc = own

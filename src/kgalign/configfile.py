@@ -2,10 +2,11 @@
 
 One `dotted.key = value` assignment per line; '#' starts a comment.
 Keys mirror the RunConfig field tree (dataset.family, encoder.dim,
-training.learning_rate, ...). Values are parsed as bool/int/float when
-they look like one, strings otherwise; a field typed str or Path takes
-the value's text as written. Comma-separated lists are only legal for
-grid axes and ablation dataset lists.
+training.learning_rate, ...). A value is kept as written and typed by
+the field it sets: true/false for a bool, an integral number for an
+int, any number for a float, the text itself for a str or Path. Only
+the command keys take comma-separated lists: grid.<key> (the values
+of one grid axis, each typed as <key> types it) and ablate.datasets.
 
 The flat form of a config dataclass tree is derived from its fields:
 a field's key is `section.field`, and each value is coerced to the
@@ -25,31 +26,11 @@ from .errors import ConfigError
 FLAT_KEY = "flat_key"
 
 
-def parse_scalar(token: str):
-    t = token.strip()
-    low = t.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
-
-
-class ParsedConfig(dict):
-    """A flat dict of dotted key -> scalar (or list for grid./ablate.
-    keys); its .text keeps each scalar's text as written."""
-
-
-def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
-    """The ParsedConfig of a config file's text."""
-    out = ParsedConfig()
-    out.text = {}
+def parse_config_text(text: str, source: str = "<config>") -> dict:
+    """A config file's text as a flat dict of dotted key -> value text;
+    a grid.* or ablate.datasets value is the list of its comma-separated
+    texts."""
+    out = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,14 +45,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ParsedConfig:
         if key in out:
             raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
         if key.startswith("grid.") or key == "ablate.datasets":
-            out[key] = [parse_scalar(v) for v in value.split(",")]
+            out[key] = [v.strip() for v in value.split(",")]
         else:
-            out[key] = parse_scalar(value)
-            out.text[key] = value
+            out[key] = value
     return out
 
 
-def read_config_file(path: Path) -> ParsedConfig:
+def read_config_file(path: Path) -> dict:
     """parse_config_text of a file; a missing file is a ConfigError."""
     path = Path(path)
     try:
@@ -107,19 +87,33 @@ def _flat_fields(cls) -> tuple[tuple, ...]:
     )
 
 
+# cached, since a grid's configs repeat their values; typed, since 1, 1.0
+# and True are equal keys that coerce apart (a float field rejects True)
+@functools.lru_cache(maxsize=4096, typed=True)
 def _coerce(value, tp):
     """value as an instance of the annotated type tp; TypeError if it is not one.
 
-    Booleans match only bool; ints take integral numbers; floats take
-    any number; a union takes the first of its types that matches.
+    Text (a str) is read as tp: true or false in any case for a bool, a
+    number for an int or a float, the text as written for a str or Path.
+    Booleans match only bool; ints take integral numbers; floats take any
+    number. A union takes the first of its types that matches, trying str
+    and Path last, so text that is a number is one.
     """
     if isinstance(tp, types.UnionType):
-        for arm in tp.__args__:
+        for arm in sorted(tp.__args__, key=lambda arm: arm in (str, Path)):
             try:
                 return _coerce(value, arm)
             except TypeError:
                 pass
         raise TypeError
+    if isinstance(value, str) and tp is bool and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    if isinstance(value, str) and tp in (int, float):
+        for number in (int, float):
+            try:
+                return _coerce(number(value), tp)
+            except ValueError:
+                pass
     if isinstance(value, bool) != (tp is bool):
         raise TypeError
     if tp is int and isinstance(value, float) and value.is_integer():
@@ -146,16 +140,14 @@ def config_to_flat(cfg, prefix: str = "") -> dict:
     return flat
 
 
-def _from_flat(cls, flat: dict, prefix: str, source: str, text: dict):
+def _from_flat(cls, flat: dict, prefix: str, source: str):
     kwargs = {}
     for f, key, tp, nested in _flat_fields(cls):
         key = prefix + key
         if nested:
-            kwargs[f.name] = _from_flat(tp, flat, key + ".", source, text)
+            kwargs[f.name] = _from_flat(tp, flat, key + ".", source)
         elif key in flat:
             value = flat.pop(key)
-            if key in text and set(typing.get_args(tp) or [tp]) <= {str, Path, type(None)}:
-                value = text[key]  # a text field: no int, float or bool of it
             try:
                 kwargs[f.name] = _coerce(value, tp)
             except TypeError:
@@ -172,11 +164,21 @@ def _from_flat(cls, flat: dict, prefix: str, source: str, text: dict):
 
 def config_from_flat(cls, flat: dict, source: str = "<config>"):
     """Config dataclass tree cls from its flat form; absent keys take the
-    field defaults. grid.* and ablate.* keys are left to their commands.
-    A field typed str or Path takes the text of a ParsedConfig value."""
+    field defaults. The command keys, grid.<key> (a list of values for
+    key) and ablate.datasets, are left to their commands, but each grid
+    value must give a valid config as the value of key."""
     rest = dict(flat)
-    cfg = _from_flat(cls, rest, "", source, getattr(flat, "text", {}))
-    unknown = [k for k in rest if not k.startswith(("grid.", "ablate."))]
-    if unknown:
-        raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
+    cfg = _from_flat(cls, rest, "", source)
+    rest.pop("ablate.datasets", None)
+    for axis in [key for key in rest if key.startswith("grid.")]:
+        key = axis[len("grid."):]
+        for value in rest[axis]:
+            probe = {**flat, key: value}
+            _from_flat(cls, probe, "", source)
+            if key in probe:  # the axis names no field: an unknown key
+                break
+        else:
+            del rest[axis]
+    if rest:
+        raise ConfigError(f"{source}: unknown config keys {sorted(rest)}")
     return cfg

@@ -87,9 +87,6 @@ class EmbeddingState:
             params.extend(self.weights)
         return params
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
     """Fresh trainable state, fully determined by cfg.seed.

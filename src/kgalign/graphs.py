@@ -95,10 +95,6 @@ class AlignmentSet:
     def validation_pairs(self) -> np.ndarray:
         return self.by_role(Role.VALIDATION)
 
-    @property
-    def test_pairs(self) -> np.ndarray:
-        return self.by_role(Role.TEST)
-
 
 @dataclass(frozen=True, eq=False)
 class AttributeTable:

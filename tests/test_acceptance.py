@@ -157,7 +157,7 @@ def test_criterion_3_weightless_parameter_count():
     for n_l, n_r, d in ((9, 11, 16), (3, 5, 200), (100, 1, 7)):
         state = init_state(EncoderConfig(dim=d, use_weights=False), n_l, n_r)
         ok = ok and state.weights is None
-        ok = ok and state.parameter_count() == (n_l + n_r) * d
+        ok = ok and sum(p.size for p in state.parameters()) == (n_l + n_r) * d
     _check(3, ok, "weightless encoder trains exactly (n_left + n_right) * dim scalars")
 
 

@@ -312,12 +312,12 @@ def test_evaluate_unreadable_state_exits_2_naming_it(tmp_path, capsys, damage):
     assert str(run_dir / "state.npz") in err["message"]
 
 
-def _grid_config(tmp_path):
+def _grid_config(tmp_path, axis="grid.training.n_epochs = 10, 40"):
     config = tmp_path / "grid.cfg"
     config.write_text(
         TOY_CONFIG
         + "train_fraction = 0.5\nval_fraction = 0.5\n"
-        + "grid.training.n_epochs = 10, 40\n",
+        + axis + "\n",
         encoding="utf-8",
     )
     return config
@@ -332,6 +332,21 @@ def test_grid_command(tmp_path, capsys):
     assert (runs / "grid_best.json").is_file()
 
 
+def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
+    # these roots once parsed into numbers and exited 2; the toy dataset
+    # reads no root
+    runs = tmp_path / "runs"
+    config = _grid_config(tmp_path, "grid.dataset.root = 2024, 2025")
+    assert main(["grid", str(config), "--runs-root", str(runs)]) == 0
+    assert "8 runs, 0 failures" in capsys.readouterr().out
+    roots = [
+        line for run_dir in runs.iterdir() if run_dir.is_dir()
+        for line in (run_dir / "config.txt").read_text().splitlines()
+        if line.startswith("dataset.root ")
+    ]
+    assert sorted(roots) == ["dataset.root = 2024"] * 4 + ["dataset.root = 2025"] * 4
+
+
 @pytest.mark.parametrize(
     "axis, flags, complaint",
     [
@@ -339,8 +354,12 @@ def test_grid_command(tmp_path, capsys):
         ("grid.training.learning_rate = 1, 1.0\n", [], "repeats a value"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "-4"], "workers must be at least 1"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "0"], "workers must be at least 1"),
+        ("grid.encoder.dim = 16.9, 32\n", [], "{config}: encoder.dim must be int, got '16.9'"),
+        ("grid.training.margin = 3, nan\n", [], "{config}: margin must be non-negative"),
+        ("grid.typo = 1, 2\n", [], "{config}: unknown config keys ['grid.typo']"),
     ],
-    ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers"],
+    ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
+         "out-of-range-axis", "unknown-axis"],
 )
 def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     tmp_path, capsys, axis, flags, complaint
@@ -351,7 +370,7 @@ def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     runs = tmp_path / "runs"
     assert main(["grid", str(config), "--runs-root", str(runs), *flags]) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"] == "config" and complaint in err["message"]
+    assert err["error"] == "config" and complaint.format(config=config) in err["message"]
     assert not runs.exists()
 
 
@@ -411,13 +430,18 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
 @pytest.mark.parametrize("extra, argv, message", [
     ("", ["--seeds", "0"], "n_seeds must be at least 1"),
     ("evaluate_test = false\n", [], "ablation runs must evaluate the test split"),
-], ids=["no-seeds", "no-test-split"])
+    # a typo of ablate.datasets once tabulated the base dataset alone
+    ("ablate.dataset = toy:cycle-8-4, toy:cycle-10-5\n", [],
+     "{config}: unknown config keys ['ablate.dataset']"),
+], ids=["no-seeds", "no-test-split", "unknown-ablate-key"])
 def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
     config = tmp_path / "ablate.cfg"
     config.write_text(TOY_CONFIG + extra, encoding="utf-8")
     runs = tmp_path / "runs"
     assert main(["ablate", str(config), "--runs-root", str(runs), *argv]) == 2
-    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": message.format(config=config)
+    }
     assert not runs.exists()
 
 

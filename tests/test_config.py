@@ -1,5 +1,6 @@
 """The flat run-config form: typed coercion and pinned run hashes."""
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,9 +31,11 @@ MALFORMED = [
 
 @pytest.mark.parametrize("key, token", MALFORMED)
 def test_malformed_value_rejected_naming_its_key(key, token):
-    flat = parse_config_text(TOY_DATASET + f"{key} = {token}\n")
-    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        RunConfig.from_flat(flat)
+    # a grid axis value is typed as its key's own value, naming the file
+    for line in (f"{key} = {token}", f"grid.{key} = {token}"):
+        flat = parse_config_text(TOY_DATASET + line + "\n")
+        with pytest.raises(ConfigError, match=rf"^bad\.cfg: {re.escape(key)} must be "):
+            RunConfig.from_flat(flat, source="bad.cfg")
 
 
 def test_typed_values_accepted():
@@ -47,6 +50,9 @@ def test_typed_values_accepted():
     assert cfg.encoder.init == 1.0 and isinstance(cfg.encoder.init, float)
     assert cfg.to_flat()["attribute_margin"] == 2.0
     assert "dataset.root" not in cfg.to_flat()
+    flat = parse_config_text(TOY_DATASET + "grid.encoder.init = 1, unit\n")
+    grid = enumerate_grid(RunConfig.from_flat(flat), {"encoder.init": flat["grid.encoder.init"]})
+    assert {(type(c.encoder.init), c.encoder.init) for c in grid} == {(float, 1.0), (str, "unit")}
 
 
 def test_encoder_init_derives_the_std():

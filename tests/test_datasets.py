@@ -50,7 +50,7 @@ def test_load_jape_style(jape_style_dir):
     assert pair.left.entity_labels[0] == "e:a"
     # shipped split honored
     assert pair.alignment.train_pairs.tolist() == [[0, 0], [1, 1]]
-    assert pair.alignment.test_pairs.tolist() == [[2, 2], [3, 3]]
+    assert pair.alignment.by_role(Role.TEST).tolist() == [[2, 2], [3, 3]]
 
 
 def test_load_missing_file_errors(jape_style_dir):
@@ -180,7 +180,7 @@ def test_load_dwy100k_shipped_split(jape_style_dir):
     pair = load(DatasetDescriptor("dwy100k", "wd", root_path=jape_style_dir))
     assert validate_pair(pair) == []
     assert pair.alignment.train_pairs.tolist() == [[0, 0], [1, 1]]
-    assert pair.alignment.test_pairs.tolist() == [[2, 2], [3, 3]]
+    assert pair.alignment.by_role(Role.TEST).tolist() == [[2, 2], [3, 3]]
 
 
 @pytest.mark.parametrize(
@@ -442,7 +442,7 @@ def test_split_two_stage_arithmetic():
     out = split(_alignment(100), train_fraction=0.3, val_fraction_of_train=0.2, seed=0)
     assert len(out.train_pairs) == 24
     assert len(out.validation_pairs) == 6
-    assert len(out.test_pairs) == 70
+    assert len(out.by_role(Role.TEST)) == 70
 
 
 def test_split_deterministic():
@@ -471,11 +471,11 @@ def test_split_empty_alignment_errors():
 def test_split_respects_official_test_set():
     out = split(_alignment(100, with_test=70), val_fraction_of_train=0.2, seed=1)
     # official test untouched; the 30 shipped train pairs re-partition 24/6
-    assert len(out.test_pairs) == 70
+    assert len(out.by_role(Role.TEST)) == 70
     assert len(out.train_pairs) == 24
     assert len(out.validation_pairs) == 6
-    original_test = _alignment(100, with_test=70).test_pairs
-    assert np.array_equal(np.sort(out.test_pairs[:, 0]), np.sort(original_test[:, 0]))
+    original_test = _alignment(100, with_test=70).by_role(Role.TEST)
+    assert np.array_equal(np.sort(out.by_role(Role.TEST)[:, 0]), np.sort(original_test[:, 0]))
 
 
 def test_statistics_counts(jape_style_dir):
@@ -529,7 +529,7 @@ def test_toy_cycle_pair_structure():
     assert validate_pair(pair) == []
     assert pair.left.triple_count == 8
     assert len(pair.alignment.train_pairs) == 4
-    assert len(pair.alignment.test_pairs) == 4
+    assert len(pair.alignment.by_role(Role.TEST)) == 4
 
 
 def test_toy_descriptor_loads():

@@ -59,7 +59,7 @@ def test_weightless_parameter_count():
     cfg = EncoderConfig(dim=16, use_weights=False)
     state = init_state(cfg, 9, 11)
     assert state.weights is None
-    assert state.parameter_count() == (9 + 11) * 16
+    assert sum(p.size for p in state.parameters()) == (9 + 11) * 16
 
 
 def test_single_node_identity_propagation():

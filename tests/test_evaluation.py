@@ -193,7 +193,7 @@ def test_report_json_roundtrip_and_text():
 def test_evaluate_matches_rank_of_per_query():
     pair, emb_l, emb_r = _pair_with_embeddings(n=9, n_test=5, seed=8)
     report = evaluate(emb_l, emb_r, pair, ScoreConfig(), policy="test-only")
-    test_pairs = pair.alignment.test_pairs
+    test_pairs = pair.alignment.by_role(Role.TEST)
     candidates = np.unique(test_pairs[:, 1])
     ranks = []
     for l, r in test_pairs:
@@ -217,7 +217,7 @@ def test_evaluate_blended_matches_per_query_scores():
         emb_l, emb_r, pair, cfg,
         attr_emb_left=attr_l, attr_emb_right=attr_r,
     )
-    test_pairs = pair.alignment.test_pairs
+    test_pairs = pair.alignment.by_role(Role.TEST)
     candidates = np.unique(test_pairs[:, 1])
     ranks = []
     for l, r in test_pairs:
@@ -269,7 +269,7 @@ def _oracle_direction(queries, truths, candidates, emb_q, emb_c, attr_q, attr_c,
 
 
 def _assert_matches_oracle(report, pair, emb, attr, cfg, policy):
-    test_pairs = pair.alignment.test_pairs
+    test_pairs = pair.alignment.by_role(Role.TEST)
     (emb_l, emb_r), (attr_l, attr_r) = emb, attr
     for name, q_col, t_col, embs, attrs, n_cand in (
         ("left_to_right", 0, 1, (emb_l, emb_r), (attr_l, attr_r), pair.right.entity_count),
@@ -300,7 +300,7 @@ def _assert_matches_oracle(report, pair, emb, attr, cfg, policy):
 @pytest.mark.parametrize("policy", ["test-only", "all-entities"])
 def test_evaluate_across_blocks_matches_oracle(beta, policy):
     pair, emb, attr = _tied_pair()
-    assert len(pair.alignment.test_pairs) > evaluation.BLOCK_ELEMENTS // pair.right.entity_count
+    assert len(pair.alignment.by_role(Role.TEST)) > evaluation.BLOCK_ELEMENTS // pair.right.entity_count
     cfg = ScoreConfig(beta=beta)
     report = evaluate(
         *emb, pair, cfg, policy=policy,
@@ -413,7 +413,7 @@ def test_evaluate_float_data_matches_full_row_reference():
         *emb, pair, ScoreConfig(beta=beta),
         attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
     )
-    test_pairs = pair.alignment.test_pairs
+    test_pairs = pair.alignment.by_role(Role.TEST)
     for name, q, c in (("left_to_right", 0, 1), ("right_to_left", 1, 0)):
         candidates = np.unique(test_pairs[:, c])
         ranks, optimistic, pessimistic = _full_row_ranks(
@@ -457,7 +457,7 @@ def _extra_thrice(test, train):
 
 
 def _with_extra_test_pairs(pair, extra_pairs):
-    test, train = pair.alignment.test_pairs, pair.alignment.train_pairs
+    test, train = pair.alignment.by_role(Role.TEST), pair.alignment.train_pairs
     extra = extra_pairs(test, train)
     alignment = AlignmentSet(
         np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]

@@ -77,8 +77,8 @@ def test_configfile_parse_errors():
         parse_config_text("just a line")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("a.b = 1\na.b = 2")
-    parsed = parse_config_text("x = 2  # comment\n# full comment\n\ny = true")
-    assert parsed == {"x": 2, "y": True}
+    parsed = parse_config_text("x = 2  # comment\n# full comment\n\ny = true\ngrid.z = 1,  b ")
+    assert parsed == {"x": "2", "y": "true", "grid.z": ["1", "b"]}  # typed by the fields they set
 
 
 def test_format_config_is_sorted_and_stable():
