@@ -26,6 +26,7 @@ from .runner import (
     run_grid,
     run_single,
     write_atomic,
+    write_json,
 )
 
 EXIT_CODES = {
@@ -112,7 +113,7 @@ def cmd_evaluate(args) -> int:
     )
     print(report.to_text())
     out_name = f"evaluation-{report.candidate_policy}-{report.split}.json"
-    write_atomic(run_dir / out_name, report.to_json() + "\n")
+    write_json(run_dir / out_name, report.to_dict())
     print(f"written: {run_dir / out_name}")
     return 0
 
@@ -192,10 +193,7 @@ def cmd_ablate(args) -> int:
     table = ablation_table(cells, direction=args.direction)
     print(table)
     out_dir = Path(args.runs_root)
-    write_atomic(
-        out_dir / "ablation.json",
-        json.dumps([c.to_dict() for c in cells], indent=2, sort_keys=True) + "\n",
-    )
+    write_json(out_dir / "ablation.json", [c.to_dict() for c in cells])
     write_atomic(out_dir / "ablation.txt", table + "\n")
     print(f"written: {out_dir / 'ablation.json'}")
     return 0

@@ -23,7 +23,8 @@ each family ships, so that a directory with a drifted layout fails
 loudly instead of loading the wrong thing.
 
 Entities and relations are re-indexed densely per graph side in id-map
-file order; raw ids survive only inside the label maps.
+file order; raw ids survive only inside the label maps. The attribute
+files become sparse multi-hot tables, built in one numpy pass.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .configfile import FLAT_KEY
 from .errors import ConfigError, DataFormatError
@@ -316,45 +318,43 @@ def _lookup(id_map, raw: np.ndarray):
 
 
 def build_attribute_tables(
-    attrs_left: dict[int, list[str]],
-    attrs_right: dict[int, list[str]],
+    attrs_left: tuple[np.ndarray, list[str]],
+    attrs_right: tuple[np.ndarray, list[str]],
     n_left: int,
     n_right: int,
     vocabulary_size: int = ATTRIBUTE_VOCABULARY_SIZE,
 ) -> tuple[AttributeTable, AttributeTable]:
-    """Multi-hot feature tables over a shared predicate vocabulary.
+    """Multi-hot feature tables over a shared predicate vocabulary, from
+    each side's attribute lines as (entity indices, predicate labels).
 
     Each side contributes its vocabulary_size most frequent predicates
     (frequency ties broken lexicographically); the union, left ranking
     first, forms the shared column space so both tables have equal width.
     """
-
-    def top_predicates(attrs):
-        counts: dict[str, int] = {}
-        for preds in attrs.values():
-            for p in preds:
-                counts[p] = counts.get(p, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [p for p, _ in ranked[:vocabulary_size]]
-
-    columns = top_predicates(attrs_left)
-    seen = set(columns)
-    for p in top_predicates(attrs_right):
-        if p not in seen:
-            seen.add(p)
-            columns.append(p)
-    col_index = {p: i for i, p in enumerate(columns)}
-
-    def table(attrs, n):
-        feats = np.zeros((n, max(len(columns), 1)))
-        for e, preds in attrs.items():
-            for p in preds:
-                j = col_index.get(p)
-                if j is not None:
-                    feats[e, j] = 1.0
-        return AttributeTable(features=feats, column_labels=tuple(columns))
-
-    return table(attrs_left, n_left), table(attrs_right, n_right)
+    # as objects, the labels sort as Python compares str
+    labels = np.asarray([*attrs_left[1], *attrs_right[1]], dtype=object)
+    names, name_ids = np.unique(labels, return_inverse=True)
+    name_ids = np.split(name_ids, [len(attrs_left[1])])
+    ranked = []
+    for ids in name_ids:
+        counts = np.bincount(ids, minlength=len(names))
+        # names are sorted, so a stable sort keeps ties lexicographic
+        top = np.argsort(-counts, kind="stable")[:vocabulary_size]
+        ranked.append(top[counts[top] > 0])
+    ranked = np.concatenate(ranked)
+    ranked = ranked[np.sort(np.unique(ranked, return_index=True)[1])]  # the union, left first
+    column_of = np.full(len(names), -1)
+    column_of[ranked] = np.arange(len(ranked))
+    columns = tuple(names[ranked].tolist())
+    tables = []
+    for (entities, _), ids, n in zip((attrs_left, attrs_right), name_ids, (n_left, n_right)):
+        cols = column_of[ids]
+        kept = cols >= 0
+        rows = sp.csr_array((np.ones(kept.sum()), (entities[kept], cols[kept])),
+                            shape=(n, max(len(columns), 1)))
+        rows.data[:] = 1.0  # the build summed a predicate an entity lists twice
+        tables.append(AttributeTable(rows, columns))
+    return tuple(tables)
 
 
 def _read_files(desc: DatasetDescriptor, root: Path) -> dict[str, bytes]:
@@ -529,7 +529,7 @@ def load(desc: DatasetDescriptor) -> GraphPair:
             np.concatenate(shipped), np.repeat(roles, [len(p) for p in shipped])
         )
 
-    attrs_left = attrs_right = None
+    attrs = (None, None)
     present = [name in files for name in _ATTRIBUTES]
     if any(present) and not all(present):
         lone, partner = _ATTRIBUTES if present[0] else _ATTRIBUTES[::-1]
@@ -537,23 +537,12 @@ def load(desc: DatasetDescriptor) -> GraphPair:
             f"{lone} needs its partner file {partner}, which is missing", path=root
         )
     if all(present):
-        by_entity = []
-        for name, ent_map in zip(_ATTRIBUTES, (ent_1, ent_2)):
-            attrs: dict[int, list[str]] = {}
-            entities, predicates = table(name, [(ent_map, "unknown entity id")], labelled=True)
-            for e, predicate in zip(entities.tolist(), predicates):
-                attrs.setdefault(e, []).append(predicate)
-            by_entity.append(attrs)
-        attrs_left, attrs_right = build_attribute_tables(
-            *by_entity, left.entity_count, right.entity_count
+        attrs = build_attribute_tables(
+            *(table(name, [(ent_map, "unknown entity id")], labelled=True)
+              for name, ent_map in zip(_ATTRIBUTES, (ent_1, ent_2))),
+            left.entity_count, right.entity_count,
         )
-    return GraphPair(
-        left=left,
-        right=right,
-        alignment=alignment,
-        attributes_left=attrs_left,
-        attributes_right=attrs_right,
-    )
+    return GraphPair(left, right, alignment, *attrs)
 
 
 def split(

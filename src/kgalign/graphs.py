@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class Role(str, Enum):
@@ -98,17 +99,18 @@ class AlignmentSet:
 
 @dataclass(frozen=True, eq=False)
 class AttributeTable:
-    """Per-entity feature matrix, one row per entity of one graph side."""
+    """Per-entity multi-hot rows of one graph side, held sparse (CSR)."""
 
-    features: np.ndarray  # (entity_count, attribute_dim) float64
+    features: sp.csr_array  # (entity_count, attribute_dim) float64, read-only
     column_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        if arr.ndim != 2:
-            raise ValueError(f"attribute table must be 2-D, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "features", arr)
+        rows = sp.csr_array(self.features, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError(f"attribute table must be 2-D, got shape {rows.shape}")
+        for arr in (rows.data, rows.indices, rows.indptr):
+            arr.flags.writeable = False
+        object.__setattr__(self, "features", rows)
 
     @property
     def entity_count(self) -> int:

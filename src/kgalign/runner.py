@@ -107,10 +107,11 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
     return RunConfig.from_flat(flat)
 
 
+_CELL_KEYS = ("encoder.use_weights", "encoder.init")  # what an ablation cell sets
+
+
 def with_cell(cfg: RunConfig, use_weights: bool, init_preset: str) -> RunConfig:
-    return apply_overrides(
-        cfg, {"encoder.use_weights": use_weights, "encoder.init": init_preset}
-    )
+    return apply_overrides(cfg, dict(zip(_CELL_KEYS, (use_weights, init_preset))))
 
 
 @dataclass
@@ -364,6 +365,12 @@ def write_atomic(path: Path, content) -> None:
         raise
 
 
+def write_json(path: Path, obj) -> None:
+    """Write obj to path as JSON, indented with sorted keys and a final
+    newline, through write_atomic."""
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResult:
     """Execute one run end to end and persist its artifacts.
 
@@ -409,10 +416,7 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             final_loss=losses[-1] if losses else None,
         )
         # the report marks a complete run, so it appears whole or not at all
-        write_atomic(
-            run_dir / "report.json",
-            json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n",
-        )
+        write_json(run_dir / "report.json", result.report_dict())
         (run_dir / "error.json").unlink(missing_ok=True)
         return result
     except Exception as exc:
@@ -423,9 +427,7 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
             "config": cfg.to_flat(),
             "traceback": traceback.format_exc(),
         }
-        write_atomic(
-            run_dir / "error.json", json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(run_dir / "error.json", record)
         raise
 
 
@@ -437,19 +439,29 @@ def enumerate_grid(base: RunConfig, axes: dict[str, list] | None = None) -> list
         if not values:
             raise ConfigError(f"grid axis {key!r} is empty")
     keys = sorted(axes)
+    # each config's position on every axis
+    combos = list(product(*(range(len(axes[k])) for k in keys)))
     configs = []
     for use_weights, init_preset in ABLATION_CELLS:
         cell_cfg = with_cell(base, use_weights, init_preset)
-        for combo in product(*(axes[k] for k in keys)):
-            overrides = dict(zip(keys, combo))
+        for combo in combos:
+            overrides = {k: axes[k][p] for k, p in zip(keys, combo)}
             overrides["save_state"] = False
             overrides["evaluate_test"] = False
             configs.append(apply_overrides(cell_cfg, overrides))
-    # values equal once typed (1 and 1.0 on a float field) run a config twice
-    flats = [cfg.to_flat() for cfg in configs]
-    for key in keys:
-        if len({flat.get(key) for flat in flats}) < len(axes[key]):
-            raise ConfigError(f"grid axis {key!r} repeats a value: {axes[key]}")
+    # a run hash twice trains one run directory twice: from an axis value
+    # equal once typed (1 and 1.0 on a float field), or a cell key's axis
+    first: dict[str, int] = {}
+    for i, cfg in enumerate(configs):
+        j = first.setdefault(cfg.run_hash(), i)
+        if j == i:
+            continue
+        for key, p, q in zip(keys, combos[i % len(combos)], combos[j % len(combos)]):
+            if p != q:
+                raise ConfigError(f"grid axis {key!r} repeats a value: {axes[key]}")
+        key = next(k for k in keys if k in _CELL_KEYS)
+        raise ConfigError(
+            f"grid axis {key!r} sets a key of the ablation cells, so two cells run one config")
     return configs
 
 
@@ -598,9 +610,7 @@ def run_grid(
     best_flat = {
         f"weights={int(c[0])},init={c[1]}": cfg.to_flat() for c, cfg in best_cfgs.items()
     }
-    write_atomic(
-        runs_root / "grid_best.json", json.dumps(best_flat, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(runs_root / "grid_best.json", best_flat)
     return GridResult(
         best_per_cell=best_cfgs,
         leaderboard_path=leaderboard,

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .adjacency import AdjacencyConfig, build_adjacency
 from .configfile import FLAT_KEY
@@ -308,11 +309,11 @@ def start(
     adj_cfg: AdjacencyConfig,
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
-    initial_features: tuple[np.ndarray, np.ndarray] | None = None,
+    initial_features: tuple[sp.csr_array, sp.csr_array] | None = None,
     adjacencies=None,
 ) -> Trajectory:
     """The trajectory of train() at epoch 0; train_cfg.n_epochs is not
-    read. Takes the arguments of train()."""
+    read. Takes the arguments of train(), and densifies initial_features."""
     if pair.alignment.train_pairs.shape[0] == 0:
         raise ConfigError("train split is empty; nothing to optimize")
     if adjacencies is None:
@@ -321,9 +322,7 @@ def start(
 
     state = init_state(enc_cfg, pair.left.entity_count, pair.right.entity_count)
     if initial_features is not None:
-        fl, fr = initial_features
-        state.features_left = np.array(fl, dtype=np.float64)
-        state.features_right = np.array(fr, dtype=np.float64)
+        state.features_left, state.features_right = (f.toarray() for f in initial_features)
     return Trajectory(
         pair, tuple(adjacencies), enc_cfg, train_cfg, state,
         OptimizerState(state.parameters(), train_cfg),
@@ -375,15 +374,15 @@ def train(
     adj_cfg: AdjacencyConfig,
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
-    initial_features: tuple[np.ndarray, np.ndarray] | None = None,
+    initial_features: tuple[sp.csr_array, sp.csr_array] | None = None,
     adjacencies=None,
 ) -> tuple[EmbeddingState, list[float]]:
     """Full-batch training loop; returns the trained state and the
     per-epoch loss trace.
 
-    Deterministic given the configs' seeds. initial_features overrides
-    the random feature init (used for the attribute pathway, where the
-    inputs are fixed multi-hot rows rather than random draws).
+    Deterministic given the configs' seeds. initial_features, a sparse
+    float64 table per side, overrides the random feature init (used for
+    the attribute pathway, whose inputs are fixed multi-hot rows).
     adjacencies, when given, are the prebuilt (left, right) propagation
     matrices; they never change during training, so callers that also
     encode afterwards can share them, and they were built from a pair

@@ -1,12 +1,15 @@
 """End-to-end coverage for the attribute pathway and the grid worker pool."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from kgalign.cli import main
-from kgalign.datasets import DatasetDescriptor, load
+from kgalign.datasets import ATTRIBUTE_VOCABULARY_SIZE, DatasetDescriptor, load
 from kgalign.runner import RunConfig, run_grid, run_single
+
+from conftest import write_dataset
 
 
 @pytest.fixture
@@ -91,6 +94,65 @@ def test_evaluate_cli_reproduces_blended_report_test_block(tmp_path, attr_datase
     written = json.loads((result.run_dir / "evaluation-test-only-test.json").read_text())
     report = json.loads((result.run_dir / "report.json").read_text())
     assert written == report["test"]
+
+
+def test_attribute_listed_twice_counts_once(attr_dataset):
+    with (attr_dataset / "attrs_1").open("a", encoding="utf-8") as f:
+        f.write("10\tpopulation\n")
+    pair = load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=attr_dataset))
+    column = pair.attributes_left.column_labels.index("population")
+    assert pair.attributes_left.features[0, column] == 1.0
+    assert pair.attributes_left.features.sum() == 5.0
+
+
+def _blend_pair(root, n=300):
+    """A dbp15k-jape subset of two aligned n-entity graphs whose left
+    side lists more distinct predicates than ATTRIBUTE_VOCABULARY_SIZE,
+    most of them once, so the cut falls among frequency ties; entity 0
+    lists one predicate twice. Built by arithmetic alone, so its bytes
+    do not depend on a random generator."""
+    n_left_predicates = ATTRIBUTE_VOCABULARY_SIZE + 200
+    edges = [(i, i % 3, (i * 7 + 3) % n) for i in range(n)] + [(i, 3, i + 1) for i in range(n - 1)]
+    attrs_1 = [(k % n, f"lp{k}") for k in range(n_left_predicates)]
+    attrs_1 += [(e, f"lp{(e * e) % 50}") for e in range(n)] + [(0, "lp7")]
+    attrs_2 = [(1000 + (k * 13) % n, f"rp{k}") for k in range(800)]
+    attrs_2 += [(1000 + e, f"lp{(e * e + 1) % 60}") for e in range(n)]
+    attrs_2 += [(1005, "lp999"), (1006, "lp998")]  # cut on the left, kept on the right
+    return write_dataset(
+        root,
+        triples_1=edges,
+        triples_2=[(1000 + h, 10 + r, 1000 + t) for h, r, t in edges],
+        ents_1=[(i, f"e:{i}") for i in range(n)],
+        ents_2=[(1000 + i, f"f:{i}") for i in range(n)],
+        rels_1=[(r, f"r:{r}") for r in range(4)],
+        rels_2=[(10 + r, f"s:{r}") for r in range(4)],
+        files={
+            "sup_ent_ids": [(i, 1000 + i) for i in range(0, n, 2)],
+            "ref_ent_ids": [(i, 1000 + i) for i in range(1, n, 2)],
+            "attrs_1": attrs_1,
+            "attrs_2": attrs_2,
+        },
+    )
+
+
+def test_blend_run_outputs_keep_their_bits(tmp_path):
+    root = _blend_pair(tmp_path / "pair")
+    pair = load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=root))
+    labels = pair.attributes_left.column_labels
+    assert pair.attributes_left.attribute_dim == len(labels) == 1802
+    assert labels.index("lp999") >= ATTRIBUTE_VOCABULARY_SIZE
+    assert pair.attributes_left.features[0, labels.index("lp7")] == 1.0
+    cfg = attr_config(root, **{"training.n_epochs": 5, "training.n_negatives": 5,
+                               "score.beta": 0.9, "save_state": True})
+    result = run_single(cfg, tmp_path / "runs")
+    report = json.loads((result.run_dir / "report.json").read_text())
+    metrics = json.dumps([report[k] for k in ("validation", "test", "final_loss")], sort_keys=True)
+    with np.load(result.run_dir / "state.npz") as data:
+        arrays = b"".join(name.encode() + data[name].tobytes() for name in sorted(data.files))
+    digests = [hashlib.sha256(blob).hexdigest()[:16] for blob in (
+        (result.run_dir / "loss_trace.tsv").read_bytes(), metrics.encode(), arrays)]
+    # taken before the tables were held sparse
+    assert digests == ["c057a2f4e3921027", "069841e4b5299838", "cb4c237ab6c06cf6"]
 
 
 def test_grid_with_worker_pool_matches_sequential(tmp_path):

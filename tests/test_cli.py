@@ -357,9 +357,12 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
         ("grid.encoder.dim = 16.9, 32\n", [], "{config}: encoder.dim must be int, got '16.9'"),
         ("grid.training.margin = 3, nan\n", [], "{config}: margin must be non-negative"),
         ("grid.typo = 1, 2\n", [], "{config}: unknown config keys ['grid.typo']"),
+        ("grid.encoder.init = 1, unit\n", [], "grid axis 'encoder.init' sets a key of the ablation"),
+        ("grid.encoder.use_weights = true\n", [],
+         "grid axis 'encoder.use_weights' sets a key of the ablation"),
     ],
     ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
-         "out-of-range-axis", "unknown-axis"],
+         "out-of-range-axis", "unknown-axis", "cell-key-axis", "one-valued-cell-key-axis"],
 )
 def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     tmp_path, capsys, axis, flags, complaint

@@ -10,7 +10,7 @@ from kgalign.configfile import parse_config_text
 from kgalign.datasets import FAMILIES, DatasetDescriptor
 from kgalign.encoder import EncoderConfig
 from kgalign.errors import ConfigError
-from kgalign.runner import RunConfig, enumerate_grid, run_ablation, run_single
+from kgalign.runner import RunConfig, apply_overrides, enumerate_grid, run_ablation, run_single
 
 from conftest import record_run_single
 
@@ -50,9 +50,12 @@ def test_typed_values_accepted():
     assert cfg.encoder.init == 1.0 and isinstance(cfg.encoder.init, float)
     assert cfg.to_flat()["attribute_margin"] == 2.0
     assert "dataset.root" not in cfg.to_flat()
+    # a grid types each axis value through apply_overrides
     flat = parse_config_text(TOY_DATASET + "grid.encoder.init = 1, unit\n")
-    grid = enumerate_grid(RunConfig.from_flat(flat), {"encoder.init": flat["grid.encoder.init"]})
-    assert {(type(c.encoder.init), c.encoder.init) for c in grid} == {(float, 1.0), (str, "unit")}
+    base = RunConfig.from_flat(flat)
+    typed = {apply_overrides(base, {"encoder.init": v}).encoder.init
+             for v in flat["grid.encoder.init"]}
+    assert {(type(v), v) for v in typed} == {(float, 1.0), (str, "unit")}
 
 
 def test_encoder_init_derives_the_std():

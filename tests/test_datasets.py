@@ -326,7 +326,8 @@ def test_load_accepted_forms_like_plain(tmp_path, form):
         assert (a.entity_count, a.relation_count) == (b.entity_count, b.relation_count)
         assert a.entity_labels == b.entity_labels and a.relation_labels == b.relation_labels
         ta, tb = getattr(plain, f"attributes_{side}"), getattr(other, f"attributes_{side}")
-        assert np.array_equal(ta.features, tb.features) and ta.column_labels == tb.column_labels
+        assert np.array_equal(ta.features.toarray(), tb.features.toarray())
+        assert ta.column_labels == tb.column_labels
     assert plain.alignment.pairs.dtype == other.alignment.pairs.dtype
     assert np.array_equal(plain.alignment.pairs, other.alignment.pairs)
     assert plain.alignment.roles.dtype == other.alignment.roles.dtype
@@ -380,7 +381,8 @@ def test_load_crlf_files_like_lf(jape_style_dir, tmp_path):
         assert a.relation_labels == b.relation_labels
     assert np.array_equal(lf.alignment.pairs, crlf.alignment.pairs)
     assert np.array_equal(lf.alignment.roles, crlf.alignment.roles)
-    assert np.array_equal(lf.attributes_left.features, crlf.attributes_left.features)
+    assert np.array_equal(lf.attributes_left.features.toarray(),
+                          crlf.attributes_left.features.toarray())
     assert lf.attributes_left.column_labels == crlf.attributes_left.column_labels == ("area", "pop")
 
 
@@ -499,8 +501,9 @@ def test_statistics_empty_pair_zeros():
 
 
 def test_attribute_tables_shared_vocabulary():
-    attrs_l = {0: ["color", "size"], 1: ["color"]}
-    attrs_r = {0: ["weight"], 2: ["color", "weight"]}
+    # (entity index, predicate label) per attribute line
+    attrs_l = (np.array([0, 0, 1]), ["color", "size", "color"])
+    attrs_r = (np.array([0, 2, 2]), ["weight", "color", "weight"])
     tl, tr = build_attribute_tables(attrs_l, attrs_r, 2, 3, vocabulary_size=2)
     assert tl.attribute_dim == tr.attribute_dim == 3  # color, size, weight
     assert tl.column_labels == tr.column_labels
@@ -510,9 +513,51 @@ def test_attribute_tables_shared_vocabulary():
 
 
 def test_attribute_vocabulary_frequency_ties_lexicographic():
-    attrs = {i: ["b", "a"] for i in range(3)}  # both appear 3 times
-    tl, tr = build_attribute_tables(attrs, {}, 3, 1, vocabulary_size=1)
+    attrs = (np.repeat([0, 1, 2], 2), ["b", "a"] * 3)  # both appear 3 times
+    tl, tr = build_attribute_tables(attrs, (np.array([], dtype=int), []), 3, 1, vocabulary_size=1)
     assert tl.column_labels == ("a",)
+
+
+def _loop_attribute_tables(attrs_left, attrs_right, n_left, n_right, vocabulary_size):
+    """(dense rows per side, column labels) by per-line Python loops: the
+    tables build_attribute_tables must give, as an oracle."""
+    def top_predicates(labels):
+        counts = collections.Counter(labels)
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [p for p, _ in ranked[:vocabulary_size]]
+
+    columns = top_predicates(attrs_left[1])
+    columns += [p for p in dict.fromkeys(top_predicates(attrs_right[1])) if p not in columns]
+    tables = []
+    for (entities, labels), n in ((attrs_left, n_left), (attrs_right, n_right)):
+        rows = np.zeros((n, max(len(columns), 1)))
+        for e, p in zip(entities, labels):
+            if p in columns:
+                rows[e, columns.index(p)] = 1.0
+        tables.append(rows)
+    return tables, tuple(columns)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attribute_tables_match_a_per_line_loop(seed):
+    rng = np.random.default_rng(seed)
+    # few names, so counts tie; code points either side of ASCII, and a
+    # trailing NUL, which fixed-width numpy strings would drop
+    names = ["a", "a\x00", "ab", "b", "B", "é", "日本", "a b"]
+    sides = []
+    for n in (7, 5):
+        lines = int(rng.integers(0, 40))
+        labels = [names[i] for i in rng.integers(0, len(names), lines)]
+        sides.append((rng.integers(0, n, lines), labels, n))
+    vocabulary_size = int(rng.integers(1, 12))
+    tl, tr = build_attribute_tables(sides[0][:2], sides[1][:2], 7, 5, vocabulary_size)
+    (rows_l, rows_r), columns = _loop_attribute_tables(
+        sides[0][:2], sides[1][:2], 7, 5, vocabulary_size)
+    assert tl.column_labels == tr.column_labels == columns
+    assert np.array_equal(tl.features.toarray(), rows_l)
+    assert np.array_equal(tr.features.toarray(), rows_r)
+    for table in (tl, tr):
+        assert table.features.dtype == np.float64 and not table.features.data.flags.writeable
 
 
 def test_attribute_files_loaded(jape_style_dir):
