@@ -14,14 +14,12 @@ from pathlib import Path
 from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .errors import ConfigError, KgalignError
-from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, evaluate
+from .evaluation import CANDIDATE_POLICIES, DIRECTIONS
 from .graphs import Role
 from .runner import (
     RunConfig,
     ablation_table,
-    encode,
-    load_state,
-    prepare_run,
+    evaluate_run,
     run_ablation,
     run_grid,
     run_single,
@@ -86,35 +84,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    run_dir = Path(args.run_dir)
-    config_path = run_dir / "config.txt"
-    state_path = run_dir / "state.npz"
-    if not config_path.is_file():
-        raise ConfigError(f"no config.txt in {run_dir}")
-    cfg = RunConfig.from_file(config_path)
-    if not state_path.is_file():
-        # save_state is part of the run hash, so turning it on names another run
-        hint = (
-            f"train {config_path} again with --runs-root {run_dir.parent} to recompute it"
-            if cfg.save_state else
-            f"it ran with save_state = false; training {config_path} with save_state = true "
-            "writes a new run directory, which evaluate can then read"
-        )
-        raise ConfigError(f"no state.npz in {run_dir}; {hint}")
-    pair, adjacencies = prepare_run(cfg)
-    state, attr_state = load_state(state_path)
-    (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
-    report = evaluate(
-        out_l, out_r, pair, cfg.score,
-        policy=args.policy or cfg.candidate_policy,
-        split=Role(args.split),
-        attr_emb_left=a_l, attr_emb_right=a_r,
-        tie_diagnostics=args.tie_diagnostics,
-    )
+    report, path = evaluate_run(Path(args.run_dir), args.policy, Role(args.split),
+                                args.tie_diagnostics)
     print(report.to_text())
-    out_name = f"evaluation-{report.candidate_policy}-{report.split}.json"
-    write_json(run_dir / out_name, report.to_dict())
-    print(f"written: {run_dir / out_name}")
+    print(f"written: {path}")
     return 0
 
 

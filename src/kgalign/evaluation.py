@@ -20,7 +20,6 @@ axis 0 for its columns, so no count reads a transposed copy.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +96,6 @@ class MetricsReport:
             **{name: DirectionMetrics.from_dict(d["directions"][name]) for name in DIRECTIONS},
             tie_diagnostics=d.get("tie_diagnostics"),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Fixed-width table, percentages with two decimals."""

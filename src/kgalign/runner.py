@@ -2,10 +2,12 @@
 
 Every run is keyed by a hash of its fully resolved configuration
 (including the seed), and its artifacts live under
-runs_root/<hash>/: the canonical config text, a JSON report, the loss
-trace, and optionally the trained state. A run whose report already
-exists is not recomputed, which makes large grids resumable after a
-crash; failures leave a persisted error record instead of a report.
+runs_root/<hash>/: config.txt, report.json, loss_trace.tsv, the
+optional state.npz, and the evaluation-<policy>-<split>.json files that
+evaluate_run writes from config.txt and state.npz alone. A run whose
+report exists is not recomputed, which makes large grids resumable
+after a crash; a failure leaves error.json instead of a report. No
+other module reads or writes a run directory.
 """
 from __future__ import annotations
 
@@ -267,7 +269,8 @@ _carried: dict | None = None
 
 
 def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
-    """Structure training plus the optional independent attribute run.
+    """Structure training plus the optional independent attribute run;
+    returns (state, attribute state or None, the structure losses).
 
     Inside a job, the pathways continue the trajectories a shorter
     sibling left, and leave theirs for the next.
@@ -294,10 +297,8 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
         advance(trajectory, cfg.training.n_epochs)
     if _carried is not None:
         _carried[key] = trajectories
-    state = trajectories[0].state
     attr_state = trajectories[1].state if len(trajectories) > 1 else None
-    return (state, attr_state, trajectories[0].losses,
-            *encode(cfg, pair, adjacencies, state, attr_state))
+    return trajectories[0].state, attr_state, trajectories[0].losses
 
 
 def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
@@ -312,35 +313,27 @@ def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
     report_path = run_dir / "report.json"
     if not report_path.is_file():
         return None
+    problem = "cannot be read"  # until the JSON is parsed
     try:
         data = json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
-        warnings.warn(f"{report_path} cannot be read ({exc}); recomputing the run")
-        return None
-    if not isinstance(data, dict):
-        warnings.warn(f"{report_path} holds a JSON {type(data).__name__}, "
-                      "not a report object; recomputing the run")
-        return None
-    # a report copied in from another run directory belongs to that run
-    for key, expected in (("format", REPORT_FORMAT), ("run_hash", cfg.run_hash())):
-        if data.get(key) != expected:
-            warnings.warn(
-                f"{report_path} has {key} {data.get(key)!r}, "
-                f"expected {expected!r}; recomputing the run"
-            )
-            return None
-    try:
+        problem = "is not a complete report of this run"
+        if not isinstance(data, dict):
+            raise TypeError(f"a JSON {type(data).__name__}, not a report object")
+        # a report copied in from another run directory belongs to that run
+        for key, expected in (("format", REPORT_FORMAT), ("run_hash", cfg.run_hash())):
+            if data.get(key) != expected:
+                raise ValueError(f"{key} {data.get(key)!r}, expected {expected!r}")
         validation, test = (
             None if data[split] is None else MetricsReport.from_dict(data[split])
             for split in ("validation", "test")
         )
         final_loss = data["final_loss"]
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        warnings.warn(f"{report_path} is not a complete report "
-                      f"({type(exc).__name__}: {exc}); recomputing the run")
-        return None
-    if cfg.save_state and not (run_dir / "state.npz").is_file():
-        warnings.warn(f"{run_dir} has a report but no state.npz; recomputing the run")
+        if cfg.save_state and not (run_dir / "state.npz").is_file():
+            raise FileNotFoundError(f"no state.npz in {run_dir}")
+    # OSError: unreadable file or no state; ValueError: bad JSON, encoding or key
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+        warnings.warn(f"{report_path} {problem} ({type(exc).__name__}: {exc}); "
+                      "recomputing the run")
         return None
     return RunResult(cfg, run_dir, validation, test, final_loss, resumed=True)
 
@@ -391,9 +384,8 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
     write_atomic(run_dir / "config.txt", cfg.canonical_text())
     try:
         pair, adjacencies = prepare_run(cfg)
-        state, attr_state, losses, (out_l, out_r), (a_l, a_r) = _train_pathways(
-            cfg, pair, adjacencies
-        )
+        state, attr_state, losses = _train_pathways(cfg, pair, adjacencies)
+        (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
         validation, test = (
             evaluate(
                 out_l, out_r, pair, cfg.score,
@@ -429,6 +421,41 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
         }
         write_json(run_dir / "error.json", record)
         raise
+
+
+def evaluate_run(run_dir: Path, policy: str | None = None, split: Role = Role.TEST,
+                 tie_diagnostics: bool = False) -> tuple[MetricsReport, Path]:
+    """(report, path): run_dir's state re-scored under policy (default:
+    the run's own) on split, written to path. A missing config.txt or
+    state.npz, or a state.npz that does not fit config.txt, is a
+    ConfigError naming the file."""
+    run_dir = Path(run_dir)
+    config_path, state_path = run_dir / "config.txt", run_dir / "state.npz"
+    cfg = RunConfig.from_file(config_path)
+    if not state_path.is_file():
+        # save_state is part of the run hash, so turning it on names another run
+        hint = (
+            f"train {config_path} again with --runs-root {run_dir.parent} to recompute it"
+            if cfg.save_state else
+            f"it ran with save_state = false; training {config_path} with save_state = true "
+            "writes a new run directory, which evaluate can then read"
+        )
+        raise ConfigError(f"no state.npz in {run_dir}; {hint}")
+    pair, adjacencies = prepare_run(cfg)
+    state, attr_state = load_state(state_path)
+    try:
+        (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{state_path} does not fit {config_path}: {exc}") from None
+    report = evaluate(
+        out_l, out_r, pair, cfg.score,
+        policy=policy or cfg.candidate_policy, split=split,
+        attr_emb_left=a_l, attr_emb_right=a_r,
+        tie_diagnostics=tie_diagnostics,
+    )
+    path = run_dir / f"evaluation-{report.candidate_policy}-{report.split}.json"
+    write_json(path, report.to_dict())
+    return report, path
 
 
 def enumerate_grid(base: RunConfig, axes: dict[str, list] | None = None) -> list[RunConfig]:

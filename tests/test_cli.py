@@ -292,6 +292,53 @@ def test_evaluate_rejects_state_that_disagrees_with_config(tmp_path, capsys):
     assert not (run_dir / "evaluation-test-only-test.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, cut, reason",
+    [
+        ("features_left", np.s_[:, :8], "features have width 8, config says 16"),
+        ("features_right", np.s_[:5], "adjacency is (8, 8) but features have 5 rows"),
+    ],
+    ids=["narrow-features-left", "short-features-right"],
+)
+def test_evaluate_state_of_wrong_shape_exits_2_naming_both_files(tmp_path, capsys, key, cut, reason):
+    run_dir = _train_toy(tmp_path, capsys)
+    with np.load(run_dir / "state.npz") as data:
+        arrays = dict(data)
+    arrays[key] = arrays[key][cut]
+    np.savez(run_dir / "state.npz", **arrays)
+    assert main(["evaluate", str(run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": (
+        f"{run_dir / 'state.npz'} does not fit {run_dir / 'config.txt'}: {reason}")}
+    assert not (run_dir / "evaluation-test-only-test.json").exists()
+
+
+def test_evaluate_without_config_names_it(tmp_path, capsys):
+    run_dir = _train_toy(tmp_path, capsys)
+    (run_dir / "config.txt").unlink()
+    assert main(["evaluate", str(run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": f"config file not found: {run_dir / 'config.txt'}"}
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda path: path.unlink(), lambda path: path.write_text("{\"format\": 1, ")],
+    ids=["no-report", "truncated-report"],
+)
+@pytest.mark.filterwarnings("error")  # such as the one a resume check gives
+def test_evaluate_reads_only_config_and_state(tmp_path, capsys, damage):
+    run_dir = _train_toy(tmp_path, capsys)
+    out = run_dir / "evaluation-test-only-test.json"
+    assert main(["evaluate", str(run_dir)]) == 0
+    written = out.read_bytes()
+    out.unlink()
+    damage(run_dir / "report.json")
+    assert main(["evaluate", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == written
+    assert not (run_dir / "error.json").exists()
+
+
 def _drop_features_right(path):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if k != "features_right"}
