@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
 from .graphs import KnowledgeGraph
-from .linalg import degree_normalize
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,9 @@ class AdjacencyConfig:
 
     def __post_init__(self):
         if self.variant not in ("functionality", "count"):
-            raise ConfigError(f"unknown adjacency variant {self.variant!r}")
+            raise ConfigError(f"variant must be functionality or count, got {self.variant!r}")
         if self.normalization not in ("row", "symmetric"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
+            raise ConfigError(f"normalization must be row or symmetric, got {self.normalization!r}")
         if not 0 < self.clamp_floor <= 1:  # a functionality score lies in (0, 1]
             raise ConfigError(f"clamp_floor must lie in (0, 1], got {self.clamp_floor}")
 
@@ -134,6 +133,26 @@ def build_adjacency(
     A is either the functionality-weighted or the symmetrized count
     matrix of the triples.
     """
-    return degree_normalize(
+    return _degree_normalize(
         build_adjacency_unnormalized(g, cfg, relation_weights), cfg.normalization
     )
+
+
+def _degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:
+    """Degree-normalize a square CSR matrix with D_ii = sum_j a_ij.
+
+    mode, as AdjacencyConfig checked it: 'symmetric' returns D^-1/2 A
+    D^-1/2, 'row' returns D^-1 A, whose rows each sum to one. Rows with
+    non-positive degree raise, which signals a missing self-loop. The
+    sparsity structure is kept.
+    """
+    deg = a.sum(axis=1)
+    if np.any(deg <= 0.0):
+        bad = int(np.flatnonzero(deg <= 0.0)[0])
+        raise NumericError(f"row {bad} has degree {deg[bad]}; cannot normalize "
+                           "(missing self-loop?)")
+    f = 1.0 / deg if mode == "row" else 1.0 / np.sqrt(deg)
+    data = a.data * np.repeat(f, np.diff(a.indptr))
+    if mode == "symmetric":
+        data = data * f[a.indices]
+    return sp.csr_array((data, a.indices, a.indptr), shape=a.shape)

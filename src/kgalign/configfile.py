@@ -26,11 +26,17 @@ from .errors import ConfigError
 FLAT_KEY = "flat_key"
 
 
+class _ConfigText(dict):
+    """parse_config_text's flat dict; .lines maps each key to its line."""
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """A config file's text as a flat dict of dotted key -> value text;
     a grid.* or ablate.datasets value is the list of its comma-separated
-    texts."""
-    out = {}
+    texts. Its .lines holds each key's line, which config_from_flat's
+    errors name."""
+    out = _ConfigText()
+    out.lines = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -44,6 +50,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{line_no}: empty key or value")
         if key in out:
             raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
+        out.lines[key] = line_no
         if key.startswith("grid.") or key == "ablate.datasets":
             out[key] = [v.strip() for v in value.split(",")]
         else:
@@ -140,41 +147,56 @@ def config_to_flat(cfg, prefix: str = "") -> dict:
     return flat
 
 
-def _from_flat(cls, flat: dict, prefix: str, source: str):
+def _from_flat(cls, flat: dict, prefix: str, where):
+    """cls from the keys of flat under prefix, popping each it reads;
+    where(key) is the place, file and line, that an error on key names."""
     kwargs = {}
+    keys = {}
     for f, key, tp, nested in _flat_fields(cls):
-        key = prefix + key
+        key = keys[f.name] = prefix + key
         if nested:
-            kwargs[f.name] = _from_flat(tp, flat, key + ".", source)
+            kwargs[f.name] = _from_flat(tp, flat, key + ".", where)
         elif key in flat:
             value = flat.pop(key)
             try:
                 kwargs[f.name] = _coerce(value, tp)
             except TypeError:
                 raise ConfigError(
-                    f"{source}: {key} must be {getattr(tp, '__name__', tp)}, got {value!r}"
+                    f"{where(key)}: {key} must be {getattr(tp, '__name__', tp)}, got {value!r}"
                 ) from None
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{source}: missing required key {key!r}")
+            raise ConfigError(f"{where(None)}: missing required key {key!r}")
     try:
         return cls(**kwargs)
-    except ConfigError as exc:  # a section's own range check
-        raise ConfigError(f"{source}: {exc}") from None
+    except ConfigError as exc:
+        # a section's own range check, whose message begins with the field
+        # it rejects: that word becomes the dotted key
+        field, _, rest = str(exc).partition(" ")
+        key = keys.get(field)
+        message = f"{key} {rest}" if key else exc
+        raise ConfigError(f"{where(key)}: {message}") from None
 
 
 def config_from_flat(cls, flat: dict, source: str = "<config>"):
     """Config dataclass tree cls from its flat form; absent keys take the
     field defaults. The command keys, grid.<key> (a list of values for
     key) and ablate.datasets, are left to their commands, but each grid
-    value must give a valid config as the value of key."""
+    value must give a valid config as the value of key. An error names
+    source, and the line of its key (for a grid value, of its grid.<key>)
+    when flat comes from parse_config_text."""
+    lines = getattr(flat, "lines", {})
+
+    def located(lines):  # key -> the file and line that set it
+        return lambda key: f"{source}:{lines[key]}" if lines.get(key) else source
+
     rest = dict(flat)
-    cfg = _from_flat(cls, rest, "", source)
+    cfg = _from_flat(cls, rest, "", located(lines))
     rest.pop("ablate.datasets", None)
     for axis in [key for key in rest if key.startswith("grid.")]:
         key = axis[len("grid."):]
         for value in rest[axis]:
             probe = {**flat, key: value}
-            _from_flat(cls, probe, "", source)
+            _from_flat(cls, probe, "", located({**lines, key: lines.get(axis)}))
             if key in probe:  # the axis names no field: an unknown key
                 break
         else:

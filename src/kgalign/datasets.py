@@ -85,15 +85,16 @@ class DatasetDescriptor:
         if self.family == "toy":
             if not _TOY_SUBSET.match(subset):
                 raise ConfigError(
-                    f"toy subset must look like cycle-<nodes>-<seeds>, got {subset!r}"
+                    f"subset of family 'toy' must look like cycle-<nodes>-<seeds>, got {subset!r}"
                 )
             return
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown dataset family {self.family!r}")
+            raise ConfigError(f"family must be toy or one of {list(FAMILIES)}, "
+                              f"got {self.family!r}")
         subsets = FAMILIES[self.family][0]
         if subset not in subsets:
             raise ConfigError(
-                f"family {self.family!r} has subsets {subsets}, got {subset!r}"
+                f"subset of family {self.family!r} must be one of {subsets}, got {subset!r}"
             )
 
     @property

@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from .configfile import FLAT_KEY
 from .errors import ConfigError, NumericError
-from .linalg import unit_rows
 from .parallel import thread_map
 
 INIT_PRESETS = ("unit", "scaled")
@@ -45,7 +44,7 @@ def resolve_init_std(init: str | float, dim: int) -> float:
         return 1.0
     if init == "scaled":
         return float(dim) ** -0.5
-    raise ConfigError(f"unknown init preset {init!r}; expected one of {INIT_PRESETS}")
+    raise ConfigError(f"init must be a std or one of the presets {INIT_PRESETS}, got {init!r}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,13 @@ class ForwardTape:
     right: _GraphTape
 
 
+def _unit_rows(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The rows of m divided by their given Euclidean norms; rows of norm
+    0 pass through. Elementwise, so a block of rows with its norms gives
+    the bits of those rows of the whole."""
+    return m / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
 def _forward_one(
     side: str, adj: sp.csr_array, features: np.ndarray, weights, cfg: EncoderConfig
 ) -> tuple[np.ndarray, _GraphTape]:
@@ -143,7 +149,7 @@ def _forward_one(
         bad = bad[~np.isfinite(features[bad]).all(axis=1)]
         if bad.size:
             raise NumericError(f"non-finite feature in row {bad[0]} of the {side} graph")
-        h = unit_rows(features, norms)
+        h = _unit_rows(features, norms)
     else:
         h, features, norms = features, None, None
 
@@ -221,7 +227,7 @@ def _backward_one(
     rows = max(1, NORM_BLOCK // cfg.dim)
     for lo in range(0, len(g), rows):
         block, norms = g[lo : lo + rows], tape.norms[lo : lo + rows]
-        xhat = unit_rows(tape.features[lo : lo + rows], norms)
+        xhat = _unit_rows(tape.features[lo : lo + rows], norms)
         xhat *= np.einsum("ij,ij->i", block, xhat)[:, None]
         block -= xhat
         block /= np.where(norms > 0.0, norms, 1.0)[:, None]

@@ -75,13 +75,19 @@ class RunConfig:
     # checked here so a bad value fails at parse time, not after training
     def __post_init__(self):
         if self.candidate_policy not in CANDIDATE_POLICIES:
-            raise ConfigError(f"unknown candidate policy {self.candidate_policy!r}")
+            raise ConfigError(f"candidate_policy must be one of {CANDIDATE_POLICIES}, "
+                              f"got {self.candidate_policy!r}")
         if self.n_seeds < 1:
-            raise ConfigError("n_seeds must be at least 1")
+            raise ConfigError(f"n_seeds must be at least 1, got {self.n_seeds}")
         if self.attribute_margin is not None and not 0 <= self.attribute_margin < math.inf:
             raise ConfigError(
                 f"attribute_margin must be non-negative and finite, got {self.attribute_margin}"
             )
+        # the rule split applies, checked before any dataset is read
+        for name, f in (("train_fraction", self.train_fraction),
+                        ("val_fraction", self.val_fraction)):
+            if not 0.0 < f < 1.0:
+                raise ConfigError(f"{name} must lie strictly between 0 and 1, got {f}")
 
     def to_flat(self) -> dict:
         """Flat dotted-key mapping; the canonical serialized form."""

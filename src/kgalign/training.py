@@ -24,6 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+try:
+    # the kernel behind csc @ dense, which adds into an existing array:
+    # y[i] += a[i, j] * x[j], entry by entry in storage order
+    from scipy.sparse._sparsetools import csc_matvecs
+except ImportError:  # a private module; np.add.at gives the same sums
+    csc_matvecs = None
+
 from .adjacency import AdjacencyConfig, build_adjacency
 from .configfile import FLAT_KEY
 from .encoder import (
@@ -35,7 +42,6 @@ from .encoder import (
 )
 from .errors import ConfigError, NumericError
 from .graphs import GraphPair, require_valid
-from .linalg import scatter_add_rows
 from .parallel import thread_map, threads_for
 
 ADAM_BETA1 = 0.9
@@ -55,17 +61,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
         if self.n_negatives < 1:
-            raise ConfigError("n_negatives must be at least 1")
+            raise ConfigError(f"n_negatives must be at least 1, got {self.n_negatives}")
         if not 0 <= self.margin < math.inf:
             raise ConfigError(f"margin must be non-negative and finite, got {self.margin}")
         if self.n_epochs < 0:
-            raise ConfigError("n_epochs must be non-negative")
+            raise ConfigError(f"n_epochs must be non-negative, got {self.n_epochs}")
 
 
 class OptimizerState:
@@ -186,6 +192,39 @@ def sample_negatives(
     return neg
 
 
+def _scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray, scales) -> None:
+    """out[indices[i][t]] += scales[i] * rows[t] for each scale i and row
+    t, repeated targets accumulated: np.add.at line by line, exact in
+    out, a C-contiguous integer matrix whose dtype rows are taken in.
+
+    A CSC selector whose column t holds scales[i] at row indices[i][t],
+    built with no sort, is multiplied into out in place by the compiled
+    sparse kernel: much faster than np.add.at, and with no temporary the
+    size of out. Without the kernel, np.add.at adds the lines.
+    """
+    if out.dtype.kind != "i" or not out.flags.c_contiguous:
+        raise ValueError("_scatter_add_rows needs a C-contiguous integer output")
+    indices = np.reshape(indices, (len(scales), -1))
+    lines, m = indices.shape
+    if m == 0:
+        return
+    if csc_matvecs is None:
+        for line, scale in zip(indices, scales):
+            np.add.at(out, line, scale * rows)
+        return
+    rows = np.ascontiguousarray(rows, dtype=out.dtype)
+    if rows.shape != (m, out.shape[1]):  # the kernel reads m rows of out's width
+        raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
+    # the kernel does not check its row indices
+    if indices.min() < 0 or indices.max() >= len(out):
+        raise IndexError(f"row index out of range for {len(out)} rows")
+    targets = indices.ravel(order="F").astype(np.int64, copy=False)
+    data = np.tile(np.asarray(scales, dtype=out.dtype), m)
+    columns = np.arange(0, targets.size + 1, lines, dtype=np.int64)
+    csc_matvecs(out.shape[0], m, out.shape[1], columns, targets, data,
+                rows.ravel(), out.ravel())
+
+
 def margin_rank_loss(
     emb_left: np.ndarray,
     emb_right: np.ndarray,
@@ -255,7 +294,7 @@ def margin_rank_loss(
             s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
             s = np.take(s, active, axis=0, out=picked[: len(active)], mode="clip")
             # d loss / d left row = -sign, d loss / d right row = +sign
-            scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
+            _scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
 
     thread_map(chunks_of, range(threads), rows * d)
     total = accs.pop(0)
@@ -272,7 +311,7 @@ def margin_rank_loss(
 
     pos_sign = np.subtract(pos_diff > 0.0, pos_diff < 0.0, dtype=acc)
     pos_sign *= np.count_nonzero(by_positive > 0.0, axis=1).astype(acc)[:, None]
-    scatter_add_rows(total, np.stack([pl, pr + n_left]), pos_sign, (1, -1))
+    _scatter_add_rows(total, np.stack([pl, pr + n_left]), pos_sign, (1, -1))
     return float(loss), total[:n_left], total[n_left:]
 
 
@@ -313,7 +352,9 @@ def start(
     adjacencies=None,
 ) -> Trajectory:
     """The trajectory of train() at epoch 0; train_cfg.n_epochs is not
-    read. Takes the arguments of train(), and densifies initial_features."""
+    read. Takes the arguments of train() and initial_features, a sparse
+    float64 table per side that, densified, overrides the random feature
+    init (the attribute pathway, whose inputs are fixed multi-hot rows)."""
     if pair.alignment.train_pairs.shape[0] == 0:
         raise ConfigError("train split is empty; nothing to optimize")
     if adjacencies is None:
@@ -374,24 +415,19 @@ def train(
     adj_cfg: AdjacencyConfig,
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
-    initial_features: tuple[sp.csr_array, sp.csr_array] | None = None,
     adjacencies=None,
 ) -> tuple[EmbeddingState, list[float]]:
     """Full-batch training loop; returns the trained state and the
     per-epoch loss trace.
 
-    Deterministic given the configs' seeds. initial_features, a sparse
-    float64 table per side, overrides the random feature init (used for
-    the attribute pathway, whose inputs are fixed multi-hot rows).
-    adjacencies, when given, are the prebuilt (left, right) propagation
-    matrices; they never change during training, so callers that also
-    encode afterwards can share them, and they were built from a pair
-    the caller has validated; without them the pair is validated here.
+    Deterministic given the configs' seeds. adjacencies, when given, are
+    the prebuilt (left, right) propagation matrices; they never change
+    during training, so callers that also encode afterwards can share
+    them, and they were built from a pair the caller has validated;
+    without them the pair is validated here.
     """
-    traj = advance(
-        start(pair, adj_cfg, enc_cfg, train_cfg, initial_features, adjacencies),
-        train_cfg.n_epochs,
-    )
+    traj = advance(start(pair, adj_cfg, enc_cfg, train_cfg, adjacencies=adjacencies),
+                   train_cfg.n_epochs)
     return traj.state, traj.losses
 
 

@@ -148,24 +148,31 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
 
 
 # The run-level values (policy, n_seeds, attribute_margin) once parsed,
-# trained the whole run and only failed, if at all, afterwards.
+# trained the whole run and only failed, if at all, afterwards. Each
+# error names the file, the line and the dotted key, then what is wrong.
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("encoder.dim = 0", "dim must be positive"),
-        ("score.beta = 1.5", "beta must lie in"),
-        ("candidate_policy = test_only", "unknown candidate policy"),
-        ("n_seeds = 0", "n_seeds must be at least 1"),
-        ("attribute_margin = -1.0", "attribute_margin must be non-negative"),
-        ("training.margin = nan", "margin must be non-negative and finite"),
-        ("training.learning_rate = inf", "learning_rate must be positive and finite"),
-        ("encoder.init = 0.0", "init std must be positive and finite"),
-        ("encoder.init = -1.0", "init std must be positive and finite"),
-        ("adjacency.clamp_floor = -1.0", "clamp_floor must lie in (0, 1]"),
-        ("attribute_margin = nan", "attribute_margin must be non-negative and finite"),
+        ("encoder.dim = 0", "must be positive"),
+        ("score.beta = 1.5", "must lie in"),
+        ("candidate_policy = test_only", "must be one of"),
+        ("n_seeds = 0", "must be at least 1"),
+        ("attribute_margin = -1.0", "must be non-negative"),
+        ("training.margin = nan", "must be non-negative and finite"),
+        ("training.learning_rate = inf", "must be positive and finite"),
+        ("encoder.init = 0.0", "std must be positive and finite"),
+        ("encoder.init = -1.0", "std must be positive and finite"),
+        ("adjacency.clamp_floor = -1.0", "must lie in (0, 1]"),
+        ("attribute_margin = nan", "must be non-negative and finite"),
+        # datasets.split rejects these too, but only once the dataset is
+        # loaded, after the run directory is written
+        ("train_fraction = 1.5", "must lie strictly between 0 and 1, got 1.5"),
+        ("val_fraction = 0", "must lie strictly between 0 and 1, got 0.0"),
+        ("val_fraction = nan", "must lie strictly between 0 and 1, got nan"),
     ],
     ids=["dim", "beta", "policy", "n-seeds", "attribute-margin", "margin-nan", "learning-rate-inf",
-         "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan"],
+         "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan",
+         "train-fraction-above-1", "val-fraction-0", "val-fraction-nan"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
@@ -176,7 +183,7 @@ def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, mess
     assert main(["train", str(config), "--runs-root", str(runs)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
-    assert err["message"].startswith(f"{config}: {message}")
+    assert err["message"].startswith(f"{config}:{len(kept) + 1}: {key} {message}")
     assert not runs.exists()
 
 
@@ -401,15 +408,21 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
         ("grid.training.learning_rate = 1, 1.0\n", [], "repeats a value"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "-4"], "workers must be at least 1"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "0"], "workers must be at least 1"),
-        ("grid.encoder.dim = 16.9, 32\n", [], "{config}: encoder.dim must be int, got '16.9'"),
-        ("grid.training.margin = 3, nan\n", [], "{config}: margin must be non-negative"),
+        # a bad axis value names the axis's line
+        ("grid.encoder.dim = 16.9, 32\n", [], "{config}:15: encoder.dim must be int, got '16.9'"),
+        ("grid.training.margin = 3, nan\n", [],
+         "{config}:15: training.margin must be non-negative"),
+        # each of these runs once failed on its own, and the grid exited 0
+        ("grid.val_fraction = 0.5, 0\n", [],
+         "{config}:15: val_fraction must lie strictly between 0 and 1, got 0.0"),
         ("grid.typo = 1, 2\n", [], "{config}: unknown config keys ['grid.typo']"),
         ("grid.encoder.init = 1, unit\n", [], "grid axis 'encoder.init' sets a key of the ablation"),
         ("grid.encoder.use_weights = true\n", [],
          "grid axis 'encoder.use_weights' sets a key of the ablation"),
     ],
     ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
-         "out-of-range-axis", "unknown-axis", "cell-key-axis", "one-valued-cell-key-axis"],
+         "out-of-range-axis", "val-fraction-axis", "unknown-axis", "cell-key-axis",
+         "one-valued-cell-key-axis"],
 )
 def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     tmp_path, capsys, axis, flags, complaint
@@ -483,7 +496,9 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
     # a typo of ablate.datasets once tabulated the base dataset alone
     ("ablate.dataset = toy:cycle-8-4, toy:cycle-10-5\n", [],
      "{config}: unknown config keys ['ablate.dataset']"),
-], ids=["no-seeds", "no-test-split", "unknown-ablate-key"])
+    ("val_fraction = 0\n", [],
+     "{config}:13: val_fraction must lie strictly between 0 and 1, got 0.0"),
+], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0"])
 def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
     config = tmp_path / "ablate.cfg"
     config.write_text(TOY_CONFIG + extra, encoding="utf-8")

@@ -32,10 +32,29 @@ MALFORMED = [
 @pytest.mark.parametrize("key, token", MALFORMED)
 def test_malformed_value_rejected_naming_its_key(key, token):
     # a grid axis value is typed as its key's own value, naming the file
+    # and the line
     for line in (f"{key} = {token}", f"grid.{key} = {token}"):
         flat = parse_config_text(TOY_DATASET + line + "\n")
-        with pytest.raises(ConfigError, match=rf"^bad\.cfg: {re.escape(key)} must be "):
+        with pytest.raises(ConfigError, match=rf"^bad\.cfg:3: {re.escape(key)} must be "):
             RunConfig.from_flat(flat, source="bad.cfg")
+
+
+# A section checks its values once assembled, so its range error once
+# named neither the line nor the section: "m.cfg: margin must be ...".
+@pytest.mark.parametrize("text, line", [
+    ("training.margin = -1\n", 13),
+    ("training.margin = 1\ngrid.training.margin = 1, -1\n", 14),
+], ids=["value", "grid-axis"])
+def test_range_error_names_its_line_and_dotted_key(text, line):
+    flat = parse_config_text(TOY_DATASET + "# padding\n" * 10 + text)
+    message = "training.margin must be non-negative and finite, got -1.0"
+    with pytest.raises(ConfigError) as error:
+        RunConfig.from_flat(flat, source="m.cfg")
+    assert str(error.value) == f"m.cfg:{line}: {message}"
+    # a flat dict that no file gave names the key alone
+    with pytest.raises(ConfigError) as error:
+        RunConfig.from_flat(dict(flat))
+    assert str(error.value) == f"<config>: {message}"
 
 
 def test_typed_values_accepted():
@@ -63,7 +82,7 @@ def test_encoder_init_derives_the_std():
     assert scaled.init_std == pytest.approx(0.1)
     assert replace(scaled, dim=25).init_std == pytest.approx(0.2)
     assert EncoderConfig(init=2).init == 2.0
-    with pytest.raises(ConfigError, match="unknown init preset"):
+    with pytest.raises(ConfigError, match="init must be a std or one of the presets"):
         EncoderConfig(init="uniform")
 
 

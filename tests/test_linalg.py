@@ -1,12 +1,16 @@
+"""The numeric kernels: scipy's sparse products as the encoder uses
+them, and the private helpers of encoder (unit rows), adjacency (degree
+normalization) and training (the loss's integer scatter-add)."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kgalign.adjacency import AdjacencyConfig, build_adjacency_unnormalized
-from kgalign.encoder import EncoderConfig, forward, init_state
+from kgalign import training
+from kgalign.adjacency import AdjacencyConfig, _degree_normalize, build_adjacency_unnormalized
+from kgalign.encoder import EncoderConfig, _unit_rows, forward, init_state
 from kgalign.errors import NumericError
 from kgalign.graphs import KnowledgeGraph
-from kgalign.linalg import degree_normalize, scatter_add_rows
+from kgalign.training import _scatter_add_rows
 
 from conftest import row_l2_normalize
 
@@ -67,40 +71,50 @@ def test_csr_canonicalization_from_shuffled_duplicates():
         assert np.all(np.diff(cols_i) > 0)
 
 
+def unit_rows(m):
+    """The encoder's feature normalization, as its forward pass calls it."""
+    return _unit_rows(m, np.linalg.norm(m, axis=1))
+
+
+# the encoder's helper and the tests' oracle, each on its own
+NORMALIZERS = (unit_rows, row_l2_normalize)
+
+
 def test_row_l2_normalize_345():
-    out = row_l2_normalize(np.array([[3.0, 4.0]]))
-    assert np.allclose(out, [[0.6, 0.8]])
+    for normalize in NORMALIZERS:
+        assert np.allclose(normalize(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
 
 
 def test_row_l2_normalize_zero_row_unchanged():
-    out = row_l2_normalize(np.array([[0.0, 0.0]]))
-    assert out.tolist() == [[0.0, 0.0]]
+    for normalize in NORMALIZERS:
+        assert normalize(np.array([[0.0, 0.0]])).tolist() == [[0.0, 0.0]]
 
 
 def test_row_l2_normalize_random_norms():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(40, 7))
-    out = row_l2_normalize(m)
-    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
+    for normalize in NORMALIZERS:
+        assert np.allclose(np.linalg.norm(normalize(m), axis=1), 1.0, atol=1e-6)
+    assert np.array_equal(unit_rows(m), row_l2_normalize(m))
 
 
 def test_degree_normalize_row_uniform():
     a = sp.csr_array(np.ones((2, 2)))
-    out = degree_normalize(a, "row").toarray()
+    out = _degree_normalize(a, "row").toarray()
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_degree_normalize_symmetric_hand():
     # degrees are both 2, so every entry is 1 / sqrt(2 * 2)
     a = sp.csr_array(np.ones((2, 2)))
-    out = degree_normalize(a, "symmetric").toarray()
+    out = _degree_normalize(a, "symmetric").toarray()
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_degree_normalize_identity_fixed_point():
     a = sp.eye_array(4, format="csr")
     for mode in ("row", "symmetric"):
-        assert np.allclose(degree_normalize(a, mode).toarray(), np.eye(4))
+        assert np.allclose(_degree_normalize(a, mode).toarray(), np.eye(4))
 
 
 def test_degree_normalize_row_sums_one():
@@ -109,7 +123,7 @@ def test_degree_normalize_row_sums_one():
         n = int(rng.integers(2, 30))
         dense = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0)
         dense += np.eye(n)  # self-loops keep degrees positive
-        out = degree_normalize(sp.csr_array(dense), "row")
+        out = _degree_normalize(sp.csr_array(dense), "row")
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -122,20 +136,14 @@ def test_degree_normalize_symmetric_matches_dense_reference():
         deg = dense.sum(axis=1)
         d_inv_sqrt = np.diag(1.0 / np.sqrt(deg))
         expected = d_inv_sqrt @ dense @ d_inv_sqrt
-        got = degree_normalize(sp.csr_array(dense), "symmetric").toarray()
+        got = _degree_normalize(sp.csr_array(dense), "symmetric").toarray()
         assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_degree_normalize_zero_degree_errors():
     a = sp.csr_array(([1.0], ([0], [0])), shape=(2, 2))  # row 1 empty
     with pytest.raises(NumericError, match="self-loop"):
-        degree_normalize(a, "row")
-
-
-def test_degree_normalize_requires_square():
-    a = sp.csr_array(([1.0], ([0], [0])), shape=(2, 3))
-    with pytest.raises(ValueError, match="square"):
-        degree_normalize(a, "row")
+        _degree_normalize(a, "row")
 
 
 def test_transpose_roundtrip():
@@ -151,18 +159,6 @@ def test_transpose_roundtrip():
     assert np.array_equal(a.T @ b, materialized @ b)
 
 
-def test_scatter_add_rows_matches_add_at():
-    rng = np.random.default_rng(5)
-    for m in (10, 5000):  # covers both implementation paths
-        idx = rng.integers(0, 50, m)
-        rows = rng.normal(size=(m, 3))
-        out1 = np.zeros((50, 3))
-        out2 = np.zeros((50, 3))
-        scatter_add_rows(out1, idx, rows)
-        np.add.at(out2, idx, rows)
-        assert np.allclose(out1, out2, rtol=1e-12, atol=1e-12)
-
-
 def test_spmm_deterministic():
     rng = np.random.default_rng(6)
     dense = np.where(rng.random((30, 30)) < 0.2, rng.normal(size=(30, 30)), 0.0)
@@ -174,84 +170,76 @@ def test_spmm_deterministic():
 
 
 def test_scatter_add_rows_is_add_at_bit_for_bit():
-    # both paths add row by row in index order onto what out holds
+    # the sums of np.add.at onto what out holds, in out's integer dtype
     rng = np.random.default_rng(7)
     for m in (10, 5000):
         idx = rng.integers(0, 50, m)
-        rows = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 1))
-        out1 = rng.normal(size=(50, 3))
+        rows = rng.integers(-1, 2, (m, 3)).astype(np.int16)
+        out1 = rng.integers(-100, 100, (50, 3)).astype(np.int16)
         out2 = out1.copy()
-        scatter_add_rows(out1, idx, rows)
+        _scatter_add_rows(out1, idx, rows, (1,))
         np.add.at(out2, idx, rows)
         assert np.array_equal(out1, out2)
     with pytest.raises(ValueError):
-        scatter_add_rows(np.zeros((50, 3), dtype=np.float32), idx, rows)
+        _scatter_add_rows(np.zeros((50, 3)), idx, rows, (1,))
     with pytest.raises(ValueError):
-        scatter_add_rows(np.zeros((3, 50)).T, idx, rows)
+        _scatter_add_rows(np.zeros((3, 50), dtype=np.int16).T, idx, rows, (1,))
     with pytest.raises(ValueError):
-        scatter_add_rows(np.zeros((50, 4)), idx, rows)
+        _scatter_add_rows(np.zeros((50, 4), dtype=np.int16), idx, rows, (1,))
     # the compiled kernel does not check its targets, so the call does
     for bad in (-1, 50):
         with pytest.raises(IndexError):
-            scatter_add_rows(np.zeros((50, 3)), np.where(idx == idx[7], bad, idx), rows)
+            _scatter_add_rows(np.zeros((50, 3), dtype=np.int16),
+                              np.where(idx == idx[7], bad, idx), rows, (1,))
 
 
 def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
     # scipy's kernel lives in a private module; where it is missing the
-    # fallback gives the kernel path's bits
-    import kgalign.linalg as linalg
-
+    # fallback gives the kernel path's sums
     rng = np.random.default_rng(8)
     idx = rng.integers(0, 50, 5000)
-    rows = rng.normal(size=(5000, 3)) * 10.0 ** rng.integers(-8, 8, (5000, 1))
-    start = rng.normal(size=(50, 3))
+    rows = rng.integers(-1, 2, (5000, 3)).astype(np.int32)
+    start = rng.integers(-1000, 1000, (50, 3)).astype(np.int32)
     with_kernel = start.copy()
-    scatter_add_rows(with_kernel, idx, rows)
-    monkeypatch.setattr(linalg, "csc_matvecs", None)
+    _scatter_add_rows(with_kernel, idx, rows, (1,))
+    monkeypatch.setattr(training, "csc_matvecs", None)
     without = start.copy()
-    scatter_add_rows(without, idx, rows)
+    _scatter_add_rows(without, idx, rows, (1,))
     assert np.array_equal(with_kernel, without)
 
 
 def test_scatter_add_rows_scales_integer_lines_with_and_without_the_kernel(monkeypatch):
     # the loss adds each row of signs to two targets, with -1 and +1
-    import kgalign.linalg as linalg
-
     rng = np.random.default_rng(9)
     idx = rng.integers(0, 50, (2, 5000))
     rows = rng.integers(-1, 2, (5000, 3)).astype(np.int16)
     expected = np.zeros((50, 3), dtype=np.int64)
     np.subtract.at(expected, idx[0], rows)
     np.add.at(expected, idx[1], rows)
-    for kernel in (linalg.csc_matvecs, None):
-        monkeypatch.setattr(linalg, "csc_matvecs", kernel)
+    for kernel in (training.csc_matvecs, None):
+        monkeypatch.setattr(training, "csc_matvecs", kernel)
         out = np.zeros((50, 3), dtype=np.int16)
-        scatter_add_rows(out, idx, rows, (-1, 1))
+        _scatter_add_rows(out, idx, rows, (-1, 1))
         assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.float64])
+# the loss's two accumulator dtypes
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
 def test_scatter_add_rows_two_lines_are_add_at_bit_for_bit(monkeypatch, dtype):
     # the loss's lines: each repeats its targets, and they name disjoint
-    # rows (left rows, then right rows); the CSC selector adds in t order
-    import kgalign.linalg as linalg
-
+    # rows (left rows, then right rows)
     rng = np.random.default_rng(10)
-    kernel_found = linalg.csc_matvecs
-    for m in (10, 5000):  # np.add.at itself, then the kernel when it is there
+    kernel_found = training.csc_matvecs
+    for m in (10, 5000):
         idx = np.stack([rng.integers(0, 25, m), rng.integers(25, 50, m)])
-        if dtype == np.float64:  # magnitudes so varied that order shows in the bits
-            rows = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 8, (m, 1))
-            start = rng.normal(size=(50, 3))
-        else:
-            rows = rng.integers(-1, 2, (m, 3)).astype(dtype)
-            start = rng.integers(-100, 100, (50, 3)).astype(dtype)
+        rows = rng.integers(-1, 2, (m, 3)).astype(dtype)
+        start = rng.integers(-100, 100, (50, 3)).astype(dtype)
         expected = start.copy()
         np.add.at(expected, idx[0], -rows)
         np.add.at(expected, idx[1], rows)
         for kernel in (kernel_found, None):
-            monkeypatch.setattr(linalg, "csc_matvecs", kernel)
+            monkeypatch.setattr(training, "csc_matvecs", kernel)
             out = start.copy()
-            scatter_add_rows(out, idx, rows, (-1, 1))
+            _scatter_add_rows(out, idx, rows, (-1, 1))
             assert out.dtype == dtype
             assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
