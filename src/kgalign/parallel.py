@@ -14,6 +14,11 @@ inside a thread_map item, so no core count, worker count or caller
 setting can change a bit of a weighted run. Where numpy's BLAS exports
 no OpenBLAS thread-count calls (MKL, Accelerate) there is no pin, and
 weighted bits may follow that library's own threads.
+
+That pin is one of the two process-wide native settings this module
+owns. The other, set once in each of run_grid's worker processes and
+never in the caller's, is glibc's allocator thresholds: pinned high, a
+worker's later runs reuse the heap its earlier runs freed.
 """
 from __future__ import annotations
 
@@ -47,6 +52,27 @@ def set_process_share(threads: int) -> None:
     times threads stays within the cores."""
     global _process_share
     _process_share = threads
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process.
+
+    Left dynamic, they settle at the size of the ~1 MB arrays a small
+    run frees, so each epoch's arrays go back to the kernel and are
+    faulted in again. Once set they stay: mallopt has no getter, so
+    only run_grid's workers call this. Does nothing where libc has no
+    mallopt (macOS, Windows) or refuses the call (musl returns 0).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # M_MMAP_THRESHOLD at its ceiling on 64-bit glibc, then
+    # M_TRIM_THRESHOLD at twice it, the ratio glibc's own heuristic keeps
+    for param, value in ((-3, 32 << 20), (-1, 64 << 20)):
+        if mallopt(param, value) == 0:
+            return
 
 
 # OpenBLAS's (get, set) thread-count calls: None until first use, () where

@@ -38,7 +38,7 @@ from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
 from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConfig, evaluate
 from .graphs import GraphPair, Role, require_valid
-from .parallel import set_process_share, thread_count
+from .parallel import _pin_malloc_thresholds, set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
 from .training import TrainConfig, advance, loss_trace_tsv, start
 
@@ -206,10 +206,11 @@ _shared: dict | None = None
 
 
 def _init_worker(share: int) -> None:
-    """Pool initializer: the worker's thread share, and inputs shared by
-    its runs until the pool shuts down."""
+    """Pool initializer: the worker's thread share, its allocator
+    thresholds, and inputs shared by its runs until the pool shuts down."""
     global _shared
     set_process_share(share)
+    _pin_malloc_thresholds()
     _shared = {}
 
 
@@ -549,39 +550,46 @@ def _execute(label: str, configs: list[RunConfig], runs_root: Path, workers: int
 
     Configs that differ only in training.n_epochs form one job, which
     runs in one process and trains once, to its largest epoch count.
-    More than one worker runs the jobs in a process pool, each worker
-    with its share of the cores; one runs them in this process. The runs
-    of a process share their inputs until the caller stops, also
-    part-way.
+    More than one worker runs the jobs in a process pool of at most one
+    worker per job, each worker with its share of the cores; one runs
+    them in this process. The runs of a process share their inputs until
+    the caller stops, also part-way. The ETA weighs each job by the
+    epochs it trains, its largest count.
     """
     global _shared
     began = time.perf_counter()
     n_failures = 0
     jobs = _jobs(configs)
     job_configs = ([configs[i] for i in job] for job in jobs)
+    job_epochs = [max(1, configs[job[-1]].training.n_epochs) for job in jobs]
+    epochs_left = sum(job_epochs)
     with ExitStack() as stack:
         if workers > 1:
+            processes = min(workers, len(jobs))
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=processes,
                 initializer=_init_worker,
-                initargs=(max(1, thread_count() // workers),),
+                initargs=(max(1, thread_count() // processes),),
             ))
-            finished = zip(jobs, pool.map(_run_job, job_configs, repeat(runs_root)))
+            finished = zip(jobs, job_epochs, pool.map(_run_job, job_configs, repeat(runs_root)))
         else:
             _shared = {}
-            finished = zip(jobs, map(_run_job, job_configs, repeat(runs_root)))
+            finished = zip(jobs, job_epochs, map(_run_job, job_configs, repeat(runs_root)))
         try:
             outcomes = {}
+            epochs_done = 0
             for done, cfg in enumerate(configs, start=1):
                 # jobs come in the order of their first configs, so this
                 # config's job is among those up to its own
                 while done - 1 not in outcomes:
-                    job, job_outcomes = next(finished)
+                    job, epochs, job_outcomes = next(finished)
                     outcomes.update(zip(job, job_outcomes))
+                    epochs_done += epochs
+                    epochs_left -= epochs
                 outcome = outcomes.pop(done - 1)
                 n_failures += isinstance(outcome, Exception)
                 elapsed = time.perf_counter() - began
-                eta = elapsed / done * (len(configs) - done)
+                eta = elapsed * epochs_left / epochs_done
                 print(f"{label}: {done}/{len(configs)} runs, {n_failures} failed, "
                       f"{elapsed:.1f}s elapsed, ETA {eta:.1f}s", file=sys.stderr, flush=True)
                 yield cfg, outcome

@@ -730,6 +730,169 @@ def test_grid_prints_one_progress_line_per_run(tmp_path, capsys):
     assert failed == result.n_failures == 4
 
 
+
+def test_grid_eta_weighs_the_epochs_left(tmp_path, monkeypatch, capsys):
+    import time
+
+    import kgalign.runner as runner
+
+    # a job takes 10 s per epoch of its largest run; the runs of the
+    # 4-epoch job arrive together, 40 s in, and 1 epoch is left
+    clock = [100.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    real = runner._run_job
+
+    def timed(job, runs_root):
+        clock[0] += 10.0 * job[-1].training.n_epochs
+        return real(job, runs_root)
+
+    monkeypatch.setattr(runner, "_run_job", timed)
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5})
+    configs = [
+        apply_overrides(base, {"training.n_epochs": 1}),
+        apply_overrides(base, {"training.n_epochs": 4}),
+        apply_overrides(base, {"training.n_epochs": 1, "training.learning_rate": 0.05}),
+    ]
+    assert all(not isinstance(o, Exception) for _, o in runner._execute("grid", configs, tmp_path, 1))
+    assert capsys.readouterr().err.splitlines() == [
+        "grid: 1/3 runs, 0 failed, 40.0s elapsed, ETA 10.0s",
+        "grid: 2/3 runs, 0 failed, 40.0s elapsed, ETA 10.0s",
+        "grid: 3/3 runs, 0 failed, 50.0s elapsed, ETA 0.0s",
+    ]
+
+
+@pytest.mark.parametrize("workers, n_jobs, pool", [(8, 2, (2, 4)), (8, 1, (1, 8)), (3, 2, (2, 4))],
+                         ids=["8-workers-2-jobs", "8-workers-1-job", "3-workers-2-jobs"])
+def test_pool_has_at_most_one_worker_per_job(tmp_path, monkeypatch, workers, n_jobs, pool):
+    import functools
+    import multiprocessing
+    import os
+
+    import kgalign.runner as runner
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    pools = []
+    fork_pool = functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+
+    def recording(max_workers, initializer, initargs):
+        pools.append((max_workers, initargs))
+        return fork_pool(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    configs = [apply_overrides(base, {"training.learning_rate": lr}) for lr in (0.05, 0.5)[:n_jobs]]
+    outcomes = [o for _, o in runner._execute("grid", configs, tmp_path, workers)]
+    assert len(outcomes) == n_jobs and not any(isinstance(o, Exception) for o in outcomes)
+    max_workers, share = pool
+    assert pools == [(max_workers, (share,))]
+
+
+def _fake_libc(monkeypatch, log: Path, mallopt_returns: int | None):
+    """Patch ctypes so that the process's own libc is a fake: its mallopt
+    appends "<pid> <param> <value>" to log and returns mallopt_returns,
+    and it has no mallopt where that is None. Forked workers inherit it."""
+    import ctypes
+    import os
+    import types
+
+    real = ctypes.CDLL
+
+    def mallopt(param, value):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {param} {value}\n")
+        return mallopt_returns
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        return types.SimpleNamespace(**({} if mallopt_returns is None else {"mallopt": mallopt}))
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+
+def _logged_mallopt_calls(log: Path) -> list[tuple[str, int, int]]:
+    if not log.exists():
+        return []
+    return [(pid, int(param), int(value))
+            for pid, param, value in (line.split() for line in log.read_text().splitlines())]
+
+
+def _init_worker_here(monkeypatch):
+    """runner._init_worker(1) in this process, its settings undone after."""
+    import kgalign.parallel as parallel
+    import kgalign.runner as runner
+
+    monkeypatch.setattr(parallel, "_process_share", None)
+    monkeypatch.setattr(runner, "_shared", None)
+    runner._init_worker(1)
+
+
+def test_worker_initializer_pins_the_malloc_thresholds(tmp_path, monkeypatch):
+    log = tmp_path / "mallopt.log"
+    _fake_libc(monkeypatch, log, mallopt_returns=1)
+    _init_worker_here(monkeypatch)
+    # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB
+    assert [call[1:] for call in _logged_mallopt_calls(log)] == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("mallopt_returns", [None, 0], ids=["no-mallopt", "mallopt-refuses"])
+def test_workers_run_where_libc_has_no_mallopt_or_refuses_it(tmp_path, monkeypatch, mallopt_returns):
+    import functools
+    import multiprocessing
+
+    import kgalign.runner as runner
+
+    log = tmp_path / "mallopt.log"
+    _fake_libc(monkeypatch, log, mallopt_returns)
+    _init_worker_here(monkeypatch)
+    # a refused call ends the helper: the trim threshold is not tried
+    expected = [] if mallopt_returns is None else [(-3, 32 << 20)]
+    assert [call[1:] for call in _logged_mallopt_calls(log)] == expected
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    axes = {"training.learning_rate": [0.05, 0.5]}
+    assert run_grid(base, tmp_path / "pool", axes=axes, workers=2).n_failures == 0
+    assert run_grid(base, tmp_path / "serial", axes=axes, workers=1).n_failures == 0
+    for name in ("leaderboard.tsv", "grid_best.json"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_only_grid_workers_call_mallopt(tmp_path, monkeypatch):
+    import functools
+    import multiprocessing
+    import os
+
+    import kgalign.runner as runner
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    log = tmp_path / "mallopt.log"
+    _fake_libc(monkeypatch, log, mallopt_returns=1)
+    # train, evaluate and a one-worker grid run in this process and keep
+    # its allocator as it is
+    cfg = toy_config(**{"training.n_epochs": 5})
+    run_single(cfg, tmp_path / "runs")
+    runner.evaluate_run(tmp_path / "runs" / cfg.run_hash(), "all-entities")
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    axes = {"training.learning_rate": [0.05, 0.5]}
+    run_grid(base, tmp_path / "serial", axes=axes, workers=1)
+    assert _logged_mallopt_calls(log) == []
+    # each worker of a pool makes the two calls, once
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    run_grid(base, tmp_path / "pool", axes=axes, workers=2)
+    calls = _logged_mallopt_calls(log)
+    pids = sorted({pid for pid, _, _ in calls})
+    assert 1 <= len(pids) <= 2 and str(os.getpid()) not in pids
+    assert sorted(calls) == sorted((pid, param, value) for pid in pids
+                                   for param, value in ((-3, 32 << 20), (-1, 64 << 20)))
+
 def test_forkserver_grid_matches_serial_grid(tmp_path, monkeypatch):
     import functools
     import multiprocessing
