@@ -16,9 +16,10 @@ no OpenBLAS thread-count calls (MKL, Accelerate) there is no pin, and
 weighted bits may follow that library's own threads.
 
 That pin is one of the two process-wide native settings this module
-owns. The other, set once in each of run_grid's worker processes and
-never in the caller's, is glibc's allocator thresholds: pinned high, a
-worker's later runs reuse the heap its earlier runs freed.
+owns. The other, set once in each of run_grid's one-thread worker
+processes and never in the caller's, is glibc's allocator thresholds:
+pinned high, a worker's later runs reuse the heap its earlier runs
+freed.
 """
 from __future__ import annotations
 
@@ -57,10 +58,10 @@ def set_process_share(threads: int) -> None:
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds for the rest of the process.
 
-    Left dynamic, they settle at the size of the ~1 MB arrays a small
-    run frees, so each epoch's arrays go back to the kernel and are
-    faulted in again. Once set they stay: mallopt has no getter, so
-    only run_grid's workers call this. Does nothing where libc has no
+    Left dynamic, they follow the size of the arrays a run frees, so
+    each epoch hands arrays back to the kernel and faults them in again.
+    Once set they stay: mallopt has no getter, so only run_grid's
+    one-thread workers call this. Does nothing where libc has no
     mallopt (macOS, Windows) or refuses the call (musl returns 0).
     """
     try:

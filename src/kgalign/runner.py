@@ -207,10 +207,18 @@ _shared: dict | None = None
 
 def _init_worker(share: int) -> None:
     """Pool initializer: the worker's thread share, its allocator
-    thresholds, and inputs shared by its runs until the pool shuts down."""
+    thresholds when it has one thread, and inputs shared by its runs
+    until the pool shuts down.
+
+    A worker with more threads runs kernels on helper threads, each
+    allocating in its own malloc arena, and pinned thresholds keep
+    those arenas full: a zh-en-scale grid's two-thread workers peaked
+    17% higher.
+    """
     global _shared
     set_process_share(share)
-    _pin_malloc_thresholds()
+    if share == 1:
+        _pin_malloc_thresholds()
     _shared = {}
 
 

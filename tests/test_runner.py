@@ -820,47 +820,37 @@ def _logged_mallopt_calls(log: Path) -> list[tuple[str, int, int]]:
             for pid, param, value in (line.split() for line in log.read_text().splitlines())]
 
 
-def _init_worker_here(monkeypatch):
-    """runner._init_worker(1) in this process, its settings undone after."""
+def _init_worker_here(monkeypatch, share: int = 1):
+    """runner._init_worker(share) in this process, its settings undone after."""
     import kgalign.parallel as parallel
     import kgalign.runner as runner
 
     monkeypatch.setattr(parallel, "_process_share", None)
     monkeypatch.setattr(runner, "_shared", None)
-    runner._init_worker(1)
+    runner._init_worker(share)
 
 
-def test_worker_initializer_pins_the_malloc_thresholds(tmp_path, monkeypatch):
+# M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB; a worker
+# of more threads keeps glibc's own, or its helper threads' malloc arenas
+# would keep what they free
+@pytest.mark.parametrize("share, calls", [(1, [(-3, 32 << 20), (-1, 64 << 20)]), (2, [])],
+                         ids=["one-thread", "two-threads"])
+def test_worker_initializer_pins_the_malloc_thresholds(tmp_path, monkeypatch, share, calls):
     log = tmp_path / "mallopt.log"
     _fake_libc(monkeypatch, log, mallopt_returns=1)
-    _init_worker_here(monkeypatch)
-    # M_MMAP_THRESHOLD at 32 MiB, then M_TRIM_THRESHOLD at 64 MiB
-    assert [call[1:] for call in _logged_mallopt_calls(log)] == [(-3, 32 << 20), (-1, 64 << 20)]
+    _init_worker_here(monkeypatch, share)
+    assert [call[1:] for call in _logged_mallopt_calls(log)] == calls
 
 
 @pytest.mark.parametrize("mallopt_returns", [None, 0], ids=["no-mallopt", "mallopt-refuses"])
-def test_workers_run_where_libc_has_no_mallopt_or_refuses_it(tmp_path, monkeypatch, mallopt_returns):
-    import functools
-    import multiprocessing
-
-    import kgalign.runner as runner
-
+def test_worker_initializer_runs_where_libc_has_no_mallopt_or_refuses_it(
+        tmp_path, monkeypatch, mallopt_returns):
     log = tmp_path / "mallopt.log"
     _fake_libc(monkeypatch, log, mallopt_returns)
     _init_worker_here(monkeypatch)
     # a refused call ends the helper: the trim threshold is not tried
     expected = [] if mallopt_returns is None else [(-3, 32 << 20)]
     assert [call[1:] for call in _logged_mallopt_calls(log)] == expected
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the fork start method is unavailable")
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
-        runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
-    axes = {"training.learning_rate": [0.05, 0.5]}
-    assert run_grid(base, tmp_path / "pool", axes=axes, workers=2).n_failures == 0
-    assert run_grid(base, tmp_path / "serial", axes=axes, workers=1).n_failures == 0
-    for name in ("leaderboard.tsv", "grid_best.json"):
-        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 def test_only_grid_workers_call_mallopt(tmp_path, monkeypatch):
@@ -883,15 +873,17 @@ def test_only_grid_workers_call_mallopt(tmp_path, monkeypatch):
     axes = {"training.learning_rate": [0.05, 0.5]}
     run_grid(base, tmp_path / "serial", axes=axes, workers=1)
     assert _logged_mallopt_calls(log) == []
-    # each worker of a pool makes the two calls, once
+    # each one-thread worker of a pool makes the two calls, once
     monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
         runner.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_grid(base, tmp_path / "pool", axes=axes, workers=2)
     calls = _logged_mallopt_calls(log)
     pids = sorted({pid for pid, _, _ in calls})
     assert 1 <= len(pids) <= 2 and str(os.getpid()) not in pids
     assert sorted(calls) == sorted((pid, param, value) for pid in pids
                                    for param, value in ((-3, 32 << 20), (-1, 64 << 20)))
+
 
 def test_forkserver_grid_matches_serial_grid(tmp_path, monkeypatch):
     import functools
