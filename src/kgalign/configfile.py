@@ -77,8 +77,15 @@ def format_value(v) -> str:
 
 
 def format_config(flat: dict) -> str:
-    """Canonical text form: sorted dotted keys, one per line."""
-    return "\n".join(f"{key} = {format_value(flat[key])}" for key in sorted(flat)) + "\n"
+    """Canonical text form: sorted dotted keys, one per line. A value
+    that would not read back as written, one holding '#' or a line break
+    or with surrounding whitespace, is a ConfigError naming its key."""
+    texts = {key: format_value(flat[key]) for key in sorted(flat)}
+    for key, text in texts.items():
+        if text != text.strip() or any(c in text for c in "#\r\n"):
+            raise ConfigError(f"{key} = {text!r}: a config value cannot hold '#' or a line "
+                              "break, or begin or end with whitespace")
+    return "\n".join(f"{key} = {text}" for key, text in texts.items()) + "\n"
 
 
 @functools.cache

@@ -147,44 +147,42 @@ def _derive_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-# state.npz holds the structure state under no prefix and the optional
-# attribute state under "attr_": <prefix>features_left,
-# <prefix>features_right and <prefix>weight_<layer> per weight matrix
+# state.npz holds one state per pathway of _pathways, each under its
+# prefix: <prefix>features_left, <prefix>features_right and
+# <prefix>weight_<layer> per weight matrix
 _STATE_PREFIXES = ("", "attr_")
 
 
-def _save_state(path: Path, state: EmbeddingState, attr_state: EmbeddingState | None):
+def _save_state(path: Path, states: list[EmbeddingState]):
     arrays = {}
-    for prefix, s in zip(_STATE_PREFIXES, (state, attr_state)):
-        if s is not None:
-            arrays[f"{prefix}features_left"] = s.features_left
-            arrays[f"{prefix}features_right"] = s.features_right
-            for i, w in enumerate(s.weights or ()):
-                arrays[f"{prefix}weight_{i}"] = w
+    for prefix, s in zip(_STATE_PREFIXES, states):
+        arrays[f"{prefix}features_left"] = s.features_left
+        arrays[f"{prefix}features_right"] = s.features_right
+        for i, w in enumerate(s.weights or ()):
+            arrays[f"{prefix}weight_{i}"] = w
     write_atomic(path, lambda f: np.savez(f, **arrays))
 
 
-def load_state(path: Path) -> tuple[EmbeddingState, EmbeddingState | None]:
-    """(structure state, attribute state or None) saved in path; an
+def load_state(path: Path) -> list[EmbeddingState]:
+    """The pathway states saved in path, the structure's first; an
     archive that cannot be read or lacks an array is a ConfigError."""
+    states = []
     try:
         with open(path, "rb") as f, np.load(f) as data:
-            def saved(prefix):  # only the attribute state is optional
+            for prefix in _STATE_PREFIXES:
                 if prefix and f"{prefix}features_left" not in data:
-                    return None
+                    break  # only the structure state is always there
                 weight = f"{prefix}weight_"
                 layers = sorted(int(k[len(weight):]) for k in data.files if k.startswith(weight))
-                return EmbeddingState(
+                states.append(EmbeddingState(
                     features_left=data[f"{prefix}features_left"],
                     features_right=data[f"{prefix}features_right"],
                     weights=[data[f"{weight}{i}"] for i in layers] or None,
-                )
-
-            state, attr_state = (saved(prefix) for prefix in _STATE_PREFIXES)
+                ))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path} is not a complete state archive "
                           f"({type(exc).__name__}: {exc}); re-train with --force") from None
-    return state, attr_state
+    return states
 
 
 def prepare_pair(cfg: RunConfig) -> GraphPair:
@@ -249,26 +247,44 @@ def prepare_run(cfg: RunConfig):
     return pair, adjacencies
 
 
-def _attribute_encoder(cfg: RunConfig, pair: GraphPair) -> EncoderConfig:
-    """The attribute pathway's encoder: the structure encoder at the
-    attribute width."""
-    if pair.attributes_left is None or pair.attributes_right is None:
-        raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
-    return replace(cfg.encoder, dim=pair.attributes_left.attribute_dim)
+def _pathways(cfg: RunConfig, pair: GraphPair) -> list[tuple]:
+    """(encoder config, training config, initial features) per pathway:
+    the structure, then, when score.beta < 1, the attribute tables'
+    independent embedding, each with its own seeds. A blend on a dataset
+    without attribute tables is a ConfigError."""
+    enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
+    pathways = [(replace(cfg.encoder, seed=enc_seed), replace(cfg.training, seed=train_seed), None)]
+    if cfg.score.beta < 1.0:
+        left, right = pair.attributes_left, pair.attributes_right
+        if left is None or right is None:
+            raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
+        margin = cfg.training.margin if cfg.attribute_margin is None else cfg.attribute_margin
+        pathways.append((
+            replace(cfg.encoder, dim=left.attribute_dim, seed=attr_enc_seed, init=1.0),
+            replace(cfg.training, seed=attr_train_seed, margin=margin),
+            (left.features, right.features),
+        ))
+    return pathways
 
 
-def encode(cfg: RunConfig, pair: GraphPair, adjacencies, state, attr_state=None):
-    """Final embeddings of trained states: ((out_l, out_r), (a_l, a_r)).
+def encode(pathways: list[tuple], adjacencies, states: list[EmbeddingState]) -> list[tuple]:
+    """Final embeddings of trained states, one (left, right) per pathway;
+    a state count other than the pathway count, or a state whose layout
+    disagrees with its pathway's encoder, is a ConfigError."""
+    if len(states) != len(pathways):
+        raise ConfigError(f"pathways: {len(states)} in the state, {len(pathways)} in the config")
+    return [forward(*adjacencies, state, enc_cfg)[:2]
+            for (enc_cfg, _, _), state in zip(pathways, states)]
 
-    The attribute embeddings are (None, None) without an attribute
-    state. A state whose layout disagrees with the config raises
-    ConfigError.
-    """
-    out_l, out_r, _ = forward(*adjacencies, state, cfg.encoder)
-    if attr_state is None:
-        return (out_l, out_r), (None, None)
-    a_l, a_r, _ = forward(*adjacencies, attr_state, _attribute_encoder(cfg, pair))
-    return (out_l, out_r), (a_l, a_r)
+
+def _score(cfg: RunConfig, pair: GraphPair, embeddings: list[tuple], split: Role,
+           policy: str | None = None, tie_diagnostics: bool = False) -> MetricsReport:
+    """evaluate() of encode's embeddings on split under policy (default:
+    the run's own); a second pathway's are the attribute embeddings."""
+    attributes = embeddings[1] if len(embeddings) > 1 else (None, None)
+    return evaluate(*embeddings[0], pair, cfg.score, policy=policy or cfg.candidate_policy,
+                    split=split, attr_emb_left=attributes[0], attr_emb_right=attributes[1],
+                    tie_diagnostics=tie_diagnostics)
 
 
 def _sibling_key(cfg: RunConfig) -> RunConfig:
@@ -277,31 +293,17 @@ def _sibling_key(cfg: RunConfig) -> RunConfig:
     return replace(cfg, training=replace(cfg.training, n_epochs=0))
 
 
-# the trajectories (structure, then the optional attribute one) the
-# last run of the job in progress left, by the sibling key of its
-# config; None outside a job with more than one run
+# the pathways' trajectories the last run of the job in progress left, by
+# the sibling key of its config; None outside a job with more than one run
 _carried: dict | None = None
 
 
-def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
-    """Structure training plus the optional independent attribute run;
-    returns (state, attribute state or None, the structure losses).
+def _train_pathways(cfg: RunConfig, pathways: list[tuple], pair: GraphPair, adjacencies):
+    """Trains every pathway; returns (their states, the structure losses).
 
     Inside a job, the pathways continue the trajectories a shorter
     sibling left, and leave theirs for the next.
     """
-    enc_seed, train_seed, attr_enc_seed, attr_train_seed = _derive_seeds(cfg.seed, 4)
-    # (encoder, training, initial features) per pathway; the attribute
-    # encoder is derived first, so a dataset without attribute tables
-    # fails untrained
-    pathways = [(replace(cfg.encoder, seed=enc_seed), replace(cfg.training, seed=train_seed), None)]
-    if cfg.score.beta < 1.0:
-        pathways.append((
-            replace(_attribute_encoder(cfg, pair), seed=attr_enc_seed, init=1.0),
-            replace(cfg.training, seed=attr_train_seed, margin=cfg.attribute_margin
-                    if cfg.attribute_margin is not None else cfg.training.margin),
-            (pair.attributes_left.features, pair.attributes_right.features),
-        ))
     key = _sibling_key(cfg)
     # taken, not read, so a run that raises hands nothing on
     trajectories = (_carried or {}).pop(key, None) or [
@@ -312,8 +314,7 @@ def _train_pathways(cfg: RunConfig, pair: GraphPair, adjacencies):
         advance(trajectory, cfg.training.n_epochs)
     if _carried is not None:
         _carried[key] = trajectories
-    attr_state = trajectories[1].state if len(trajectories) > 1 else None
-    return trajectories[0].state, attr_state, trajectories[0].losses
+    return [t.state for t in trajectories], trajectories[0].losses
 
 
 def _resume(cfg: RunConfig, run_dir: Path) -> RunResult | None:
@@ -399,14 +400,12 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
     write_atomic(run_dir / "config.txt", cfg.canonical_text())
     try:
         pair, adjacencies = prepare_run(cfg)
-        state, attr_state, losses = _train_pathways(cfg, pair, adjacencies)
-        (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
+        # built before training, so a blend without attribute tables fails untrained
+        pathways = _pathways(cfg, pair)
+        states, losses = _train_pathways(cfg, pathways, pair, adjacencies)
+        embeddings = encode(pathways, adjacencies, states)
         validation, test = (
-            evaluate(
-                out_l, out_r, pair, cfg.score,
-                policy=cfg.candidate_policy, split=split,
-                attr_emb_left=a_l, attr_emb_right=a_r,
-            ) if wanted else None
+            _score(cfg, pair, embeddings, split) if wanted else None
             for split, wanted in (
                 (Role.VALIDATION, len(pair.alignment.validation_pairs) > 0),
                 (Role.TEST, cfg.evaluate_test),
@@ -414,14 +413,8 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
         )
         write_atomic(run_dir / "loss_trace.tsv", loss_trace_tsv(losses))
         if cfg.save_state:
-            _save_state(run_dir / "state.npz", state, attr_state)
-        result = RunResult(
-            config=cfg,
-            run_dir=run_dir,
-            validation=validation,
-            test=test,
-            final_loss=losses[-1] if losses else None,
-        )
+            _save_state(run_dir / "state.npz", states)
+        result = RunResult(cfg, run_dir, validation, test, losses[-1] if losses else None)
         # the report marks a complete run, so it appears whole or not at all
         write_json(run_dir / "report.json", result.report_dict())
         (run_dir / "error.json").unlink(missing_ok=True)
@@ -457,17 +450,14 @@ def evaluate_run(run_dir: Path, policy: str | None = None, split: Role = Role.TE
         )
         raise ConfigError(f"no state.npz in {run_dir}; {hint}")
     pair, adjacencies = prepare_run(cfg)
-    state, attr_state = load_state(state_path)
+    # outside the try: a dataset that lost its attribute tables is its own error
+    pathways = _pathways(cfg, pair)
+    states = load_state(state_path)
     try:
-        (out_l, out_r), (a_l, a_r) = encode(cfg, pair, adjacencies, state, attr_state)
+        embeddings = encode(pathways, adjacencies, states)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{state_path} does not fit {config_path}: {exc}") from None
-    report = evaluate(
-        out_l, out_r, pair, cfg.score,
-        policy=policy or cfg.candidate_policy, split=split,
-        attr_emb_left=a_l, attr_emb_right=a_r,
-        tie_diagnostics=tie_diagnostics,
-    )
+    report = _score(cfg, pair, embeddings, split, policy, tie_diagnostics)
     path = run_dir / f"evaluation-{report.candidate_policy}-{report.split}.json"
     write_json(path, report.to_dict())
     return report, path

@@ -96,6 +96,48 @@ def test_evaluate_cli_reproduces_blended_report_test_block(tmp_path, attr_datase
     assert written == report["test"]
 
 
+def test_evaluate_blend_state_without_attribute_arrays_names_both_files(
+        tmp_path, attr_dataset, capsys):
+    result = run_single(attr_config(attr_dataset), tmp_path)
+    state_path = result.run_dir / "state.npz"
+    with np.load(state_path) as data:
+        arrays = {k: data[k] for k in data.files if not k.startswith("attr_")}
+    np.savez(state_path, **arrays)
+    assert main(["evaluate", str(result.run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config", "message": (
+        f"{state_path} does not fit {result.run_dir / 'config.txt'}: "
+        "pathways: 1 in the state, 2 in the config")}
+    assert not (result.run_dir / "evaluation-test-only-test.json").exists()
+
+
+def test_evaluate_blend_run_whose_dataset_lost_its_tables_says_so(tmp_path, attr_dataset, capsys):
+    result = run_single(attr_config(attr_dataset), tmp_path)
+    for name in ("attrs_1", "attrs_2"):
+        (attr_dataset / name).unlink()
+    assert main(["evaluate", str(result.run_dir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "config",
+                   "message": "score.beta < 1 but the dataset has no attribute tables"}
+    assert not (result.run_dir / "evaluation-test-only-test.json").exists()
+
+
+def test_weighted_blend_run_outputs_keep_their_bits(tmp_path, attr_dataset, capsys):
+    # the weighted variant puts attr_weight_<layer> through the archive
+    result = run_single(attr_config(attr_dataset, **{"encoder.use_weights": True}), tmp_path)
+    report = json.loads((result.run_dir / "report.json").read_text())
+    metrics = json.dumps([report[k] for k in ("validation", "test", "final_loss")], sort_keys=True)
+    with np.load(result.run_dir / "state.npz") as data:
+        assert {"attr_weight_0", "attr_weight_1"} <= set(data.files)
+        arrays = b"".join(name.encode() + data[name].tobytes() for name in sorted(data.files))
+    digests = [hashlib.sha256(blob).hexdigest()[:16] for blob in (
+        (result.run_dir / "loss_trace.tsv").read_bytes(), metrics.encode(), arrays)]
+    assert digests == ["5f199ee261028b6d", "c451ee4e31e6d0ea", "7102c4773d33b497"]
+    assert main(["evaluate", str(result.run_dir)]) == 0
+    written = json.loads((result.run_dir / "evaluation-test-only-test.json").read_text())
+    assert written == report["test"]
+
+
 def test_attribute_listed_twice_counts_once(attr_dataset):
     with (attr_dataset / "attrs_1").open("a", encoding="utf-8") as f:
         f.write("10\tpopulation\n")

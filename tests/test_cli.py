@@ -300,18 +300,23 @@ def test_evaluate_rejects_state_that_disagrees_with_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, cut, reason",
+    "change, reason",
     [
-        ("features_left", np.s_[:, :8], "features have width 8, config says 16"),
-        ("features_right", np.s_[:5], "adjacency is (8, 8) but features have 5 rows"),
+        (lambda a: {"features_left": a["features_left"][:, :8]},
+         "features have width 8, config says 16"),
+        (lambda a: {"features_right": a["features_right"][:5]},
+         "adjacency is (8, 8) but features have 5 rows"),
+        # an attribute state in a run whose score.beta is 1
+        (lambda a: {f"attr_{k}": a[k] for k in ("features_left", "features_right")},
+         "pathways: 2 in the state, 1 in the config"),
     ],
-    ids=["narrow-features-left", "short-features-right"],
+    ids=["narrow-features-left", "short-features-right", "extra-attribute-state"],
 )
-def test_evaluate_state_of_wrong_shape_exits_2_naming_both_files(tmp_path, capsys, key, cut, reason):
+def test_evaluate_state_of_wrong_shape_exits_2_naming_both_files(tmp_path, capsys, change, reason):
     run_dir = _train_toy(tmp_path, capsys)
     with np.load(run_dir / "state.npz") as data:
         arrays = dict(data)
-    arrays[key] = arrays[key][cut]
+    arrays.update(change(arrays))
     np.savez(run_dir / "state.npz", **arrays)
     assert main(["evaluate", str(run_dir)]) == 2
     err = json.loads(capsys.readouterr().err)

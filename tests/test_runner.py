@@ -98,9 +98,9 @@ def test_run_single_persists_artifacts(tmp_path):
         k: v for k, v in cfg.to_flat().items()
     }
     assert report["test"]["directions"]["left_to_right"]["n_test"] == 4
-    state, attr_state = load_state(result.run_dir / "state.npz")
-    assert state.features_left.shape == (8, 16)
-    assert attr_state is None
+    states = load_state(result.run_dir / "state.npz")
+    assert states[0].features_left.shape == (8, 16)
+    assert len(states) == 1  # no attribute state
 
 
 def test_run_single_resumes_from_cache(tmp_path):
@@ -331,21 +331,18 @@ def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
             weights=[rng.normal(size=(dim, dim)) for _ in range(n_layers)] if weighted else None,
         )
 
-    saved = state(4, 3)
-    attr = state(2, 2) if with_attr else None
+    saved = [state(4, 3), state(2, 2)] if with_attr else [state(4, 3)]
     path = tmp_path / "state.npz"
-    _save_state(path, saved, attr)
+    _save_state(path, saved)
     keys = {"features_left", "features_right"}
     keys |= {f"weight_{i}" for i in range(3)} if weighted else set()
     if with_attr:
         keys |= {"attr_features_left", "attr_features_right", "attr_weight_0", "attr_weight_1"}
     with np.load(path) as data:
         assert set(data.files) == keys
-    loaded, loaded_attr = load_state(path)
-    for before, after in ((saved, loaded), (attr, loaded_attr)):
-        if before is None:
-            assert after is None
-            continue
+    loaded = load_state(path)
+    assert len(loaded) == len(saved)  # no attribute state unless one was saved
+    for before, after in zip(saved, loaded):
         assert (after.weights is None) == (before.weights is None)
         for a, b in zip(before.parameters(), after.parameters(), strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -360,7 +357,7 @@ def test_state_archive_is_stored_and_a_compressed_one_loads_alike(tmp_path):
                            [rng.normal(size=(4, 4)) for _ in range(2)])
     attr = EmbeddingState(rng.normal(size=(5, 2)), rng.normal(size=(6, 2)))
     stored, compressed = tmp_path / "stored.npz", tmp_path / "compressed.npz"
-    _save_state(stored, saved, attr)
+    _save_state(stored, [saved, attr])
     with np.load(stored) as data:
         np.savez_compressed(compressed, **data)
     for path, kind in ((stored, zipfile.ZIP_STORED), (compressed, zipfile.ZIP_DEFLATED)):
@@ -375,7 +372,7 @@ def test_state_archive_is_stored_and_a_compressed_one_loads_alike(tmp_path):
 def test_load_state_closes_a_truncated_archive(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "state.npz"
-    _save_state(path, EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4))), None)
+    _save_state(path, [EmbeddingState(rng.normal(size=(5, 4)), rng.normal(size=(6, 4)))])
     path.write_bytes(path.read_bytes()[:300])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1211,3 +1208,18 @@ def test_an_exception_that_does_not_unpickle_lands_on_its_ledger_row(tmp_path, m
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
     rows = (tmp_path / "2" / "leaderboard.tsv").read_text(encoding="utf-8").splitlines()[1:]
     assert sum(row.endswith("\tTwoArgumentError: training failed: lr 0.5") for row in rows) == 8
+
+
+@pytest.mark.parametrize("root", ["data/run#2/zh-en", "data/a\nb", "data/a\rb", " data", "data\t"],
+                         ids=["hash", "newline", "carriage-return", "leading-space", "trailing-tab"])
+def test_config_value_that_would_not_read_back_fails_before_any_run(tmp_path, root):
+    # parse_config_text would read "data/run#2/zh-en" back as "data/run",
+    # so evaluate would load another directory than the run trained on
+    cfg = RunConfig(dataset=DatasetDescriptor("dbp15k-jape", "zh-en", root_path=root))
+    with pytest.raises(ConfigError, match="^dataset.root = "):
+        cfg.canonical_text()
+    with pytest.raises(ConfigError, match="^dataset.root = "):
+        run_single(cfg, tmp_path / "runs")
+    with pytest.raises(ConfigError, match="^dataset.root = "):
+        enumerate_grid(cfg, {"training.n_epochs": [1, 2]})
+    assert not (tmp_path / "runs").exists()
