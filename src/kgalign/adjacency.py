@@ -122,20 +122,14 @@ def build_adjacency_unnormalized(
     return a
 
 
-def build_adjacency(
-    g: KnowledgeGraph,
-    cfg: AdjacencyConfig,
-    relation_weights: RelationWeights | None = None,
-) -> sp.csr_array:
+def build_adjacency(g: KnowledgeGraph, cfg: AdjacencyConfig) -> sp.csr_array:
     """Normalized propagation matrix of one graph.
 
     Returns degree-normalized A-hat where A-hat = A + I (self-loops) and
     A is either the functionality-weighted or the symmetrized count
     matrix of the triples.
     """
-    return _degree_normalize(
-        build_adjacency_unnormalized(g, cfg, relation_weights), cfg.normalization
-    )
+    return _degree_normalize(build_adjacency_unnormalized(g, cfg), cfg.normalization)
 
 
 def _degree_normalize(a: sp.csr_array, mode: str) -> sp.csr_array:

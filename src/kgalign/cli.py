@@ -14,7 +14,7 @@ from pathlib import Path
 from .configfile import read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .errors import ConfigError, KgalignError
-from .evaluation import CANDIDATE_POLICIES, DIRECTIONS
+from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, text_table
 from .graphs import Role
 from .runner import (
     RunConfig,
@@ -51,19 +51,15 @@ def _descriptor_from_args(args) -> DatasetDescriptor:
 def cmd_stats(args) -> int:
     stats = statistics_for(_descriptor_from_args(args))
     if args.json:
-        print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    rows = [
-        ("side", "triples", "entities", "relations"),
-        ("left", f"{stats.triples_left:,}", f"{stats.entities_left:,}", f"{stats.relations_left:,}"),
-        ("right", f"{stats.triples_right:,}", f"{stats.entities_right:,}", f"{stats.relations_right:,}"),
-    ]
-    widths = [max(len(r[c]) for r in rows) for c in range(4)]
-    for r in rows:
-        print("  ".join(cell.rjust(w) if i else cell.ljust(w) for i, (cell, w) in enumerate(zip(r, widths))))
-    print(f"alignments: {stats.alignments:,}")
-    if stats.symmetrized_alignments is not None:
-        print(f"symmetrized alignments: {stats.symmetrized_alignments:,}")
+    columns = ("triples", "entities", "relations")
+    rows = [("side", *columns)]
+    rows += [(side, *(f"{stats[side][c]:,}" for c in columns)) for side in ("left", "right")]
+    print(text_table(rows))
+    print(f"alignments: {stats['alignments']:,}")
+    if stats["symmetrized_alignments"] is not None:
+        print(f"symmetrized alignments: {stats['symmetrized_alignments']:,}")
     return 0
 
 

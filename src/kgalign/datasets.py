@@ -83,10 +83,15 @@ class DatasetDescriptor:
         if self.root_path is not None:
             object.__setattr__(self, "root_path", Path(self.root_path))
         if self.family == "toy":
-            if not _TOY_SUBSET.match(subset):
+            m = _TOY_SUBSET.match(subset)
+            if not m:
                 raise ConfigError(
                     f"subset of family 'toy' must look like cycle-<nodes>-<seeds>, got {subset!r}"
                 )
+            n_nodes, n_seeds = int(m.group(1)), int(m.group(2))
+            if n_nodes < 3 or not 0 < n_seeds < n_nodes:
+                raise ConfigError(f"subset of family 'toy' needs at least 3 nodes and 1 to "
+                                  f"nodes - 1 seeds, got {subset!r}")
             return
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be toy or one of {list(FAMILIES)}, "
@@ -103,34 +108,6 @@ class DatasetDescriptor:
 
     def key(self) -> str:
         return f"{self.family}:{self.subset}"
-
-
-@dataclass(frozen=True)
-class DatasetStatistics:
-    triples_left: int
-    triples_right: int
-    entities_left: int
-    entities_right: int
-    relations_left: int
-    relations_right: int
-    alignments: int
-    symmetrized_alignments: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "left": {
-                "triples": self.triples_left,
-                "entities": self.entities_left,
-                "relations": self.relations_left,
-            },
-            "right": {
-                "triples": self.triples_right,
-                "entities": self.entities_right,
-                "relations": self.relations_right,
-            },
-            "alignments": self.alignments,
-            "symmetrized_alignments": self.symmetrized_alignments,
-        }
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -595,21 +572,19 @@ def split(
     return AlignmentSet(pairs=pairs.copy(), roles=new_roles)
 
 
-def statistics(pair: GraphPair, symmetrized: bool = False) -> DatasetStatistics:
-    """Exact counts of triples/entities/relations per side and alignments."""
-    return DatasetStatistics(
-        triples_left=pair.left.triple_count,
-        triples_right=pair.right.triple_count,
-        entities_left=pair.left.entity_count,
-        entities_right=pair.right.entity_count,
-        relations_left=pair.left.relation_count,
-        relations_right=pair.right.relation_count,
-        alignments=len(pair.alignment),
-        symmetrized_alignments=len(pair.alignment) if symmetrized else None,
-    )
+def statistics(pair: GraphPair, symmetrized: bool = False) -> dict:
+    """Exact counts, as `kgalign stats --json` prints them: triples,
+    entities and relations of each side, then the alignments, which
+    symmetrized_alignments repeats for a symmetrized set (else None)."""
+    counts = {
+        side: {"triples": g.triple_count, "entities": g.entity_count, "relations": g.relation_count}
+        for side, g in (("left", pair.left), ("right", pair.right))
+    }
+    n = len(pair.alignment)
+    return {**counts, "alignments": n, "symmetrized_alignments": n if symmetrized else None}
 
 
-def statistics_for(desc: DatasetDescriptor) -> DatasetStatistics:
+def statistics_for(desc: DatasetDescriptor) -> dict:
     """Load a dataset and summarize it; wk3l counts are post-symmetrization."""
     pair = load(desc)
     return statistics(pair, symmetrized=desc.family.startswith("wk3l"))

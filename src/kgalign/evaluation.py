@@ -104,13 +104,18 @@ class MetricsReport:
         rows += [(f"H@{k}", *(f"{m.hits_at[k]:.2f}" for m in ms)) for k in sorted(ms[0].hits_at)]
         rows.append(("MR", *(f"{m.mean_rank:.2f}" for m in ms)))
         rows.append(("MRR", *(f"{m.mrr:.4f}" for m in ms)))
-        widths = [max(len(r[c]) for r in rows) for c in range(4)]
-        lines = [
-            "  ".join(cell.rjust(w) if c else cell.ljust(w) for c, (cell, w) in enumerate(zip(r, widths)))
-            for r in rows
-        ]
         header = f"candidates: {self.candidate_policy}, split: {self.split}"
-        return header + "\n" + "\n".join(lines) + "\n"
+        return header + "\n" + text_table(rows) + "\n"
+
+
+def text_table(rows) -> str:
+    """Rows of str cells as lines, each column as wide as its widest cell
+    and two spaces apart: the first left-aligned, the others right."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.rjust(w) if c else cell.ljust(w) for c, (cell, w) in enumerate(zip(r, widths)))
+        for r in rows
+    )
 
 
 def metrics_from_ranks(ranks: np.ndarray) -> DirectionMetrics:

@@ -78,12 +78,7 @@ FINETUNED = {
     ("wk3l-15k", "en-fr", True, "scaled"): (2000, 2, 1.0),
 }
 
-ABLATION_CELLS = (
-    (False, "unit"),
-    (False, "scaled"),
-    (True, "unit"),
-    (True, "scaled"),
-)
+ABLATION_CELLS = tuple(CELL_BASELINES)
 
 
 def tuned_hyperparameters(family: str, subset: str, use_weights: bool, init_preset: str) -> dict:

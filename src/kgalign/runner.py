@@ -77,6 +77,9 @@ class RunConfig:
         if self.candidate_policy not in CANDIDATE_POLICIES:
             raise ConfigError(f"candidate_policy must be one of {CANDIDATE_POLICIES}, "
                               f"got {self.candidate_policy!r}")
+        for name in ("seed", "split_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be at least 1, got {self.n_seeds}")
         if self.attribute_margin is not None and not 0 <= self.attribute_margin < math.inf:
@@ -260,7 +263,7 @@ def _pathways(cfg: RunConfig, pair: GraphPair) -> list[tuple]:
             raise ConfigError("score.beta < 1 but the dataset has no attribute tables")
         margin = cfg.training.margin if cfg.attribute_margin is None else cfg.attribute_margin
         pathways.append((
-            replace(cfg.encoder, dim=left.attribute_dim, seed=attr_enc_seed, init=1.0),
+            replace(cfg.encoder, dim=left.attribute_dim, seed=attr_enc_seed),
             replace(cfg.training, seed=attr_train_seed, margin=margin),
             (left.features, right.features),
         ))

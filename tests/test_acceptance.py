@@ -193,13 +193,13 @@ def test_criterion_5_dataset_golden_statistics():
     for (family, subset), (triples, entities, relations) in exact.items():
         path = require_golden(family, subset)
         stats = statistics_for(DatasetDescriptor(family, subset, root_path=path))
-        assert stats.triples_left == triples
-        assert stats.entities_left == entities
-        assert stats.relations_left == relations
+        assert stats["left"]["triples"] == triples
+        assert stats["left"]["entities"] == entities
+        assert stats["left"]["relations"] == relations
         checked.append(f"{family}/{subset}")
     wk3l_path = require_golden("wk3l-15k", "en-de")
     stats = statistics_for(DatasetDescriptor("wk3l-15k", "en-de", root_path=wk3l_path))
-    assert abs(stats.symmetrized_alignments - 10_383) <= 0.01 * 10_383
+    assert abs(stats["symmetrized_alignments"] - 10_383) <= 0.01 * 10_383
     checked.append("wk3l-15k/en-de")
     _check(5, True, f"golden statistics reproduced for {', '.join(checked)}")
 

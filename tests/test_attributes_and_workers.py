@@ -124,7 +124,24 @@ def test_evaluate_blend_run_whose_dataset_lost_its_tables_says_so(tmp_path, attr
 
 def test_weighted_blend_run_outputs_keep_their_bits(tmp_path, attr_dataset, capsys):
     # the weighted variant puts attr_weight_<layer> through the archive
-    result = run_single(attr_config(attr_dataset, **{"encoder.use_weights": True}), tmp_path)
+    _check_weighted_blend_bits(tmp_path, attr_dataset, "unit",
+                               ["5f199ee261028b6d", "c451ee4e31e6d0ea", "7102c4773d33b497"])
+
+
+def test_weighted_blend_run_outputs_keep_their_bits_under_scaled_init(tmp_path, attr_dataset, capsys):
+    # unit's std is 1.0 already; under scaled, the attribute pathway's
+    # std differs from the structure's, yet its tables replace the drawn
+    # features and a normal draw takes the same bits at any std
+    _check_weighted_blend_bits(tmp_path, attr_dataset, "scaled",
+                               ["5748a260a8560ff7", "6b3f42452359195f", "a12bceaab80b50f4"])
+
+
+def _check_weighted_blend_bits(tmp_path, attr_dataset, init, expected):
+    """A weighted blend run under init gives the expected digests of its
+    loss trace, report metrics and state.npz, and evaluate reproduces
+    its test block."""
+    overrides = {"encoder.use_weights": True, "encoder.init": init}
+    result = run_single(attr_config(attr_dataset, **overrides), tmp_path)
     report = json.loads((result.run_dir / "report.json").read_text())
     metrics = json.dumps([report[k] for k in ("validation", "test", "final_loss")], sort_keys=True)
     with np.load(result.run_dir / "state.npz") as data:
@@ -132,7 +149,7 @@ def test_weighted_blend_run_outputs_keep_their_bits(tmp_path, attr_dataset, caps
         arrays = b"".join(name.encode() + data[name].tobytes() for name in sorted(data.files))
     digests = [hashlib.sha256(blob).hexdigest()[:16] for blob in (
         (result.run_dir / "loss_trace.tsv").read_bytes(), metrics.encode(), arrays)]
-    assert digests == ["5f199ee261028b6d", "c451ee4e31e6d0ea", "7102c4773d33b497"]
+    assert digests == expected
     assert main(["evaluate", str(result.run_dir)]) == 0
     written = json.loads((result.run_dir / "evaluation-test-only-test.json").read_text())
     assert written == report["test"]

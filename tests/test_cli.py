@@ -28,18 +28,56 @@ n_seeds = 2
 """
 
 
+# the whole stdout of `kgalign stats` is pinned: its column widths and
+# thousands separators are what the command prints
 def test_stats_toy(capsys):
     assert main(["stats", "toy", "cycle-8-4"]) == 0
-    out = capsys.readouterr().out
-    assert "alignments: 8" in out
-    assert "triples" in out
+    assert capsys.readouterr().out == (
+        "side   triples  entities  relations\n"
+        "left         8         8          1\n"
+        "right        8         8          1\n"
+        "alignments: 8\n"
+    )
+
+
+def test_stats_counts_take_thousands_separators(capsys):
+    assert main(["stats", "toy", "cycle-1200-4"]) == 0
+    assert capsys.readouterr().out == (
+        "side   triples  entities  relations\n"
+        "left     1,200     1,200          1\n"
+        "right    1,200     1,200          1\n"
+        "alignments: 1,200\n"
+    )
+
+
+def test_stats_of_a_dataset_directory_prints_its_table(jape_style_dir, capsys):
+    assert main(["stats", "dbp15k-jape", "zh-en", "--root", str(jape_style_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "side   triples  entities  relations\n"
+        "left         3         4          2\n"
+        "right        3         4          2\n"
+        "alignments: 4\n"
+    )
 
 
 def test_stats_json(capsys):
     assert main(["stats", "toy", "cycle-6-3", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert data["left"]["entities"] == 6
     assert data["alignments"] == 6
+    side = {"entities": 6, "relations": 1, "triples": 6}
+    expected = {"alignments": 6, "left": side, "right": side, "symmetrized_alignments": None}
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+# a toy subset out of range once parsed, and failed only at load time
+# with a message naming n_seeds, an unrelated config key
+@pytest.mark.parametrize("subset", ["cycle-8-8", "cycle-2-1", "cycle-8-0"])
+def test_stats_toy_subset_out_of_range_exits_2(capsys, subset):
+    assert main(["stats", "toy", subset]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": (
+        f"subset of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got {subset!r}")}
 
 
 def test_stats_compact_dataset_token(capsys):
@@ -169,10 +207,19 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
         ("train_fraction = 1.5", "must lie strictly between 0 and 1, got 1.5"),
         ("val_fraction = 0", "must lie strictly between 0 and 1, got 0.0"),
         ("val_fraction = nan", "must lie strictly between 0 and 1, got nan"),
+        # these once wrote a run directory and failed as internal errors
+        ("seed = -1", "must be non-negative, got -1"),
+        ("split_seed = -3", "must be non-negative, got -3"),
+        # these once wrote a run directory and failed at load, naming n_seeds
+        ("dataset.subset = cycle-8-8",
+         "of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-8-8'"),
+        ("dataset.subset = cycle-2-1",
+         "of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-2-1'"),
     ],
     ids=["dim", "beta", "policy", "n-seeds", "attribute-margin", "margin-nan", "learning-rate-inf",
          "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan",
-         "train-fraction-above-1", "val-fraction-0", "val-fraction-nan"],
+         "train-fraction-above-1", "val-fraction-0", "val-fraction-nan", "seed-negative",
+         "split-seed-negative", "toy-seeds-all-nodes", "toy-two-nodes"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
@@ -420,14 +467,15 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
         # each of these runs once failed on its own, and the grid exited 0
         ("grid.val_fraction = 0.5, 0\n", [],
          "{config}:15: val_fraction must lie strictly between 0 and 1, got 0.0"),
+        ("grid.seed = 1, -1\n", [], "{config}:15: seed must be non-negative, got -1"),
         ("grid.typo = 1, 2\n", [], "{config}: unknown config keys ['grid.typo']"),
         ("grid.encoder.init = 1, unit\n", [], "grid axis 'encoder.init' sets a key of the ablation"),
         ("grid.encoder.use_weights = true\n", [],
          "grid axis 'encoder.use_weights' sets a key of the ablation"),
     ],
     ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
-         "out-of-range-axis", "val-fraction-axis", "unknown-axis", "cell-key-axis",
-         "one-valued-cell-key-axis"],
+         "out-of-range-axis", "val-fraction-axis", "negative-seed-axis", "unknown-axis",
+         "cell-key-axis", "one-valued-cell-key-axis"],
 )
 def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     tmp_path, capsys, axis, flags, complaint
@@ -503,7 +551,9 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
      "{config}: unknown config keys ['ablate.dataset']"),
     ("val_fraction = 0\n", [],
      "{config}:13: val_fraction must lie strictly between 0 and 1, got 0.0"),
-], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0"])
+    ("ablate.datasets = toy:cycle-8-4, toy:cycle-8-8\n", [],
+     "subset of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-8-8'"),
+], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0", "toy-subset-out-of-range"])
 def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
     config = tmp_path / "ablate.cfg"
     config.write_text(TOY_CONFIG + extra, encoding="utf-8")

@@ -483,11 +483,11 @@ def test_split_respects_official_test_set():
 def test_statistics_counts(jape_style_dir):
     pair = load(DatasetDescriptor("dbp15k-jape", "zh-en", root_path=jape_style_dir))
     stats = statistics(pair)
-    assert stats.triples_left == 3 and stats.triples_right == 3
-    assert stats.entities_left == 4 and stats.entities_right == 4
-    assert stats.relations_left == 2 and stats.relations_right == 2
-    assert stats.alignments == 4
-    assert stats.symmetrized_alignments is None
+    assert stats["left"]["triples"] == 3 and stats["right"]["triples"] == 3
+    assert stats["left"]["entities"] == 4 and stats["right"]["entities"] == 4
+    assert stats["left"]["relations"] == 2 and stats["right"]["relations"] == 2
+    assert stats["alignments"] == 4
+    assert stats["symmetrized_alignments"] is None
 
 
 def test_statistics_empty_pair_zeros():
@@ -496,8 +496,23 @@ def test_statistics_empty_pair_zeros():
     g = KnowledgeGraph(0, 0, np.zeros((0, 3), dtype=np.int64))
     empty = AlignmentSet(pairs=np.zeros((0, 2), dtype=np.int64), roles=np.array([], dtype="U10"))
     stats = statistics(GraphPair(g, g, empty))
-    assert stats.triples_left == 0 and stats.entities_left == 0
-    assert stats.alignments == 0
+    assert stats["left"]["triples"] == 0 and stats["left"]["entities"] == 0
+    assert stats["alignments"] == 0
+
+
+def test_statistics_for_wk3l_counts_the_symmetrized_set(tmp_path, capsys):
+    root = _wk3l_dir(tmp_path)
+    side = {"triples": 2, "entities": 3, "relations": 1}
+    assert statistics_for(DatasetDescriptor("wk3l-15k", "en-de", root_path=root)) == {
+        "left": side, "right": side, "alignments": 3, "symmetrized_alignments": 3}
+    assert main(["stats", "wk3l-15k", "en-de", "--root", str(root)]) == 0
+    assert capsys.readouterr().out == (
+        "side   triples  entities  relations\n"
+        "left         2         3          1\n"
+        "right        2         3          1\n"
+        "alignments: 3\n"
+        "symmetrized alignments: 3\n"
+    )
 
 
 def test_attribute_tables_shared_vocabulary():
@@ -585,6 +600,13 @@ def test_toy_descriptor_loads():
 
 # --- golden statistics, gated on downloaded benchmarks ---------------------
 
+def _count(stats, key):
+    """The count of statistics' dict under a flat name: triples_left is
+    stats["left"]["triples"], alignments is stats["alignments"]."""
+    kind, _, side = key.rpartition("_")
+    return stats[side][kind] if side in ("left", "right") else stats[key]
+
+
 GOLDEN_CELLS = [
     ("dbp15k-jape", "zh-en", dict(triples_left=70_414, entities_left=19_388,
                                   relations_left=1_701, triples_right=95_142,
@@ -627,7 +649,7 @@ def test_golden_statistics_exact(family, subset, expected):
     path = require_golden(family, subset)
     stats = statistics_for(DatasetDescriptor(family, subset, root_path=path))
     for key, value in expected.items():
-        assert getattr(stats, key) == value, f"{family}/{subset} {key}"
+        assert _count(stats, key) == value, f"{family}/{subset} {key}"
 
 
 WK3L_SYMMETRIZED = [
@@ -659,6 +681,6 @@ def test_golden_wk3l_symmetrized_counts(family, subset, expected):
     path = require_golden(family, subset)
     stats = statistics_for(DatasetDescriptor(family, subset, root_path=path))
     for key, value in WK3L_SIDES[(family, subset)].items():
-        assert getattr(stats, key) == value, f"{family}/{subset} {key}"
+        assert _count(stats, key) == value, f"{family}/{subset} {key}"
     # conflict-resolution details may shift the symmetrized count slightly
-    assert abs(stats.symmetrized_alignments - expected) <= 0.01 * expected
+    assert abs(stats["symmetrized_alignments"] - expected) <= 0.01 * expected

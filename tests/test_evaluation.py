@@ -9,7 +9,13 @@ from scipy.spatial.distance import cdist
 
 from kgalign import evaluation, parallel
 from kgalign.errors import ConfigError
-from kgalign.evaluation import MetricsReport, ScoreConfig, evaluate, metrics_from_ranks
+from kgalign.evaluation import (
+    DirectionMetrics,
+    MetricsReport,
+    ScoreConfig,
+    evaluate,
+    metrics_from_ranks,
+)
 from kgalign.graphs import AlignmentSet, GraphPair, KnowledgeGraph, Role, validate_pair
 
 from conftest import rank_of, score
@@ -193,6 +199,25 @@ def test_report_json_roundtrip_and_text():
     assert "H@1" in text and "MRR" in text and "L->R" in text
     # two-decimal percentage formatting
     assert f"{report.left_to_right.hits_at[1]:.2f}" in text
+
+
+def test_report_text_is_a_fixed_width_table():
+    # each column as wide as its widest cell, two spaces apart, the
+    # first left-aligned and the others right-aligned
+    def direction(h1, mr, mrr):
+        return DirectionMetrics({1: h1, 10: 100.0, 50: 100.0}, mr, mrr, 12)
+
+    report = MetricsReport("test-only", "test", direction(8.333333, 12.5, 0.123456),
+                           direction(100.0, 1.0, 1.0), direction(54.1666, 6.75, 0.561728))
+    assert report.to_text() == (
+        "candidates: test-only, split: test\n"
+        "metric    L->R    R->L    mean\n"
+        "H@1       8.33  100.00   54.17\n"
+        "H@10    100.00  100.00  100.00\n"
+        "H@50    100.00  100.00  100.00\n"
+        "MR       12.50    1.00    6.75\n"
+        "MRR     0.1235  1.0000  0.5617\n"
+    )
 
 
 def test_evaluate_matches_rank_of_per_query():
