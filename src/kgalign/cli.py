@@ -131,7 +131,10 @@ def _ablation_datasets(base: RunConfig, tokens: list, source: str) -> list[Datas
             raise ConfigError(
                 f"{source}: ablate.datasets entries look like family:subset, got {token!r}"
             )
-        desc = DatasetDescriptor(family=family, subset=subset)
+        try:
+            desc = DatasetDescriptor(family=family, subset=subset)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: ablate.datasets entry {token!r}: {exc}") from None
         if desc.key() == own.key():
             desc = own
         elif not desc.is_toy:
@@ -147,11 +150,11 @@ def _ablation_datasets(base: RunConfig, tokens: list, source: str) -> list[Datas
 
 def cmd_ablate(args) -> int:
     flat = read_config_file(args.config)
-    dataset_keys = flat.get("ablate.datasets")
     base = RunConfig.from_flat(flat, source=args.config)
-    descriptors = (
-        _ablation_datasets(base, dataset_keys, args.config) if dataset_keys else [base.dataset]
-    )
+    descriptors = [base.dataset]
+    if "ablate.datasets" in flat:
+        descriptors = _ablation_datasets(base, flat["ablate.datasets"],
+                                         f"{args.config}:{flat.lines['ablate.datasets']}")
     cells = run_ablation(
         base,
         descriptors,
@@ -162,7 +165,7 @@ def cmd_ablate(args) -> int:
     table = ablation_table(cells, direction=args.direction)
     print(table)
     out_dir = Path(args.runs_root)
-    write_json(out_dir / "ablation.json", [c.to_dict() for c in cells])
+    write_json(out_dir / "ablation.json", cells)
     write_atomic(out_dir / "ablation.txt", table + "\n")
     print(f"written: {out_dir / 'ablation.json'}")
     return 0

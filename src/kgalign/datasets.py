@@ -458,7 +458,8 @@ def load(desc: DatasetDescriptor) -> GraphPair:
         m = _TOY_SUBSET.match(desc.subset)
         return toy_cycle_pair(n_nodes=int(m.group(1)), n_seeds=int(m.group(2)))
     if desc.root_path is None:
-        raise ConfigError(f"dataset {desc.key()} needs a root_path")
+        raise ConfigError(f"dataset {desc.key()} needs its directory, given as --root to "
+                          f"kgalign stats or as dataset.root in a config")
     root = desc.root_path
     if not root.is_dir():
         raise DataFormatError("dataset directory does not exist", path=root)

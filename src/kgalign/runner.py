@@ -11,7 +11,6 @@ other module reads or writes a run directory.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -36,7 +35,7 @@ from .configfile import config_from_flat, config_to_flat, format_config, read_co
 from .datasets import DatasetDescriptor, load, split
 from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
-from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConfig, evaluate
+from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConfig, evaluate, text_table
 from .graphs import GraphPair, Role, require_valid
 from .parallel import _pin_malloc_thresholds, set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
@@ -74,6 +73,8 @@ class RunConfig:
 
     # checked here so a bad value fails at parse time, not after training
     def __post_init__(self):
+        if not self.dataset.is_toy and self.dataset.root_path is None:
+            raise ConfigError(f"dataset {self.dataset.key()} needs dataset.root, its directory")
         if self.candidate_policy not in CANDIDATE_POLICIES:
             raise ConfigError(f"candidate_policy must be one of {CANDIDATE_POLICIES}, "
                               f"got {self.candidate_policy!r}")
@@ -198,7 +199,7 @@ def prepare_pair(cfg: RunConfig) -> GraphPair:
         val_fraction_of_train=cfg.val_fraction,
         seed=cfg.split_seed,
     )
-    return dataclasses.replace(pair, alignment=alignment)
+    return replace(pair, alignment=alignment)
 
 
 # the inputs prepare_run built last, by their key, while a grid or an
@@ -661,21 +662,6 @@ def run_grid(
     )
 
 
-@dataclass
-class AblationCell:
-    use_weights: bool
-    init_preset: str
-    dataset: str
-    n_seeds: int
-    # direction -> metric -> {"mean": ..., "std": ...}; std is None for a
-    # single seed
-    aggregates: dict[str, dict[str, dict[str, float | None]]]
-    run_hashes: list[str]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 # metric -> (table label, its value in one direction's metrics)
 _ABLATION_METRICS = {
     "h1": ("H@1", lambda m: m.hits_at[1]),
@@ -708,8 +694,11 @@ def run_ablation(
     runs_root: Path,
     n_seeds: int | None = None,
     use_tuned: bool = True,
-) -> list[AblationCell]:
-    """Seed-aggregated results for every dataset and ablation cell.
+) -> list[dict]:
+    """Seed-aggregated results for every dataset and ablation cell: the
+    entries of ablation.json, each with use_weights, init_preset,
+    dataset, n_seeds, run_hashes and aggregates (direction -> metric ->
+    {"mean": ..., "std": ...}; std is None for a single seed).
 
     Hyperparameters per cell come from the tuned presets unless
     use_tuned is off (then the base config's values apply everywhere).
@@ -730,44 +719,40 @@ def run_ablation(
                     desc.family, desc.subset, use_weights, init_preset))
             seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
             configs += seed_cfgs
-            cells.append(AblationCell(use_weights, init_preset, desc.key(), n, aggregates={},
-                                      run_hashes=[c.run_hash() for c in seed_cfgs]))
+            cells.append({"use_weights": use_weights, "init_preset": init_preset,
+                          "dataset": desc.key(), "n_seeds": n,
+                          "run_hashes": [c.run_hash() for c in seed_cfgs]})
     reports = []
     for _, outcome in _execute("ablate", configs, runs_root, workers=1):
         if isinstance(outcome, Exception):
             raise outcome
         reports.append(outcome.test)
     for i, cell in enumerate(cells):
-        cell.aggregates = _aggregate(reports[i * n:(i + 1) * n])
+        cell["aggregates"] = _aggregate(reports[i * n:(i + 1) * n])
     return cells
 
 
-def ablation_table(cells: list[AblationCell], direction: str = "left_to_right") -> str:
+def ablation_table(cells: list[dict], direction: str = "left_to_right") -> str:
     """Aligned-column text table, one block per metric, one column per
-    ablation cell; entries are mean or mean +- std over seeds."""
-    cell_keys = list(dict.fromkeys((c.use_weights, c.init_preset) for c in cells))
-    datasets = list(dict.fromkeys(c.dataset for c in cells))
-    by_key = {(c.dataset, c.use_weights, c.init_preset): c for c in cells}
+    ablation cell, each at least 18 wide; entries are mean or
+    mean +- std over seeds."""
+    cell_keys = list(dict.fromkeys((c["use_weights"], c["init_preset"]) for c in cells))
+    datasets = list(dict.fromkeys(c["dataset"] for c in cells))
+    by_key = {(c["dataset"], c["use_weights"], c["init_preset"]): c for c in cells}
     headers = [f"{'weights' if w else 'no-weights'}/{init}" for w, init in cell_keys]
-    widths = [max(len(h), 18) for h in headers]
-    col0 = max([len(d) for d in datasets] + [len("dataset")])
-
-    def row(first, entries):
-        return first.ljust(col0) + "  " + "  ".join(e.rjust(w) for e, w in zip(entries, widths))
 
     def entry(c, metric):
         if c is None:
             return "-"
-        agg = c.aggregates[direction][metric]
+        agg = c["aggregates"][direction][metric]
         digits = 4 if metric == "mrr" else 2
         text = f"{agg['mean']:.{digits}f}"
         return text if agg["std"] is None else text + f" +- {agg['std']:.{digits}f}"
 
     lines = []
     for metric, (label, _) in _ABLATION_METRICS.items():
-        lines.append(f"[{label}] ({direction})")
-        lines.append(row("dataset", headers))
-        for ds in datasets:
-            lines.append(row(ds, [entry(by_key.get((ds, *key)), metric) for key in cell_keys]))
-        lines.append("")
+        rows = [("dataset", *(f"{h:>18}" for h in headers))]
+        rows += [(ds, *(entry(by_key.get((ds, *key)), metric) for key in cell_keys))
+                 for ds in datasets]
+        lines += [f"[{label}] ({direction})", text_table(rows), ""]
     return "\n".join(lines)

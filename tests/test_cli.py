@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,15 @@ def test_stats_compact_dataset_token(capsys):
     assert main(["stats", "toy:cycle-6-3"]) == 0
     assert "alignments: 6" in capsys.readouterr().out
     assert main(["stats", "no-subset-here"]) == 2
+
+
+def test_stats_without_root_names_the_flag(capsys):
+    assert main(["stats", "dbp15k-jape", "zh-en"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "message": "dataset dbp15k-jape:zh-en needs its directory, given as --root to "
+                   "kgalign stats or as dataset.root in a config",
+    }
 
 
 def test_stats_missing_dataset_exit_code(capsys):
@@ -231,6 +241,24 @@ def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, mess
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["message"].startswith(f"{config}:{len(kept) + 1}: {key} {message}")
+    assert not runs.exists()
+
+
+# these once wrote a run directory (grid: one per run) and failed at load,
+# naming no file, line or key
+@pytest.mark.parametrize("command, extra", [
+    ("train", ""), ("grid", "grid.training.n_epochs = 10, 40\n"), ("ablate", ""),
+], ids=["train", "grid", "ablate"])
+def test_dataset_without_root_exits_2_before_any_run(tmp_path, capsys, command, extra):
+    config = tmp_path / "noroot.cfg"
+    config.write_text("dataset.family = dbp15k-jape\ndataset.subset = zh-en\n" + extra,
+                      encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main([command, str(config), "--runs-root", str(runs)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "message": f"{config}: dataset dbp15k-jape:zh-en needs dataset.root, its directory",
+    }
     assert not runs.exists()
 
 
@@ -528,6 +556,54 @@ def test_ablate_command(tmp_path, capsys):
     assert all(c["n_seeds"] == 2 for c in cells)
 
 
+# `kgalign ablate` over three toy datasets, whole stdout and ablation.txt:
+# the table's column widths and alignment are part of its contract
+THREE_TOY_ABLATION_TABLE = """\
+[H@1] (mean)
+dataset            no-weights/unit   no-weights/scaled        weights/unit      weights/scaled
+toy:cycle-8-4       100.00 +- 0.00      100.00 +- 0.00       68.75 +- 8.84       50.00 +- 0.00
+toy:cycle-6-3       50.00 +- 23.57      41.67 +- 11.79      58.33 +- 35.36      41.67 +- 11.79
+toy:cycle-10-3      67.86 +- 15.15      57.14 +- 10.10      32.14 +- 15.15      17.86 +- 15.15
+
+[H@10] (mean)
+dataset            no-weights/unit   no-weights/scaled        weights/unit      weights/scaled
+toy:cycle-8-4       100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00
+toy:cycle-6-3       100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00
+toy:cycle-10-3      100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00      100.00 +- 0.00
+
+[MR] (mean)
+dataset            no-weights/unit   no-weights/scaled        weights/unit      weights/scaled
+toy:cycle-8-4         1.00 +- 0.00        1.00 +- 0.00        1.31 +- 0.09        1.75 +- 0.35
+toy:cycle-6-3         1.58 +- 0.35        1.58 +- 0.12        1.58 +- 0.59        1.92 +- 0.12
+toy:cycle-10-3        1.64 +- 0.61        2.07 +- 0.30        3.43 +- 0.40        3.61 +- 0.56
+
+[MRR] (mean)
+dataset            no-weights/unit   no-weights/scaled        weights/unit      weights/scaled
+toy:cycle-8-4     1.0000 +- 0.0000    1.0000 +- 0.0000    0.8438 +- 0.0442    0.7135 +- 0.0516
+toy:cycle-6-3     0.7361 +- 0.1375    0.7083 +- 0.0589    0.7639 +- 0.2161    0.6528 +- 0.0589
+toy:cycle-10-3    0.8000 +- 0.1313    0.7113 +- 0.0800    0.4959 +- 0.0909    0.4210 +- 0.1187
+
+"""
+
+
+def test_ablate_three_toy_datasets_prints_the_pinned_table(tmp_path, capsys):
+    config = tmp_path / "ablate.cfg"
+    config.write_text(
+        TOY_CONFIG.replace("training.n_epochs = 120", "training.n_epochs = 30")
+        + "ablate.datasets = toy:cycle-8-4, toy:cycle-6-3, toy:cycle-10-3\n",
+        encoding="utf-8",
+    )
+    runs = tmp_path / "runs"
+    argv = ["ablate", str(config), "--runs-root", str(runs), "--seeds", "2", "--direction", "mean"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == THREE_TOY_ABLATION_TABLE + f"written: {runs / 'ablation.json'}\n"
+    assert (runs / "ablation.txt").read_text(encoding="utf-8") == THREE_TOY_ABLATION_TABLE
+    assert hashlib.sha256((runs / "ablation.json").read_bytes()).hexdigest() == (
+        "41df48f906fbc0b8615a5d98423408cf75627620b29d3a0f61c275517cd86e89"
+    )
+
+
 def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
     # beta < 1 fails on the attribute-less toy, in the first run
     config = tmp_path / "ablate.cfg"
@@ -552,8 +628,15 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
     ("val_fraction = 0\n", [],
      "{config}:13: val_fraction must lie strictly between 0 and 1, got 0.0"),
     ("ablate.datasets = toy:cycle-8-4, toy:cycle-8-8\n", [],
-     "subset of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-8-8'"),
-], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0", "toy-subset-out-of-range"])
+     "{config}:13: ablate.datasets entry 'toy:cycle-8-8': subset of family 'toy' needs at least "
+     "3 nodes and 1 to nodes - 1 seeds, got 'cycle-8-8'"),
+    ("ablate.datasets = toy:cycle-8-4, nope:zh-en\n", [],
+     "{config}:13: ablate.datasets entry 'nope:zh-en': family must be toy or one of "
+     "['dbp15k-full', 'dbp15k-jape', 'wk3l-15k', 'wk3l-120k', 'dwy100k'], got 'nope'"),
+    ("ablate.datasets = toy:cycle-8-4, cycle-6-3\n", [],
+     "{config}:13: ablate.datasets entries look like family:subset, got 'cycle-6-3'"),
+], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0", "toy-subset-out-of-range",
+        "unknown-family", "entry-without-family"])
 def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
     config = tmp_path / "ablate.cfg"
     config.write_text(TOY_CONFIG + extra, encoding="utf-8")

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import shutil
 import warnings
 import zipfile
@@ -921,13 +922,13 @@ def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
     cells = run_ablation(base, [desc], tmp_path, n_seeds=2)
     assert len(cells) == 4
     for cell in cells:
-        assert cell.n_seeds == 2
+        assert cell["n_seeds"] == 2
         # recompute the aggregate from the persisted per-seed reports
         h1 = []
-        for run_hash in cell.run_hashes:
+        for run_hash in cell["run_hashes"]:
             report = json.loads((tmp_path / run_hash / "report.json").read_text())
             h1.append(report["test"]["directions"]["left_to_right"]["hits_at"]["1"])
-        agg = cell.aggregates["left_to_right"]["h1"]
+        agg = cell["aggregates"]["left_to_right"]["h1"]
         assert agg["mean"] == pytest.approx(float(np.mean(h1)))
         assert agg["std"] == pytest.approx(float(np.std(h1, ddof=1)))
 
@@ -937,7 +938,7 @@ def test_ablation_single_seed_omits_std(tmp_path):
     desc = DatasetDescriptor("toy", "cycle-6-3")
     cells = run_ablation(base, [desc], tmp_path, n_seeds=1)
     assert len(cells) == 4
-    assert all(cell.aggregates["left_to_right"]["h1"]["std"] is None for cell in cells)
+    assert all(cell["aggregates"]["left_to_right"]["h1"]["std"] is None for cell in cells)
     table = ablation_table(cells)
     assert "+-" not in table
     assert "no-weights/unit" in table
@@ -952,6 +953,37 @@ def test_ablation_table_contains_all_cells(tmp_path):
         assert header in table
     for metric in ("[H@1]", "[H@10]", "[MR]", "[MRR]"):
         assert metric in table
+
+
+def _column_edges(line):
+    """Where each column of a table line starts (the first) or ends."""
+    spans = [m.span() for m in re.finditer(r"\S+(?: \S+)*", line)]
+    return [spans[0][0]] + [end for _, end in spans[1:]]
+
+
+def test_ablation_table_widens_a_column_for_a_wide_entry():
+    def cell(dataset, use_weights, mr, mr_std):
+        one = {"mean": 50.0, "std": 1.0}
+        metrics = {"h1": one, "h10": one, "mr": {"mean": mr, "std": mr_std}, "mrr": one}
+        return {"use_weights": use_weights, "init_preset": "unit", "dataset": dataset,
+                "n_seeds": 2, "run_hashes": [], "aggregates": {"left_to_right": metrics}}
+
+    # "12345.68 +- 1234.50" is 19 characters, one more than the column floor
+    cells = [cell("toy:cycle-8-4", False, 1.0, 0.0), cell("toy:cycle-8-4", True, 2.0, 0.5),
+             cell("dwy100k:dbp-wd", False, 12345.678, 1234.5), cell("dwy100k:dbp-wd", True, 812.0, 3.0)]
+    blocks = ablation_table(cells).split("\n\n")
+    assert [b.splitlines()[0] for b in blocks[:4]] == [
+        "[H@1] (left_to_right)", "[H@10] (left_to_right)", "[MR] (left_to_right)",
+        "[MRR] (left_to_right)",
+    ]
+    for block in blocks[:4]:
+        lines = block.splitlines()[1:]
+        assert len(lines) == 3
+        assert len({tuple(_column_edges(line)) for line in lines}) == 1, block
+    mr = blocks[2].splitlines()
+    assert "12345.68 +- 1234.50" in mr[3]
+    # the wide column is one wider than in a block without a wide entry
+    assert _column_edges(mr[1])[1] == _column_edges(blocks[0].splitlines()[1])[1] + 1
 
 
 def test_tuned_hyperparameters_resolution():
