@@ -19,25 +19,6 @@ from .graphs import KnowledgeGraph
 
 
 @dataclass(frozen=True)
-class RelationWeights:
-    """Per-relation functionality scores.
-
-    fun[r] is the number of distinct head entities of r divided by the
-    number of triples containing r; ifun[r] is the same with distinct
-    tails.
-    """
-
-    fun: np.ndarray
-    ifun: np.ndarray
-
-    def __post_init__(self):
-        for name in ("fun", "ifun"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class AdjacencyConfig:
     variant: str = "count"  # 'functionality' or 'count'
     clamp: bool = False
@@ -54,11 +35,10 @@ class AdjacencyConfig:
             raise ConfigError(f"clamp_floor must lie in (0, 1], got {self.clamp_floor}")
 
 
-def compute_functionality(
-    g: KnowledgeGraph, clamp: bool = False, clamp_floor: float = 0.3
-) -> RelationWeights:
-    """Per-relation functionality and inverse functionality scores,
-    both floored at clamp_floor when clamp is set.
+def compute_functionality(g: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-relation functionality scores (fun, ifun): fun[r] is the
+    number of distinct head entities of r divided by the number of
+    triples containing r; ifun[r] is the same with distinct tails.
 
     Every relation in the vocabulary must occur in at least one triple.
     """
@@ -75,33 +55,22 @@ def compute_functionality(
         combo = np.unique(np.ravel_multi_index((rels, endpoints), (n_rel, g.entity_count)))
         return np.bincount(combo // g.entity_count, minlength=n_rel).astype(np.float64)
 
-    fun = distinct_count(heads) / triple_counts
-    ifun = distinct_count(tails) / triple_counts
-    if clamp:
-        fun = np.maximum(fun, clamp_floor)
-        ifun = np.maximum(ifun, clamp_floor)
-    return RelationWeights(fun=fun, ifun=ifun)
+    return distinct_count(heads) / triple_counts, distinct_count(tails) / triple_counts
 
 
-def build_adjacency_unnormalized(
-    g: KnowledgeGraph,
-    cfg: AdjacencyConfig,
-    relation_weights: RelationWeights | None = None,
-) -> sp.csr_array:
+def build_adjacency_unnormalized(g: KnowledgeGraph, cfg: AdjacencyConfig) -> sp.csr_array:
     """A-hat before degree normalization: edge weights plus self-loops.
-
-    relation_weights overrides the computed functionality scores; useful
-    for diagnostics such as forcing every score to one.
-    """
+    With cfg.clamp, both functionality scores are floored at
+    cfg.clamp_floor."""
     n = g.entity_count
     heads, rels, tails = g.triples[:, 0], g.triples[:, 1], g.triples[:, 2]
 
     if cfg.variant == "functionality":
-        w = relation_weights
-        if w is None:
-            w = compute_functionality(g, clamp=cfg.clamp, clamp_floor=cfg.clamp_floor)
-        forward_vals = w.ifun[rels]
-        reverse_vals = w.fun[rels]
+        fun, ifun = compute_functionality(g)
+        if cfg.clamp:
+            fun, ifun = np.maximum(fun, cfg.clamp_floor), np.maximum(ifun, cfg.clamp_floor)
+        forward_vals = ifun[rels]
+        reverse_vals = fun[rels]
     else:
         # count variant: ones per directed triple, symmetrized as A + A^T
         forward_vals = np.ones(len(heads))

@@ -78,13 +78,10 @@ class EmbeddingState:
 
     features_left: np.ndarray
     features_right: np.ndarray
-    weights: list[np.ndarray] | None = None
+    weights: list[np.ndarray] = field(default_factory=list)  # empty when weightless
 
     def parameters(self) -> list[np.ndarray]:
-        params = [self.features_left, self.features_right]
-        if self.weights is not None:
-            params.extend(self.weights)
-        return params
+        return [self.features_left, self.features_right, *self.weights]
 
 
 def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
@@ -97,12 +94,9 @@ def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
     rng = np.random.default_rng(cfg.seed)
     fl = rng.normal(0.0, cfg.init_std, size=(n_left, cfg.dim))
     fr = rng.normal(0.0, cfg.init_std, size=(n_right, cfg.dim))
-    weights = None
-    if cfg.use_weights:
-        s = np.sqrt(6.0 / (cfg.dim + cfg.dim))
-        weights = [
-            rng.uniform(-s, s, size=(cfg.dim, cfg.dim)) for _ in range(cfg.n_layers)
-        ]
+    s = np.sqrt(6.0 / (cfg.dim + cfg.dim))
+    n_weights = cfg.n_layers if cfg.use_weights else 0
+    weights = [rng.uniform(-s, s, size=(cfg.dim, cfg.dim)) for _ in range(n_weights)]
     return EmbeddingState(features_left=fl, features_right=fr, weights=weights)
 
 
@@ -184,10 +178,10 @@ def forward(
 
     The tape is None unless keep_tape is set; backward() requires it.
     """
-    if cfg.use_weights and (state.weights is None or len(state.weights) != cfg.n_layers):
-        raise ConfigError("config expects weights but state carries none (or wrong count)")
-    if not cfg.use_weights and state.weights is not None:
-        raise ConfigError("state carries weights but config disables them")
+    expected = cfg.n_layers if cfg.use_weights else 0
+    if len(state.weights) != expected:
+        raise ConfigError(f"state carries {len(state.weights)} layer weights, "
+                          f"config expects {expected}")
     (out_l, tape_l), (out_r, tape_r) = thread_map(
         lambda graph: _forward_one(*graph, state.weights, cfg),
         (("left", adj_left, state.features_left), ("right", adj_right, state.features_right)),
@@ -266,7 +260,7 @@ def backward(
 
     def one_graph(graph):
         grad_out, graph_tape = graph
-        own = [np.zeros_like(w) for w in state.weights] if cfg.use_weights else None
+        own = [np.zeros_like(w) for w in state.weights]
         return _backward_one(grad_out, graph_tape, state.weights, own, cfg), own
 
     (gl, own_l), (gr, own_r) = thread_map(
@@ -274,7 +268,6 @@ def backward(
         ((grad_out_left, tape.left), (grad_out_right, tape.right)),
         max(grad_out_left.size, grad_out_right.size),
     )
-    if cfg.use_weights:
-        for left, right in zip(own_l, own_r):
-            left += right
+    for left, right in zip(own_l, own_r):
+        left += right
     return EmbeddingState(features_left=gl, features_right=gr, weights=own_l)

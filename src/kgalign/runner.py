@@ -75,6 +75,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.dataset.is_toy and self.dataset.root_path is None:
             raise ConfigError(f"dataset {self.dataset.key()} needs dataset.root, its directory")
+        if self.dataset.is_toy and self.score.beta < 1.0:
+            raise ConfigError(f"score.beta = {self.score.beta} blends in attribute tables, "
+                              f"which toy dataset {self.dataset.key()} does not have")
         if self.candidate_policy not in CANDIDATE_POLICIES:
             raise ConfigError(f"candidate_policy must be one of {CANDIDATE_POLICIES}, "
                               f"got {self.candidate_policy!r}")
@@ -162,7 +165,7 @@ def _save_state(path: Path, states: list[EmbeddingState]):
     for prefix, s in zip(_STATE_PREFIXES, states):
         arrays[f"{prefix}features_left"] = s.features_left
         arrays[f"{prefix}features_right"] = s.features_right
-        for i, w in enumerate(s.weights or ()):
+        for i, w in enumerate(s.weights):
             arrays[f"{prefix}weight_{i}"] = w
     write_atomic(path, lambda f: np.savez(f, **arrays))
 
@@ -181,7 +184,7 @@ def load_state(path: Path) -> list[EmbeddingState]:
                 states.append(EmbeddingState(
                     features_left=data[f"{prefix}features_left"],
                     features_right=data[f"{prefix}features_right"],
-                    weights=[data[f"{weight}{i}"] for i in layers] or None,
+                    weights=[data[f"{weight}{i}"] for i in layers],
                 ))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError(f"{path} is not a complete state archive "
@@ -404,16 +407,20 @@ def run_single(cfg: RunConfig, runs_root: Path, force: bool = False) -> RunResul
     write_atomic(run_dir / "config.txt", cfg.canonical_text())
     try:
         pair, adjacencies = prepare_run(cfg)
+        has_validation = len(pair.alignment.validation_pairs) > 0
+        if not (has_validation or cfg.save_state or cfg.evaluate_test):
+            # every grid run is such a run
+            raise ConfigError(
+                f"val_fraction = {cfg.val_fraction} leaves no validation pairs, and with "
+                "save_state and evaluate_test off the run would keep only its loss trace"
+            )
         # built before training, so a blend without attribute tables fails untrained
         pathways = _pathways(cfg, pair)
         states, losses = _train_pathways(cfg, pathways, pair, adjacencies)
         embeddings = encode(pathways, adjacencies, states)
         validation, test = (
             _score(cfg, pair, embeddings, split) if wanted else None
-            for split, wanted in (
-                (Role.VALIDATION, len(pair.alignment.validation_pairs) > 0),
-                (Role.TEST, cfg.evaluate_test),
-            )
+            for split, wanted in ((Role.VALIDATION, has_validation), (Role.TEST, cfg.evaluate_test))
         )
         write_atomic(run_dir / "loss_trace.tsv", loss_trace_tsv(losses))
         if cfg.save_state:

@@ -14,25 +14,28 @@ from kgalign.graphs import KnowledgeGraph
 def test_functionality_enumeration():
     # heads {a, d} and tails {b, c} over 3 triples of the same relation
     g = KnowledgeGraph(4, 1, [(0, 0, 1), (0, 0, 2), (3, 0, 1)])
-    w = compute_functionality(g)
-    assert w.fun[0] == pytest.approx(2 / 3)
-    assert w.ifun[0] == pytest.approx(2 / 3)
+    fun, ifun = compute_functionality(g)
+    assert fun[0] == pytest.approx(2 / 3)
+    assert ifun[0] == pytest.approx(2 / 3)
 
 
 def test_functionality_single_triple():
     g = KnowledgeGraph(2, 1, [(0, 0, 1)])
-    w = compute_functionality(g)
-    assert w.fun[0] == 1.0 and w.ifun[0] == 1.0
+    fun, ifun = compute_functionality(g)
+    assert fun[0] == 1.0 and ifun[0] == 1.0
 
 
 def test_functionality_clamp_floor():
     # one head, ten triples: raw functionality 0.1 is lifted to the floor
     triples = [(0, 0, t % 3) for t in range(10)]
     g = KnowledgeGraph(3, 1, triples)
-    raw = compute_functionality(g)
-    assert raw.fun[0] == pytest.approx(0.1)
-    clamped = compute_functionality(g, clamp=True)
-    assert clamped.fun[0] == pytest.approx(0.3)
+    fun, _ = compute_functionality(g)
+    assert fun[0] == pytest.approx(0.1)
+    # three triples end in entity 1, each reverse edge carries the floored fun
+    clamped = build_adjacency_unnormalized(
+        g, AdjacencyConfig(variant="functionality", clamp=True, add_self_loops=False)
+    )
+    assert clamped[1, 0] == pytest.approx(3 * 0.3)
 
 
 def test_functionality_zero_triple_relation_errors():
@@ -57,9 +60,9 @@ def test_functionality_counts_equal_the_stacked_unique_formula(seed):
         combo = np.unique(np.stack([triples[:, 1], endpoints], axis=1), axis=0)
         return np.bincount(combo[:, 0], minlength=n_rel).astype(np.float64)
 
-    w = compute_functionality(g)
-    assert np.array_equal(w.fun, distinct(triples[:, 0]) / counts)
-    assert np.array_equal(w.ifun, distinct(triples[:, 2]) / counts)
+    fun, ifun = compute_functionality(g)
+    assert np.array_equal(fun, distinct(triples[:, 0]) / counts)
+    assert np.array_equal(ifun, distinct(triples[:, 2]) / counts)
 
 
 def test_functionality_rejects_an_endpoint_out_of_range():
@@ -155,9 +158,9 @@ def test_no_self_loops_isolated_node_errors():
 def test_directed_weighting_uses_both_scores():
     # two triples (0, r, 1), (0, r, 2): fun = 1/2, ifun = 2/2 = 1
     g = KnowledgeGraph(3, 1, [(0, 0, 1), (0, 0, 2)])
-    w = compute_functionality(g)
-    assert w.fun[0] == pytest.approx(0.5)
-    assert w.ifun[0] == pytest.approx(1.0)
+    fun, ifun = compute_functionality(g)
+    assert fun[0] == pytest.approx(0.5)
+    assert ifun[0] == pytest.approx(1.0)
     a_hat = build_adjacency_unnormalized(
         g, AdjacencyConfig(variant="functionality", add_self_loops=False)
     ).toarray()

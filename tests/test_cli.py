@@ -262,6 +262,27 @@ def test_dataset_without_root_exits_2_before_any_run(tmp_path, capsys, command, 
     assert not runs.exists()
 
 
+# a toy has no attribute tables; these once wrote a run directory (grid:
+# one per blend run) and failed in it
+@pytest.mark.parametrize("command, extra", [
+    ("train", "score.beta = 0.5\n"),
+    ("grid", "score.beta = 0.5\ngrid.training.n_epochs = 10, 40\n"),
+    ("grid", "grid.score.beta = 1.0, 0.5\n"),
+    ("ablate", "score.beta = 0.5\n"),
+], ids=["train", "grid", "grid-axis", "ablate"])
+def test_toy_blend_exits_2_before_any_run(tmp_path, capsys, command, extra):
+    config = tmp_path / "blend.cfg"
+    config.write_text(TOY_CONFIG + extra, encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main([command, str(config), "--runs-root", str(runs)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "message": f"{config}: score.beta = 0.5 blends in attribute tables, "
+                   "which toy dataset toy:cycle-8-4 does not have",
+    }
+    assert not runs.exists()
+
+
 def test_evaluate_missing_state_errors(tmp_path, capsys):
     config = tmp_path / "toy.cfg"
     config.write_text(TOY_CONFIG + "save_state = false\n", encoding="utf-8")
@@ -530,6 +551,42 @@ def test_grid_progress_goes_to_stderr_only(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines] == [f"grid: {k}/8 runs" for k in range(1, 9)]
 
 
+def test_grid_without_validation_pairs_fails_every_run(tmp_path, capsys):
+    # round(0.1 * 4 train pairs) = 0 validation pairs: a grid run keeps
+    # no state and no test metrics, so it once trained for nothing
+    toy = (Path(__file__).resolve().parent.parent / "configs" / "toy.cfg").read_text(encoding="utf-8")
+    config = tmp_path / "noval.cfg"
+    config.write_text(
+        toy.replace("training.n_epochs = 500", "training.n_epochs = 3")
+        + "val_fraction = 0.1\ngrid.training.learning_rate = 0.1, 0.5\n",
+        encoding="utf-8",
+    )
+    runs = tmp_path / "runs"
+    assert main(["grid", str(config), "--runs-root", str(runs)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["grid finished: 8 runs, 8 failures",
+                                f"leaderboard: {runs / 'leaderboard.tsv'}"]
+    assert err.splitlines()[-1].startswith("grid: 8/8 runs, 8 failed, ")
+    message = ("val_fraction = 0.1 leaves no validation pairs, and with save_state and "
+               "evaluate_test off the run would keep only its loss trace")
+    rows = (runs / "leaderboard.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 8 and all(row.endswith(f"\tConfigError: {message}") for row in rows)
+    run_dirs = [p for p in runs.iterdir() if p.is_dir()]
+    assert len(run_dirs) == 8
+    for run_dir in run_dirs:
+        record = json.loads((run_dir / "error.json").read_text(encoding="utf-8"))
+        assert (record["category"], record["message"]) == ("config", message)
+        assert not (run_dir / "loss_trace.tsv").exists()  # rejected before training
+    assert json.loads((runs / "grid_best.json").read_text(encoding="utf-8")) == {}
+
+    # a run that saves its state still trains, with no validation block
+    config.write_text(config.read_text(encoding="utf-8").replace("grid.", "# grid."),
+                      encoding="utf-8")
+    assert main(["train", str(config), "--runs-root", str(tmp_path / "single")]) == 0
+    out = capsys.readouterr().out
+    assert "test metrics" in out and "validation metrics" not in out
+
+
 def test_failed_grid_ends_stderr_with_error_record(tmp_path, capsys):
     runs = tmp_path / "runs"
     (runs / "grid_best.json").mkdir(parents=True)  # the grid cannot write its result
@@ -604,10 +661,12 @@ def test_ablate_three_toy_datasets_prints_the_pinned_table(tmp_path, capsys):
     )
 
 
-def test_failed_ablate_ends_stderr_with_error_record(tmp_path, capsys):
-    # beta < 1 fails on the attribute-less toy, in the first run
+def test_failed_ablate_ends_stderr_with_error_record(tmp_path, jape_style_dir, capsys):
+    # beta < 1 fails on a dataset directory without attribute tables, in
+    # the first run (a toy one is rejected before any run)
     config = tmp_path / "ablate.cfg"
-    config.write_text(TOY_CONFIG + "score.beta = 0.5\n", encoding="utf-8")
+    config.write_text("dataset.family = dbp15k-jape\ndataset.subset = zh-en\n"
+                      f"dataset.root = {jape_style_dir}\nscore.beta = 0.5\n", encoding="utf-8")
     argv = ["ablate", str(config), "--runs-root", str(tmp_path / "runs"), "--seeds", "1"]
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -58,7 +58,7 @@ def test_weight_init_range_is_fan_based():
 def test_weightless_parameter_count():
     cfg = EncoderConfig(dim=16, use_weights=False)
     state = init_state(cfg, 9, 11)
-    assert state.weights is None
+    assert state.weights == []
     assert sum(p.size for p in state.parameters()) == (9 + 11) * 16
 
 

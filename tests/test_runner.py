@@ -1,14 +1,17 @@
 import gc
+import hashlib
 import json
 import re
 import shutil
 import warnings
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kgalign.adjacency import build_adjacency
 from kgalign.configfile import format_config, parse_config_text
 from kgalign.datasets import DatasetDescriptor
 from kgalign.encoder import EmbeddingState
@@ -21,12 +24,16 @@ from kgalign.runner import (
     ablation_table,
     apply_overrides,
     enumerate_grid,
+    evaluate_run,
     load_state,
+    prepare_pair,
     run_ablation,
     run_grid,
     run_single,
     write_atomic,
 )
+
+from conftest import write_dataset
 
 
 def toy_config(**overrides):
@@ -146,8 +153,15 @@ def test_run_zero_epochs_reports_random_init_metrics(tmp_path):
     assert result.test.to_dict() == expected.to_dict()
 
 
-def test_run_single_persists_failure_record(tmp_path):
-    cfg = toy_config(**{"score.beta": 0.5})  # toy has no attributes
+def attributeless_blend(root):
+    """A score.beta < 1 config of the dataset directory root, which holds
+    no attribute tables: it fails at run time, before training."""
+    return toy_config(**{"dataset.family": "dbp15k-jape", "dataset.subset": "zh-en",
+                         "dataset.root": str(root), "score.beta": 0.5})
+
+
+def test_run_single_persists_failure_record(tmp_path, jape_style_dir):
+    cfg = attributeless_blend(jape_style_dir)
     with pytest.raises(ConfigError):
         run_single(cfg, tmp_path)
     record = json.loads((tmp_path / cfg.run_hash() / "error.json").read_text())
@@ -155,17 +169,85 @@ def test_run_single_persists_failure_record(tmp_path):
     assert "attribute" in record["message"]
 
 
-def test_attribute_less_dataset_fails_before_training(tmp_path, monkeypatch):
+def test_attribute_less_dataset_fails_before_training(tmp_path, jape_style_dir, monkeypatch):
     from kgalign import runner
 
     def train(*args, **kwargs):
         raise AssertionError("trained before the attribute tables were checked")
 
     monkeypatch.setattr(runner, "start", train)
-    cfg = toy_config(**{"score.beta": 0.5})  # toy has no attributes
+    cfg = attributeless_blend(jape_style_dir)
     with pytest.raises(ConfigError, match="attribute"):
         run_single(cfg, tmp_path)
     assert (tmp_path / cfg.run_hash() / "error.json").is_file()
+
+
+@pytest.mark.parametrize("kept", [{"save_state": True}, {"evaluate_test": True},
+                                  {"val_fraction": 0.5}], ids=["state", "test", "validation"])
+def test_run_without_validation_pairs_must_keep_something_else(tmp_path, monkeypatch, kept):
+    from kgalign import runner
+
+    # round(0.1 * 4 train pairs) = 0 validation pairs
+    nothing = {"val_fraction": 0.1, "save_state": False, "evaluate_test": False,
+               "training.n_epochs": 3}
+    monkeypatch.setattr(runner, "start", lambda *a: pytest.fail("trained a run that keeps nothing"))
+    cfg = toy_config(**nothing)
+    with pytest.raises(ConfigError, match=r"^val_fraction = 0.1 leaves no validation pairs"):
+        run_single(cfg, tmp_path)
+    record = json.loads((tmp_path / cfg.run_hash() / "error.json").read_text())
+    assert record["category"] == "config" and "val_fraction" in record["message"]
+    monkeypatch.undo()
+    assert run_single(toy_config(**{**nothing, **kept}), tmp_path).final_loss is not None
+
+
+def _functionality_pair(root):
+    """A dbp15k-jape subset of two 24-entity graphs whose relations have
+    functionality scores below and above the clamp floor: a hub out
+    of entity 0 (fun 1/12), a hub into entity 13 (ifun 1/10), a chain
+    and a two-tailed relation (fun 1/2). The right graph is the left one
+    relabeled by e -> 5e mod 24. Built by arithmetic alone."""
+    n = 24
+    edges = [(0, 0, t) for t in range(1, 13)] + [(h, 1, 13) for h in range(14, n)]
+    edges += [(i, 2, i + 1) for i in range(n - 1)]
+    edges += [(i, 3, (i * k + 2) % n) for i in range(0, n, 3) for k in (5, 7)]
+    right = [(100 + h * 5 % n, 10 + r, 100 + t * 5 % n) for h, r, t in edges]
+    return write_dataset(
+        root,
+        triples_1=edges,
+        triples_2=right,
+        ents_1=[(i, f"e:{i}") for i in range(n)],
+        ents_2=[(100 + i * 5 % n, f"f:{i}") for i in range(n)],
+        rels_1=[(r, f"r:{r}") for r in range(4)],
+        rels_2=[(10 + r, f"s:{r}") for r in range(4)],
+        files={
+            "sup_ent_ids": [(i, 100 + i * 5 % n) for i in range(0, n, 2)],
+            "ref_ent_ids": [(i, 100 + i * 5 % n) for i in range(1, n, 2)],
+        },
+    )
+
+
+def test_weighted_functionality_clamp_run_outputs_keep_their_bits(tmp_path):
+    # the adjacency grid-small trains on, under the weighted encoder
+    root = _functionality_pair(tmp_path / "pair")
+    cfg = toy_config(**{"dataset.family": "dbp15k-jape", "dataset.subset": "zh-en",
+                        "dataset.root": str(root), "adjacency.variant": "functionality",
+                        "adjacency.clamp": True, "encoder.use_weights": True,
+                        "training.n_epochs": 40})
+    pair = prepare_pair(cfg)
+    unclamped = replace(cfg.adjacency, clamp=False)
+    for g in (pair.left, pair.right):  # the floor changes both matrices
+        assert (build_adjacency(g, cfg.adjacency) != build_adjacency(g, unclamped)).nnz > 0
+    result = run_single(cfg, tmp_path / "runs")
+    report = json.loads((result.run_dir / "report.json").read_text())
+    metrics = json.dumps([report[k] for k in ("validation", "test", "final_loss")], sort_keys=True)
+    with np.load(result.run_dir / "state.npz") as data:
+        assert {"weight_0", "weight_1"} <= set(data.files)
+        arrays = b"".join(name.encode() + data[name].tobytes() for name in sorted(data.files))
+    digests = [hashlib.sha256(blob).hexdigest()[:16] for blob in (
+        (result.run_dir / "loss_trace.tsv").read_bytes(), metrics.encode(), arrays)]
+    # taken while the scores were floored inside compute_functionality
+    assert digests == ["8ffda84c32a945fc", "35019982a608e533", "0a8b1f9bb9dc795e"]
+    assert evaluate_run(result.run_dir)[0].to_dict() == report["test"]
 
 
 def _edit_report(text, edit):
@@ -265,13 +347,13 @@ def test_grid_and_evaluate_leave_no_temp_files(tmp_path, capsys, monkeypatch):
     from kgalign.cli import main
 
     renamed = _record_renames(monkeypatch)
-    # the beta = 0.5 runs fail on the attribute-less toy, so every
-    # atomically written file kind appears: report, error record,
+    # the val_fraction = 0.1 runs have no validation pairs and fail, so
+    # every atomically written file kind appears: report, error record,
     # grid_best.json, the saved state, the evaluate command's output
     # and the ablation table
     base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5,
                          "training.n_epochs": 5})
-    result = run_grid(base, tmp_path / "grid", axes={"score.beta": [1.0, 0.5]})
+    result = run_grid(base, tmp_path / "grid", axes={"val_fraction": [0.5, 0.1]})
     assert result.n_failures == 4
     run_dir = run_single(toy_config(), tmp_path / "single").run_dir
     assert main(["evaluate", str(run_dir)]) == 0
@@ -329,7 +411,7 @@ def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
         return EmbeddingState(
             features_left=rng.normal(size=(5, dim)),
             features_right=rng.normal(size=(6, dim)),
-            weights=[rng.normal(size=(dim, dim)) for _ in range(n_layers)] if weighted else None,
+            weights=[rng.normal(size=(dim, dim)) for _ in range(n_layers)] if weighted else [],
         )
 
     saved = [state(4, 3), state(2, 2)] if with_attr else [state(4, 3)]
@@ -344,7 +426,7 @@ def test_state_roundtrip_keeps_keys_and_arrays(tmp_path, weighted, with_attr):
     loaded = load_state(path)
     assert len(loaded) == len(saved)  # no attribute state unless one was saved
     for before, after in zip(saved, loaded):
-        assert (after.weights is None) == (before.weights is None)
+        assert len(after.weights) == len(before.weights)
         for a, b in zip(before.parameters(), after.parameters(), strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -500,13 +582,14 @@ def test_run_grid_selects_best_and_writes_leaderboard(tmp_path):
 
 
 def test_run_grid_records_failures_and_continues(tmp_path):
-    # beta < 1 on the attribute-less toy dataset fails at run time, so
-    # half the grid fails while the other half still gets selected
+    # val_fraction = 0.1 leaves the toy no validation pairs, which fails
+    # at run time, so half the grid fails while the other half still
+    # gets selected
     base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5,
                          "training.n_epochs": 5})
-    axes = {"score.beta": [1.0, 0.5]}
+    axes = {"val_fraction": [0.5, 0.1]}
     result = run_grid(base, tmp_path, axes=axes)
-    assert result.n_failures == 4  # the beta = 0.5 run of every cell
+    assert result.n_failures == 4  # the val_fraction = 0.1 run of every cell
     assert set(result.best_per_cell) == set(ABLATION_CELLS)
     failed_lines = [
         line for line in result.leaderboard_path.read_text().splitlines()
@@ -679,7 +762,7 @@ def test_dataset_rewritten_between_calls_is_read_again(tmp_path, monkeypatch, co
     assert sizes == [6, 10]
 
 
-def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, monkeypatch):
+def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, jape_style_dir, monkeypatch):
     import kgalign.runner as runner
 
     seen = []
@@ -697,9 +780,10 @@ def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, monkeypatch):
     assert runner._shared is None
     assert seen == [True] * 8
 
-    # and when they raise: beta < 1 fails on the attribute-less toy
+    # and when they raise: beta < 1 fails on a dataset without attribute tables
+    bad = attributeless_blend(jape_style_dir)
     with pytest.raises(ConfigError, match="attribute"):
-        run_ablation(toy_config(**{"score.beta": 0.5}), [base.dataset], tmp_path / "bad")
+        run_ablation(bad, [bad.dataset], tmp_path / "bad")
     assert runner._shared is None
 
     def interrupted(cfg, runs_root, force=False):
@@ -713,7 +797,7 @@ def test_sharing_ends_with_serial_grid_and_ablation(tmp_path, monkeypatch):
 
 def test_grid_prints_one_progress_line_per_run(tmp_path, capsys):
     base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
-    result = run_grid(base, tmp_path, axes={"score.beta": [1.0, 0.5]})
+    result = run_grid(base, tmp_path, axes={"val_fraction": [0.5, 0.1]})
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
@@ -722,7 +806,7 @@ def test_grid_prints_one_progress_line_per_run(tmp_path, capsys):
     for done, (line, row) in enumerate(
         zip(lines, result.leaderboard_path.read_text().splitlines()[1:]), start=1
     ):
-        failed += row.endswith("attribute tables")
+        failed += row.endswith("loss trace")
         assert line.startswith(f"grid: {done}/8 runs, {failed} failed, ")
         assert "s elapsed, ETA " in line and line.endswith("s")
     assert failed == result.n_failures == 4
@@ -902,18 +986,20 @@ def test_forkserver_grid_matches_serial_grid(tmp_path, monkeypatch):
 
 
 def test_pool_failures_match_serial_grid(tmp_path):
-    # beta < 1 fails on the attribute-less toy: the pool workers send
-    # those runs' exceptions back, and they land on the same ledger rows
+    # val_fraction = 0.1 leaves the toy no validation pairs: the pool
+    # workers send those runs' exceptions back, and they land on the
+    # same ledger rows
     base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
-    axes = {"score.beta": [1.0, 0.5]}
+    axes = {"val_fraction": [0.5, 0.1]}
     for workers in (1, 2):
         result = run_grid(base, tmp_path / str(workers), axes=axes, workers=workers)
         assert result.n_failures == 4
     for name in ("leaderboard.tsv", "grid_best.json"):
         assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
     rows = (tmp_path / "2" / "leaderboard.tsv").read_text(encoding="utf-8").splitlines()[1:]
-    assert sum(row.endswith("ConfigError: score.beta < 1 but the dataset has no "
-                            "attribute tables") for row in rows) == 4
+    assert sum(row.endswith("ConfigError: val_fraction = 0.1 leaves no validation pairs, and "
+                            "with save_state and evaluate_test off the run would keep only its "
+                            "loss trace") for row in rows) == 4
 
 
 def test_run_ablation_aggregates_match_persisted_reports(tmp_path):
