@@ -94,10 +94,26 @@ def init_state(cfg: EncoderConfig, n_left: int, n_right: int) -> EmbeddingState:
     rng = np.random.default_rng(cfg.seed)
     fl = rng.normal(0.0, cfg.init_std, size=(n_left, cfg.dim))
     fr = rng.normal(0.0, cfg.init_std, size=(n_right, cfg.dim))
+    return EmbeddingState(fl, fr, _draw_weights(cfg, rng))
+
+
+def _state_with_features(cfg: EncoderConfig, fl: np.ndarray, fr: np.ndarray) -> EmbeddingState:
+    """init_state's state with features fl, fr in place of its random
+    ones and its weights bit for bit. The feature draws are skipped
+    through one 512 KiB buffer, as standard normals that normal(0, std)
+    would scale; weightless, nothing is drawn."""
+    rng = np.random.default_rng(cfg.seed)
+    skip = (len(fl) + len(fr)) * cfg.dim if cfg.use_weights else 0
+    buffer = np.empty(1 << 16)
+    for lo in range(0, skip, len(buffer)):
+        rng.standard_normal(out=buffer[: skip - lo])
+    return EmbeddingState(fl, fr, _draw_weights(cfg, rng))
+
+
+def _draw_weights(cfg: EncoderConfig, rng: np.random.Generator) -> list[np.ndarray]:
     s = np.sqrt(6.0 / (cfg.dim + cfg.dim))
     n_weights = cfg.n_layers if cfg.use_weights else 0
-    weights = [rng.uniform(-s, s, size=(cfg.dim, cfg.dim)) for _ in range(n_weights)]
-    return EmbeddingState(features_left=fl, features_right=fr, weights=weights)
+    return [rng.uniform(-s, s, size=(cfg.dim, cfg.dim)) for _ in range(n_weights)]
 
 
 @dataclass

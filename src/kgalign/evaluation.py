@@ -13,13 +13,14 @@ rows and right to left along its columns. Under all-entities the two
 query sets differ, so each direction has a matrix of its own, counted
 along its rows. Either way the matrix is built in blocks of about
 BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries and
-candidates, and each thread keeps one running count of the columns. A
+candidates, and the threads add into one running count of the columns. A
 block is counted in its own layout, along axis 1 for its rows and along
 axis 0 for its columns, so no count reads a transposed copy.
 """
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graphs import GraphPair, Role
-from .parallel import thread_map, threads_for
+from .parallel import thread_map
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
@@ -180,9 +181,9 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     (3, pairs) array: better, tied (the truth included) and tied before.
 
     The truth distances come first, from the diagonals of small per-pair
-    blocks, since every block's column counts need them. Thread t of
-    parallel.thread_map counts blocks t, t + threads, ... into one
-    running column count of its own; a pair's row counts come from one
+    blocks, since every block's column counts need them. The blocks are
+    parallel.thread_map's items, and each adds its column counts into
+    one running count under a lock; a pair's row counts come from one
     block and its column counts are integers summed over blocks, so
     neither the block size nor the thread count can change a bit. Each
     direction of a block is counted at once, its pairs in line order.
@@ -206,11 +207,11 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     ])
     by_row, by_column = (np.argsort(p, kind="stable") for p in pos)
     row_counts = np.empty((3, n_pairs), dtype=np.int64)
+    column_counts = np.zeros((3, n_pairs), dtype=np.int64)  # in line order
+    lock = threading.Lock()
     rows = max(1, BLOCK_ELEMENTS // len(ids[1]))
-    blocks = range(0, n_rows, rows)
-    threads = threads_for(len(blocks), rows * len(ids[1]))
 
-    def count_block(lo, column_counts):
+    def count_block(lo):
         hi = min(lo + rows, n_rows)
         dist = _distances(emb, attr, slice(lo, hi), slice(None), cfg)
         s, e = np.searchsorted(pos[0], (lo, hi), sorter=by_row)
@@ -219,19 +220,15 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
         row_counts[:, p] = _count(sub, d_t[p], pos[1][p], axis=1)
         if columns:
             sub = dist if n_pairs == dist.shape[1] else dist[:, pos[1][by_column]]
-            column_counts += _count(sub, d_t[by_column], pos[0][by_column] - lo, axis=0)
+            counts = _count(sub, d_t[by_column], pos[0][by_column] - lo, axis=0)
+            with lock:
+                np.add(column_counts, counts, out=column_counts)
 
-    def count_blocks(t):
-        # one block at a time: a block's arrays are freed when count_block
-        # returns, before the next is computed
-        column_counts = np.zeros((3, n_pairs), dtype=np.int64)  # in line order
-        for lo in blocks[t::threads]:
-            count_block(lo, column_counts)
-        return column_counts
-
-    partial = thread_map(count_blocks, range(threads), rows * len(ids[1]))
+    # a block's arrays are freed when count_block returns, before its
+    # thread computes the next
+    thread_map(count_block, range(0, n_rows, rows), rows * len(ids[1]))
     # the column counts are summed in line order, then put back in pair order
-    return (row_counts, sum(partial)[:, np.argsort(by_column)]) if columns else (row_counts,)
+    return (row_counts, column_counts[:, np.argsort(by_column)]) if columns else (row_counts,)
 
 
 def evaluate(

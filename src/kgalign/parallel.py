@@ -150,9 +150,9 @@ def thread_map(fn, items, item_size: int) -> list:
     runs on thread i % threads, where thread 0 is the calling thread and
     the others are helpers started for this call: an item allocates in
     its thread's malloc arena, and with every item on helpers (a plain
-    ThreadPoolExecutor.map) train-zh-en's peak RSS on 2 cores rose from
-    840-846 to 941-966 MB over 3 runs. One thread means the
-    plain loop and no pool. Every item has finished when an exception
+    ThreadPoolExecutor.map) train-zh-en's peak RSS on a 2-core VM rose
+    from 438-443 to 500-508 MB over 3 alternating runs. One thread means
+    the plain loop and no pool. Every item has finished when an exception
     raised by fn reaches the caller. On any number of threads, the
     items run under one_blas_thread.
     """

@@ -8,17 +8,18 @@ at its boundary. Negatives are resampled fresh every epoch.
 The loss's negatives, walked as sampled, and the optimizer's flat
 parameter blocks are shared out to the threads of the budget
 (parallel.thread_count). No result depends on the thread count: the
-loss gradient is integer-valued (sums of signs and hinge counts), summed
-exactly in an integer accumulator per loss thread and returned in its
-dtype, so the threads' order cannot change a bit; the float loss
-is summed per column block of the (positive, negative) hinge terms, in
-block order, on the calling thread; and the optimizer's update is
-elementwise. The training loop drops each array of an epoch as soon as
-the epoch is done with it.
+loss gradient is integer-valued (sums of signs and hinge counts), added
+exactly by every loss thread into one integer accumulator under a lock
+and returned in its dtype, so the threads' order cannot change a bit;
+the float loss is summed per column block of the (positive, negative)
+hinge terms, in block order, on the calling thread; and the optimizer's
+update is elementwise. The training loop drops each array of an epoch
+as soon as the epoch is done with it.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .configfile import FLAT_KEY
 from .encoder import (
     EmbeddingState,
     EncoderConfig,
+    _state_with_features,
     backward,
     forward,
     init_state,
@@ -237,8 +239,9 @@ def margin_rank_loss(
     positives: (m, 2) index pairs; negatives: (m, k, 2), row i holding
     the corruptions of positive i. Returns (loss, grad_left, grad_right)
     with gradients shaped like the embedding matrices. The gradients are
-    integer-valued and come as int16 or int32 (views of one array), which
-    backward() takes as they are. No input is written.
+    integer-valued and come as int16 or int32 (views of the one array
+    every loss thread adds into), which backward() takes as they are. No
+    input is written.
     """
     m, k = negatives.shape[0], negatives.shape[1]
     if positives.shape[0] != m:
@@ -260,7 +263,7 @@ def margin_rank_loss(
     n, d = len(stream), emb_left.shape[1]
     n_left = len(emb_left)
     # The gradient, hinge signs plus each positive's signs times its
-    # active count, is summed in integer accumulators of both sides'
+    # active count, is summed in one integer accumulator of both sides'
     # rows, left rows first and right rows after: int16 while no entity's
     # negative rows plus k per positive naming it reach 2**15, which
     # bounds every entry and every partial sum, else int32.
@@ -268,15 +271,15 @@ def margin_rank_loss(
                 for s, p, e in ((stream[:, 0], pl, emb_left), (stream[:, 1], pr, emb_right)))
     acc = np.int16 if named < 2**15 else np.int32
     rows = max(1, min(n, CHUNK_ELEMENTS // d))
-    acc_bytes = max(1, (n_left + len(emb_right)) * d * np.dtype(acc).itemsize)
-    threads = min(threads_for(-(-n // rows), rows * d), 1 + GRAD_COPY_BYTES // acc_bytes)
-    # each thread's two (rows, dim) float gather buffers, two integer sign
-    # buffers and accumulator are allocated here on the calling thread;
-    # the accumulators beyond the first stay within GRAD_COPY_BYTES
+    threads = threads_for(-(-n // rows), rows * d)
+    # each thread's two (rows, dim) float gather buffers and two integer
+    # sign buffers are allocated here on the calling thread; the threads
+    # add into one accumulator, one at a time
     buffers = [(np.empty((rows, d)), np.empty((rows, d)),
                 np.empty((rows, d), dtype=acc), np.empty((rows, d), dtype=acc))
                for _ in range(threads)]
-    accs = [np.zeros((n_left + len(emb_right), d), dtype=acc) for _ in range(threads)]
+    total = np.zeros((n_left + len(emb_right), d), dtype=acc)
+    lock = threading.Lock()
 
     def chunks_of(t):
         diff, other, signs, picked = buffers[t]
@@ -294,12 +297,11 @@ def margin_rank_loss(
             s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
             s = np.take(s, active, axis=0, out=picked[: len(active)], mode="clip")
             # d loss / d left row = -sign, d loss / d right row = +sign
-            _scatter_add_rows(accs[t], np.stack([nl[active], nr[active] + n_left]), s, (-1, 1))
+            targets = np.stack([nl[active], nr[active] + n_left])
+            with lock:
+                _scatter_add_rows(total, targets, s, (-1, 1))
 
     thread_map(chunks_of, range(threads), rows * d)
-    total = accs.pop(0)
-    while accs:
-        total += accs.pop()
     # the loss is summed per column block of roughly 16k terms, in block
     # order, each block's terms taken positive by positive
     by_positive = terms.reshape(m, k)
@@ -319,10 +321,6 @@ def margin_rank_loss(
 # (rows, dim) float buffers per thread, 2 MB each, of 1,310 rows at dim
 # 200, 4,096 at dim 64 and 8,192 at dim 32
 CHUNK_ELEMENTS = 1 << 18
-# bytes of the integer accumulators margin_rank_loss's threads may hold
-# beyond the first, whatever the core count: eight extra int16 ones at
-# zh-en and dim 200 (15.6 MB each), one at the DWY100k shape
-GRAD_COPY_BYTES = 128 << 20
 
 
 @dataclass
@@ -361,9 +359,10 @@ def start(
         require_valid(pair)
         adjacencies = (build_adjacency(pair.left, adj_cfg), build_adjacency(pair.right, adj_cfg))
 
-    state = init_state(enc_cfg, pair.left.entity_count, pair.right.entity_count)
-    if initial_features is not None:
-        state.features_left, state.features_right = (f.toarray() for f in initial_features)
+    if initial_features is None:
+        state = init_state(enc_cfg, pair.left.entity_count, pair.right.entity_count)
+    else:  # the random features init_state would draw are never made
+        state = _state_with_features(enc_cfg, *(f.toarray() for f in initial_features))
     return Trajectory(
         pair, tuple(adjacencies), enc_cfg, train_cfg, state,
         OptimizerState(state.parameters(), train_cfg),

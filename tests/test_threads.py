@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_attribute_blend_run_independent_of_thread_count(tmp_path, mid_attr_data
 
 
 def test_loss_gradient_is_integer_valued_and_order_free(monkeypatch):
-    # the invariant behind per-thread gradients: any accumulation order
+    # the invariant behind the shared gradient: any accumulation order
     # gives the same bits, and only the loss sum keeps block order
     pair = _mid_pair()
     enc = EncoderConfig(n_layers=2, dim=16, seed=1)
@@ -265,20 +266,18 @@ def test_small_items_stay_on_the_calling_thread(monkeypatch):
     assert ran_on[0] == threading.get_ident()  # item 0 runs on the calling thread
 
 
-def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
-    # every loss thread holds an integer accumulator of both sides' rows;
-    # on many cores the accumulators beyond the first are capped by bytes,
-    # not by the core count
-    pair = _mid_pair()
+def test_loss_holds_one_gradient_accumulator_on_any_core_count(each_core_count, monkeypatch):
+    # every loss thread adds into one integer accumulator of both sides'
+    # rows, so a thread beyond the first adds only its chunk buffers and
+    # one chunk's temporaries, smaller than those, to the traced peak
     rng = np.random.default_rng(0)
-    out_l = rng.normal(size=(pair.left.entity_count, 16))
-    out_r = rng.normal(size=(pair.right.entity_count, 16))
-    pos = pair.alignment.train_pairs
-    neg = sample_negatives(pos, len(out_l), len(out_r), 100, rng)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
-    # chunks of 4,096 rows at dim 16: ten of the 40,000 rows
-    monkeypatch.setattr(training, "CHUNK_ELEMENTS", 4096 * 16)
+    n, d = 5000, 16
+    out_l, out_r = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    pos = np.stack([rng.choice(n, 400, replace=False), rng.choice(n, 400, replace=False)], axis=1)
+    neg = sample_negatives(pos, n, n, 100, rng)
+    # chunks of 256 rows: 157 of the 40,000 rows, so 8 cores run 8 threads
+    monkeypatch.setattr(training, "CHUNK_ELEMENTS", 256 * d)
+    buffers = 256 * d * (8 + 8 + 2 + 2)  # two float64 and two int16 buffers
     threads = []
 
     def counting_map(fn, items, item_size):
@@ -287,18 +286,24 @@ def test_loss_gradient_copies_stay_within_their_budget(monkeypatch):
         return parallel.thread_map(fn, items, item_size)
 
     monkeypatch.setattr(training, "thread_map", counting_map)
-    unbounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
-    # int16: no entity is named by 2**15 of the 40,000 rows of negatives
-    acc_bytes = (len(out_l) + len(out_r)) * 16 * np.dtype(np.int16).itemsize
-    monkeypatch.setattr(training, "GRAD_COPY_BYTES", 2 * acc_bytes + acc_bytes // 2)
-    bounded = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
-    monkeypatch.setattr(training, "GRAD_COPY_BYTES", acc_bytes - 1)
-    serial = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
 
-    # ten chunks on eight cores, then two extra accumulators, then none
-    assert threads == [8, 3, 1]
-    for a, b, c in zip(unbounded, bounded, serial):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    def peak(cores):
+        tracemalloc.start()
+        try:
+            result = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (first, serial), *others = each_core_count(peak)
+    assert threads == [1, 2, 8]
+    # an int16 accumulator of both sides' rows is larger than a thread's
+    # allowance, so an accumulator per thread would break the bound
+    assert first[1].dtype == np.int16 and 2 * n * d * 2 > 2 * buffers
+    for t, (result, traced) in zip(threads[1:], others):
+        assert traced - serial <= (t - 1) * 2 * buffers
+        for a, b in zip(first, result):
+            assert np.array_equal(a, b)
 
 
 @pytest.fixture

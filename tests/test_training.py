@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kgalign import parallel, training
 from kgalign.adjacency import AdjacencyConfig, build_adjacency
@@ -357,6 +358,33 @@ def test_one_epoch_peaks_within_five_embedding_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(traj.losses) == 1 and peak <= 5 * n * dim * 8
+
+
+@pytest.mark.parametrize("use_weights", [False, True])
+def test_attribute_pathway_start_draws_no_features_it_discards(use_weights):
+    # the attribute pathway's features are its tables, densified: start
+    # keeps them and the weights, init_state's bit for bit, and never
+    # holds random features in their place, so its traced peak stays
+    # below one (n, width) float64 array over what it keeps
+    n, width = 4000, 256
+    pair = random_pair(np.random.default_rng(12), n=n, n_train=50, n_triples=3 * n)
+    rng = np.random.default_rng(13)
+    tables = tuple(sp.csr_array((np.ones(n), (np.arange(n), rng.integers(0, width, n))),
+                                shape=(n, width)) for _ in range(2))
+    adjacencies = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
+    enc = EncoderConfig(dim=width, use_weights=use_weights, seed=1)
+    tracemalloc.start()
+    try:
+        traj = training.start(pair, AdjacencyConfig(), enc, TrainConfig(optimizer="sgd"),
+                              tables, adjacencies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(p.nbytes for p in traj.state.parameters())
+    assert peak - kept < n * width * 8
+    drawn = init_state(enc, n, n)
+    for got, expected in zip(traj.state.parameters(), [t.toarray() for t in tables] + drawn.weights):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_empty_train_split_errors():
