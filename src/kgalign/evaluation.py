@@ -11,9 +11,11 @@ Under test-only, both directions share one distance matrix, the split's
 left entities by its right entities: left to right is counted along its
 rows and right to left along its columns. Under all-entities the two
 query sets differ, so each direction has a matrix of its own, counted
-along its rows. Either way the matrix is built in blocks of about
-BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries and
-candidates, and the threads add into one running count of the columns. A
+along its rows. Either way the matrix is built in blocks of at most
+about BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries
+and candidates, and of at most a thread's share of its rows, so that a
+small matrix still has a block for every thread. The threads add into
+one running count of the columns. A
 block is counted in its own layout, along axis 1 for its rows and along
 axis 0 for its columns, so no count reads a transposed copy.
 """
@@ -28,14 +30,14 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
 from .graphs import GraphPair, Role
-from .parallel import thread_map
+from .parallel import thread_count, thread_map
 
 HITS_KS = (1, 10, 50)
 CANDIDATE_POLICIES = ("test-only", "all-entities")
 # the two ranking directions, then their average
 DIRECTIONS = ("left_to_right", "right_to_left", "mean")
 # distances computed at once: a block holds max(1, BLOCK_ELEMENTS //
-# candidates) rows of the matrix
+# candidates) rows of the matrix, or a thread's share of them if fewer
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -209,7 +211,9 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     row_counts = np.empty((3, n_pairs), dtype=np.int64)
     column_counts = np.zeros((3, n_pairs), dtype=np.int64)  # in line order
     lock = threading.Lock()
-    rows = max(1, BLOCK_ELEMENTS // len(ids[1]))
+    # a block is at most a thread's share of the rows, so that a matrix
+    # smaller than one budget still gives every thread a block
+    rows = max(1, min(BLOCK_ELEMENTS // len(ids[1]), -(-n_rows // thread_count())))
 
     def count_block(lo):
         hi = min(lo + rows, n_rows)

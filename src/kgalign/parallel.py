@@ -136,7 +136,10 @@ def one_blas_thread():
 
 def threads_for(n_items: int, item_size: int) -> int:
     """Threads that thread_map gives n_items items whose largest works
-    on item_size array elements."""
+    on item_size array elements. Where the items are thread shares of
+    one larger work (the optimizer's blocks, the loss's chunks),
+    item_size is that whole work, so that how finely it is cut cannot
+    take its threads away."""
     if item_size < MIN_ITEM_SIZE:
         return 1
     return max(1, min(thread_count(), n_items))

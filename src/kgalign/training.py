@@ -194,37 +194,51 @@ def sample_negatives(
     return neg
 
 
+def _selector(scales, m: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The data and column starts of a CSC selector of m columns, each
+    holding scales in order; cut to their first lines * a and a + 1
+    entries, they are those of a selector of a <= m columns."""
+    lines = len(scales)
+    return np.tile(np.asarray(scales, dtype=dtype), m), np.arange(0, lines * m + 1, lines)
+
+
+def _add_rows(out, targets, rows, data, starts) -> None:
+    """out[targets[t, i]] += data[i] * rows[t] for each row t and line i,
+    repeated targets accumulated, exact in out, a C-contiguous integer
+    matrix. targets is a C-contiguous (m, lines) int64 array that the
+    caller has range-checked, rows a C-contiguous (m, width) array in
+    out's dtype, and data and starts a _selector of at least m columns.
+
+    The CSC selector whose column t holds data's scales at rows
+    targets[t] is multiplied into out in place by the compiled sparse
+    kernel: much faster than np.add.at, and with no temporary the size
+    of out. Without the kernel, np.add.at adds the lines.
+    """
+    m, lines = targets.shape
+    if csc_matvecs is None:
+        for i in range(lines):
+            np.add.at(out, targets[:, i], data[i] * rows)
+        return
+    csc_matvecs(out.shape[0], m, out.shape[1], starts[: m + 1], targets.ravel(),
+                data[: lines * m], rows.ravel(), out.ravel())
+
+
 def _scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray, scales) -> None:
     """out[indices[i][t]] += scales[i] * rows[t] for each scale i and row
     t, repeated targets accumulated: np.add.at line by line, exact in
     out, a C-contiguous integer matrix whose dtype rows are taken in.
-
-    A CSC selector whose column t holds scales[i] at row indices[i][t],
-    built with no sort, is multiplied into out in place by the compiled
-    sparse kernel: much faster than np.add.at, and with no temporary the
-    size of out. Without the kernel, np.add.at adds the lines.
+    Checks its arguments, since the kernel of _add_rows does not.
     """
     if out.dtype.kind != "i" or not out.flags.c_contiguous:
         raise ValueError("_scatter_add_rows needs a C-contiguous integer output")
-    indices = np.reshape(indices, (len(scales), -1))
-    lines, m = indices.shape
-    if m == 0:
-        return
-    if csc_matvecs is None:
-        for line, scale in zip(indices, scales):
-            np.add.at(out, line, scale * rows)
-        return
+    targets = np.ascontiguousarray(np.reshape(indices, (len(scales), -1)).T, dtype=np.int64)
+    m = len(targets)
     rows = np.ascontiguousarray(rows, dtype=out.dtype)
-    if rows.shape != (m, out.shape[1]):  # the kernel reads m rows of out's width
+    if rows.shape != (m, out.shape[1]):
         raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
-    # the kernel does not check its row indices
-    if indices.min() < 0 or indices.max() >= len(out):
+    if m and (targets.min() < 0 or targets.max() >= len(out)):
         raise IndexError(f"row index out of range for {len(out)} rows")
-    targets = indices.ravel(order="F").astype(np.int64, copy=False)
-    data = np.tile(np.asarray(scales, dtype=out.dtype), m)
-    columns = np.arange(0, targets.size + 1, lines, dtype=np.int64)
-    csc_matvecs(out.shape[0], m, out.shape[1], columns, targets, data,
-                rows.ravel(), out.ravel())
+    _add_rows(out, targets, rows, *_selector(scales, m, out.dtype))
 
 
 def margin_rank_loss(
@@ -271,18 +285,26 @@ def margin_rank_loss(
                 for s, p, e in ((stream[:, 0], pl, emb_left), (stream[:, 1], pr, emb_right)))
     acc = np.int16 if named < 2**15 else np.int32
     rows = max(1, min(n, CHUNK_ELEMENTS // d))
-    threads = threads_for(-(-n // rows), rows * d)
-    # each thread's two (rows, dim) float gather buffers and two integer
-    # sign buffers are allocated here on the calling thread; the threads
-    # add into one accumulator, one at a time
-    buffers = [(np.empty((rows, d)), np.empty((rows, d)),
-                np.empty((rows, d), dtype=acc), np.empty((rows, d), dtype=acc))
+    # the items are thread shares, so the whole loss, not one chunk,
+    # decides how many threads it is worth
+    threads = threads_for(-(-n // rows), n * d)
+    # made once per call: each negative row's two accumulator rows, in
+    # range since the negatives are, and a selector of a whole chunk
+    # (d loss / d left row = -sign, d loss / d right row = +sign)
+    targets = np.add(stream, (0, n_left), dtype=np.int64)
+    data, starts = _selector((-1, 1), rows, acc)
+    # each thread's two (rows, dim) float64 gather buffers and two
+    # integer sign buffers (1.3 MB in int16 at CHUNK_ELEMENTS), and its
+    # chunk's active targets, are allocated here on the calling thread;
+    # the threads add into one accumulator, one at a time
+    buffers = [(np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d), dtype=acc),
+                np.empty((rows, d), dtype=acc), np.empty((rows, 2), dtype=np.int64))
                for _ in range(threads)]
     total = np.zeros((n_left + len(emb_right), d), dtype=acc)
     lock = threading.Lock()
 
     def chunks_of(t):
-        diff, other, signs, picked = buffers[t]
+        diff, other, signs, picked, where = buffers[t]
         for lo in range(t * rows, n, threads * rows):
             nl, nr = stream[lo : lo + rows].T
             chunk = terms[lo : lo + rows]
@@ -294,14 +316,14 @@ def margin_rank_loss(
             np.subtract(x, y, out=x)
             chunk -= np.abs(x, out=y).sum(axis=1)
             active = np.flatnonzero(chunk > 0.0)
+            a = len(active)
             s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
-            s = np.take(s, active, axis=0, out=picked[: len(active)], mode="clip")
-            # d loss / d left row = -sign, d loss / d right row = +sign
-            targets = np.stack([nl[active], nr[active] + n_left])
+            s = np.take(s, active, axis=0, out=picked[:a], mode="clip")
+            to = np.take(targets[lo : lo + rows], active, axis=0, out=where[:a], mode="clip")
             with lock:
-                _scatter_add_rows(total, targets, s, (-1, 1))
+                _add_rows(total, to, s, data, starts)
 
-    thread_map(chunks_of, range(threads), rows * d)
+    thread_map(chunks_of, range(threads), n * d)
     # the loss is summed per column block of roughly 16k terms, in block
     # order, each block's terms taken positive by positive
     by_positive = terms.reshape(m, k)
@@ -317,10 +339,11 @@ def margin_rank_loss(
     return float(loss), total[:n_left], total[n_left:]
 
 
-# elements of the negatives gathered at a time by margin_rank_loss: two
-# (rows, dim) float buffers per thread, 2 MB each, of 1,310 rows at dim
-# 200, 4,096 at dim 64 and 8,192 at dim 32
-CHUNK_ELEMENTS = 1 << 18
+# elements of the negatives gathered at a time by margin_rank_loss, 327
+# rows at dim 200, 1,024 at dim 64 and 2,048 at dim 32: a thread's two
+# float64 gather buffers and two int16 sign buffers, 1.3 MB, stay in a
+# core's 2 MB L2 cache (at 1 << 18 they took 5.2 MB). See BENCH_35.json
+CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass

@@ -358,9 +358,11 @@ def test_evaluate_report_independent_of_thread_count(monkeypatch):
     monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 512 * 1300)
     pair, emb, attr = _tied_pair()
     cfg = ScoreConfig(beta=0.75)
-    # eight CPUs give one thread per block, three (the calling thread and
-    # two helpers), more than this machine may have; a short switch
-    # interval interleaves them densely
+    # one and two CPUs keep those blocks. Eight CPUs, more than this
+    # machine may have, cap a block at a thread's share of the queries,
+    # ceil(1,300 / 8) = 163 rows, so the 1,300 queries make eight blocks
+    # on eight threads: the calling thread and seven helpers. A short
+    # switch interval interleaves them densely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -370,7 +372,7 @@ def test_evaluate_report_independent_of_thread_count(monkeypatch):
         # thread), and none on one core
         for policy, matrices in (("test-only", 1), ("all-entities", 2)):
             texts = []
-            for cpus, helpers in (({0}, []), ({0, 1}, [1]), (set(range(8)), [2])):
+            for cpus, helpers in (({0}, []), ({0, 1}, [1]), (set(range(8)), [7])):
                 pools.clear()
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
                 report = evaluate(

@@ -196,17 +196,22 @@ def test_loss_gradient_is_integer_valued_and_order_free(monkeypatch):
         assert not np.signbit(a[a == 0.0]).any()  # no -0.0
 
 
-def test_loss_independent_of_chunk_size_and_cores(each_core_count, monkeypatch):
-    # at dim 16: chunks of 256, 16,384 and 262,144 rows of the 40,000
-    # negatives, on 1, 2 and 8 cores; rows of widely varied length, so a
-    # loss summed in another order would show in its bits
+def _varied_loss_inputs():
+    # 40,000 negatives at dim 16, rows of widely varied length, so a loss
+    # summed in another order would show in its bits
     pair = _mid_pair()
     rng = np.random.default_rng(4)
     out_l, out_r = (rng.normal(size=(500, 16)) * np.exp(rng.normal(size=(500, 1))) for _ in range(2))
     pos = pair.alignment.train_pairs
-    neg = sample_negatives(pos, len(out_l), len(out_r), 100, rng)
+    return out_l, out_r, pos, sample_negatives(pos, len(out_l), len(out_r), 100, rng)
+
+
+def test_loss_independent_of_chunk_size_and_cores(each_core_count, monkeypatch):
+    # chunks of 256, 4,096 (the shipped size), 16,384 and 262,144 rows of
+    # the 40,000 negatives, on 1, 2 and 8 cores
+    out_l, out_r, pos, neg = _varied_loss_inputs()
     results = []
-    for elements in (1 << 12, 1 << 18, 1 << 22):
+    for elements in (1 << 12, training.CHUNK_ELEMENTS, 1 << 18, 1 << 22):
         monkeypatch.setattr(training, "CHUNK_ELEMENTS", elements)
         results += each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
     loss, grad_l, grad_r = results[0]
@@ -215,6 +220,59 @@ def test_loss_independent_of_chunk_size_and_cores(each_core_count, monkeypatch):
         assert other[0] == loss
         for got, first in zip(other[1:], (grad_l, grad_r)):
             assert got.dtype == np.int16 and np.array_equal(got, first)
+
+
+def test_loss_without_the_sparse_kernel(each_core_count, monkeypatch):
+    # scipy's kernel lives in a private module; where it is missing,
+    # np.add.at adds the loss's signs, to the kernel path's bits
+    out_l, out_r, pos, neg = _varied_loss_inputs()
+    with_kernel = each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
+    monkeypatch.setattr(training, "csc_matvecs", None)
+    without = each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
+    loss, grad_l, grad_r = with_kernel[0]
+    assert grad_l.any() and grad_r.any()
+    for other in with_kernel + without:
+        assert other[0] == loss
+        for got, first in zip(other[1:], (grad_l, grad_r)):
+            assert got.dtype == first.dtype and np.array_equal(got, first)
+
+
+@pytest.mark.parametrize("elements", [1 << 12, parallel.MIN_ITEM_SIZE - 1])
+def test_loss_runs_on_every_core_with_chunks_under_the_item_size(monkeypatch, elements):
+    # MIN_ITEM_SIZE as shipped: each chunk is under it, but the 40,000 x
+    # 16 elements of the stream are almost ten times over it, so the loss
+    # is worth a thread per core. The loss's thread_map items are its
+    # threads' shares
+    out_l, out_r, pos, neg = _varied_loss_inputs()
+    monkeypatch.setattr(training, "CHUNK_ELEMENTS", elements)
+    n, d = neg.size // 2, out_l.shape[1]
+    assert elements // d * d < parallel.MIN_ITEM_SIZE < n * d // 8
+    items, pools = [], []
+
+    def counting_map(fn, shares, item_size):
+        shares = list(shares)
+        items.append(len(shares))
+        return parallel.thread_map(fn, shares, item_size)
+
+    class RecordingPool(parallel.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(training, "thread_map", counting_map)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    results = []
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
+        items.clear()
+        pools.clear()
+        results.append(margin_rank_loss(out_l, out_r, pos, neg, 3.0))
+        assert items == [cores]
+        assert pools == ([cores - 1] if cores > 1 else [])
+    for other in results[1:]:
+        assert other[0] == results[0][0]
+        for got, first in zip(other[1:], results[0][1:]):
+            assert np.array_equal(got, first)
 
 
 def test_grid_workers_share_the_cores(tmp_path, monkeypatch):
