@@ -223,24 +223,6 @@ def _add_rows(out, targets, rows, data, starts) -> None:
                 data[: lines * m], rows.ravel(), out.ravel())
 
 
-def _scatter_add_rows(out: np.ndarray, indices: np.ndarray, rows: np.ndarray, scales) -> None:
-    """out[indices[i][t]] += scales[i] * rows[t] for each scale i and row
-    t, repeated targets accumulated: np.add.at line by line, exact in
-    out, a C-contiguous integer matrix whose dtype rows are taken in.
-    Checks its arguments, since the kernel of _add_rows does not.
-    """
-    if out.dtype.kind != "i" or not out.flags.c_contiguous:
-        raise ValueError("_scatter_add_rows needs a C-contiguous integer output")
-    targets = np.ascontiguousarray(np.reshape(indices, (len(scales), -1)).T, dtype=np.int64)
-    m = len(targets)
-    rows = np.ascontiguousarray(rows, dtype=out.dtype)
-    if rows.shape != (m, out.shape[1]):
-        raise ValueError(f"rows of shape {rows.shape} do not fit {m} rows of {out.shape}")
-    if m and (targets.min() < 0 or targets.max() >= len(out)):
-        raise IndexError(f"row index out of range for {len(out)} rows")
-    _add_rows(out, targets, rows, *_selector(scales, m, out.dtype))
-
-
 def margin_rank_loss(
     emb_left: np.ndarray,
     emb_right: np.ndarray,
@@ -260,12 +242,11 @@ def margin_rank_loss(
     m, k = negatives.shape[0], negatives.shape[1]
     if positives.shape[0] != m:
         raise ValueError("negatives must align with positives row-wise")
-    if negatives.size and (
-        negatives.min() < 0
-        or negatives[:, :, 0].max() >= len(emb_left)
-        or negatives[:, :, 1].max() >= len(emb_right)
-    ):
-        raise IndexError("negative entity index out of range")
+    # the gathers clip and the kernel does not check, so every index is checked here
+    for name, pairs in (("positive", positives), ("negative", negatives)):
+        if pairs.size and (pairs.min() < 0 or pairs[..., 0].max() >= len(emb_left)
+                           or pairs[..., 1].max() >= len(emb_right)):
+            raise IndexError(f"{name} entity index out of range")
     pl, pr = positives[:, 0], positives[:, 1]
     pos_diff = emb_left[pl] - emb_right[pr]
     pos_dist = np.abs(pos_diff).sum(axis=1)
@@ -335,7 +316,9 @@ def margin_rank_loss(
 
     pos_sign = np.subtract(pos_diff > 0.0, pos_diff < 0.0, dtype=acc)
     pos_sign *= np.count_nonzero(by_positive > 0.0, axis=1).astype(acc)[:, None]
-    _scatter_add_rows(total, np.stack([pl, pr + n_left]), pos_sign, (1, -1))
+    # through the same kernel, with a two-line selector (+ left row, - right row)
+    _add_rows(total, np.add(positives, (0, n_left), dtype=np.int64), pos_sign,
+              *_selector((1, -1), m, acc))
     return float(loss), total[:n_left], total[n_left:]
 
 

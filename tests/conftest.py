@@ -57,6 +57,15 @@ def rank_of(query, truth, candidates, scores) -> int:
     return better + tied_before + 1
 
 
+def add_rows_reference(out, targets, rows, scales):
+    """out[targets[t, i]] += scales[i] * rows[t] for each row t and line
+    i, repeated targets accumulated, in out's dtype: the scatter-add of
+    training._add_rows, with np.add.at one line at a time, as an
+    oracle."""
+    for i, scale in enumerate(scales):
+        np.add.at(out, targets[:, i], scale * rows)
+
+
 def score(s_l, s_r, cfg, a_l=None, a_r=None) -> float:
     """Similarity of one candidate pair, higher is better: the negated
     blend of the per-dimension-normalized L1 distances of the structure

@@ -1,6 +1,7 @@
 """The numeric kernels: scipy's sparse products as the encoder uses
 them, and the private helpers of encoder (unit rows), adjacency (degree
-normalization) and training (the loss's integer scatter-add)."""
+normalization) and training (_add_rows, the loss's one integer
+scatter-add, against an np.add.at reference)."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,9 +11,9 @@ from kgalign.adjacency import AdjacencyConfig, _degree_normalize, build_adjacenc
 from kgalign.encoder import EncoderConfig, _unit_rows, forward, init_state
 from kgalign.errors import NumericError
 from kgalign.graphs import KnowledgeGraph
-from kgalign.training import _scatter_add_rows
+from kgalign.training import _add_rows, _selector
 
-from conftest import row_l2_normalize
+from conftest import add_rows_reference, row_l2_normalize
 
 
 def test_identity_spmm_returns_operand():
@@ -169,77 +170,25 @@ def test_spmm_deterministic():
         assert np.array_equal(a @ b, first)
 
 
-def test_scatter_add_rows_is_add_at_bit_for_bit():
-    # the sums of np.add.at onto what out holds, in out's integer dtype
-    rng = np.random.default_rng(7)
-    for m in (10, 5000):
-        idx = rng.integers(0, 50, m)
-        rows = rng.integers(-1, 2, (m, 3)).astype(np.int16)
-        out1 = rng.integers(-100, 100, (50, 3)).astype(np.int16)
-        out2 = out1.copy()
-        _scatter_add_rows(out1, idx, rows, (1,))
-        np.add.at(out2, idx, rows)
-        assert np.array_equal(out1, out2)
-    with pytest.raises(ValueError):
-        _scatter_add_rows(np.zeros((50, 3)), idx, rows, (1,))
-    with pytest.raises(ValueError):
-        _scatter_add_rows(np.zeros((3, 50), dtype=np.int16).T, idx, rows, (1,))
-    with pytest.raises(ValueError):
-        _scatter_add_rows(np.zeros((50, 4), dtype=np.int16), idx, rows, (1,))
-    # the compiled kernel does not check its targets, so the call does
-    for bad in (-1, 50):
-        with pytest.raises(IndexError):
-            _scatter_add_rows(np.zeros((50, 3), dtype=np.int16),
-                              np.where(idx == idx[7], bad, idx), rows, (1,))
-
-
-def test_scatter_add_rows_without_the_sparse_kernel(monkeypatch):
-    # scipy's kernel lives in a private module; where it is missing the
-    # fallback gives the kernel path's sums
-    rng = np.random.default_rng(8)
-    idx = rng.integers(0, 50, 5000)
-    rows = rng.integers(-1, 2, (5000, 3)).astype(np.int32)
-    start = rng.integers(-1000, 1000, (50, 3)).astype(np.int32)
-    with_kernel = start.copy()
-    _scatter_add_rows(with_kernel, idx, rows, (1,))
-    monkeypatch.setattr(training, "csc_matvecs", None)
-    without = start.copy()
-    _scatter_add_rows(without, idx, rows, (1,))
-    assert np.array_equal(with_kernel, without)
-
-
-def test_scatter_add_rows_scales_integer_lines_with_and_without_the_kernel(monkeypatch):
-    # the loss adds each row of signs to two targets, with -1 and +1
-    rng = np.random.default_rng(9)
-    idx = rng.integers(0, 50, (2, 5000))
-    rows = rng.integers(-1, 2, (5000, 3)).astype(np.int16)
-    expected = np.zeros((50, 3), dtype=np.int64)
-    np.subtract.at(expected, idx[0], rows)
-    np.add.at(expected, idx[1], rows)
-    for kernel in (training.csc_matvecs, None):
-        monkeypatch.setattr(training, "csc_matvecs", kernel)
-        out = np.zeros((50, 3), dtype=np.int16)
-        _scatter_add_rows(out, idx, rows, (-1, 1))
-        assert np.array_equal(out, expected)
-
-
-# the loss's two accumulator dtypes
+# one line, the negatives' scales (-1 left, +1 right) and the positives'
+# (+1 left, -1 right); the loss's two accumulator dtypes; a few rows and
+# many; the sparse kernel and the np.add.at fallback
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "add-at"])
+@pytest.mark.parametrize("m", [10, 5000])
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
-def test_scatter_add_rows_two_lines_are_add_at_bit_for_bit(monkeypatch, dtype):
-    # the loss's lines: each repeats its targets, and they name disjoint
-    # rows (left rows, then right rows)
+@pytest.mark.parametrize("scales", [(1,), (-1, 1), (1, -1)], ids=["one-line", "negatives", "positives"])
+def test_add_rows_is_add_at_bit_for_bit(monkeypatch, scales, dtype, m, kernel):
+    # targets repeat within and across lines, added onto what out holds
     rng = np.random.default_rng(10)
-    kernel_found = training.csc_matvecs
-    for m in (10, 5000):
-        idx = np.stack([rng.integers(0, 25, m), rng.integers(25, 50, m)])
-        rows = rng.integers(-1, 2, (m, 3)).astype(dtype)
-        start = rng.integers(-100, 100, (50, 3)).astype(dtype)
-        expected = start.copy()
-        np.add.at(expected, idx[0], -rows)
-        np.add.at(expected, idx[1], rows)
-        for kernel in (kernel_found, None):
-            monkeypatch.setattr(training, "csc_matvecs", kernel)
-            out = start.copy()
-            _scatter_add_rows(out, idx, rows, (-1, 1))
-            assert out.dtype == dtype
-            assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+    targets = rng.integers(0, 50, (m, len(scales)))
+    rows = rng.integers(-1, 2, (m, 3)).astype(dtype)
+    start = rng.integers(-100, 100, (50, 3)).astype(dtype)
+    expected = start.copy()
+    add_rows_reference(expected, targets, rows, scales)
+    if not kernel:
+        monkeypatch.setattr(training, "csc_matvecs", None)
+    out = start.copy()
+    # a selector longer than m, cut to m columns as a short chunk's is
+    _add_rows(out, targets, rows, *_selector(scales, m + 7, dtype))
+    assert out.dtype == dtype
+    assert out.tobytes() == expected.tobytes()

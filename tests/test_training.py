@@ -186,8 +186,8 @@ def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k, shar
     # more than an int16 accumulator can count; 50 x 0: no hinge term, so
     # a zero loss and zero gradients; shared: pairs 0 and 1 share their
     # right entity and pairs 0 and 2 their left one, so the positives'
-    # scatter repeats an index through np.add.at (7 rows of dim 8) and
-    # through the selector (2000 rows)
+    # scatter repeats an index among 7 rows and among 2000, both through
+    # the kernel
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rng = np.random.default_rng(m + k)
@@ -242,8 +242,20 @@ def test_loss_rejects_out_of_range_negatives(bad):
     emb_l, emb_r = np.ones((5, 3)), np.ones((7, 3))
     neg = np.zeros((2, 2, 2), dtype=np.int64)
     neg[bad[:3]] = bad[3]
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="negative"):
         margin_rank_loss(emb_l, emb_r, np.array([[0, 0], [1, 1]]), neg, margin=1.0)
+
+
+@pytest.mark.parametrize("side, bad", [(0, -1), (1, -1), (0, 5), (1, 7)],
+                         ids=["left-minus-one", "right-minus-one", "left-length", "right-length"])
+def test_loss_rejects_out_of_range_positives(side, bad):
+    # the kernel does not check its targets, so the loss checks the
+    # positives too, before the accumulator's dtype is chosen from them
+    emb_l, emb_r = np.ones((5, 3)), np.ones((7, 3))
+    pos = np.array([[0, 0], [1, 1]])
+    pos[1, side] = bad
+    with pytest.raises(IndexError, match="positive"):
+        margin_rank_loss(emb_l, emb_r, pos, np.zeros((2, 2, 2), dtype=np.int64), margin=1.0)
 
 
 def test_sgd_single_step():
