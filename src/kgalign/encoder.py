@@ -10,9 +10,9 @@ non-finite feature is then an error naming its graph and row.
 Both graphs run through the same layer stack; the weight matrices, when
 present, are shared between them. In the weightless variant the encoder
 has no parameters of its own: the node feature matrices are the only
-trainable state. The two graphs are encoded and differentiated on two
-threads when the thread budget allows; scipy's sparse product releases
-the GIL, and neither graph reads what the other writes.
+trainable state. A weightless layer acts on each column alone, so both
+graphs run in column blocks that the threads share, and no block size or
+thread count changes a bit; scipy's sparse product releases the GIL.
 """
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ class _GraphTape:
     # norms, from which backward rebuilds the normalized rows; else None
     features: np.ndarray | None
     norms: np.ndarray | None
-    relu_masks: list[np.ndarray]  # one bool mask per non-final layer
+    relu_masks: list[np.ndarray]  # bool, per non-final layer of each block in turn
     propagated: list[np.ndarray] | None  # A_hat @ H_i per layer, weighted runs only
     adj: sp.csr_array
 
@@ -134,35 +134,69 @@ class ForwardTape:
     right: _GraphTape
 
 
+# elements per row block of the row norms and the normalization's
+# backward: 256 KB in float64, which stays in a core's L2 cache
+NORM_BLOCK = 1 << 15
+# elements per column block of a weightless graph, 27 columns at zh-en:
+# a thread's two float64 blocks take 8 MB, not each graph's 62 MB, and
+# train-zh-en's peak RSS on a 2-core VM fell from 433-449 to 387-391 MB
+COLUMN_BLOCK = 1 << 19
+
+
+def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig, item_size: int):
+    """fn(graph, k, lo, hi) -> (block, extra) for block k, columns lo:hi, of
+    graph 0 (left) and 1 (right), in one thread_map: about COLUMN_BLOCK
+    elements, or all columns where weights mix them. Returns both graphs'
+    matrices, with the blocks copied in, and per graph its blocks' extras."""
+    widths = [cfg.dim if cfg.use_weights else max(1, COLUMN_BLOCK // max(n, 1)) for n in rows]
+    items = [(g, lo // w, lo, min(lo + w, cfg.dim))
+             for g, w in enumerate(widths) for lo in range(0, cfg.dim, w)]
+    whole = [np.empty((n, cfg.dim)) if w < cfg.dim else None for n, w in zip(rows, widths)]
+
+    def run(item):
+        g, _, lo, hi = item
+        block, extra = fn(*item)
+        if whole[g] is None:  # a graph's only block is its matrix
+            whole[g] = block
+        else:
+            whole[g][:, lo:hi] = block
+        return extra
+
+    extras = thread_map(run, items, item_size)
+    return whole, [[e for item, e in zip(items, extras) if item[0] == g] for g in (0, 1)]
+
+
 def _unit_rows(m: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """The rows of m divided by their given Euclidean norms; rows of norm
-    0 pass through. Elementwise, so a block of rows with its norms gives
-    the bits of those rows of the whole."""
+    0 pass through. Elementwise, so a block of rows or columns with the
+    rows' norms gives the bits of that block of the whole."""
     return m / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def _forward_one(
-    side: str, adj: sp.csr_array, features: np.ndarray, weights, cfg: EncoderConfig
-) -> tuple[np.ndarray, _GraphTape]:
+def _checked_input(side: str, adj: sp.csr_array, features: np.ndarray, cfg: EncoderConfig):
+    """(features, their row norms) when normalizing, else (features, None).
+    The norms sum each row as np.linalg.norm does, a row block at a time."""
     if adj.shape[1] != features.shape[0]:
-        raise ValueError(
-            f"adjacency is {adj.shape} but features have {features.shape[0]} rows"
-        )
+        raise ValueError(f"adjacency is {adj.shape} but features have {features.shape[0]} rows")
     if features.shape[1] != cfg.dim:
         raise ValueError(f"features have width {features.shape[1]}, config says {cfg.dim}")
+    if not cfg.normalize_features:
+        return features, None
+    features = np.asarray(features, dtype=np.float64)
+    step = max(1, NORM_BLOCK // cfg.dim)
+    norms = np.concatenate([np.sqrt(np.add.reduce(rows * rows, axis=1))
+                            for rows in np.split(features, range(step, len(features), step))])
+    bad = np.flatnonzero(~np.isfinite(norms))
+    # a finite row whose squares overflow has an infinite norm too
+    bad = bad[~np.isfinite(features[bad]).all(axis=1)]
+    if bad.size:
+        raise NumericError(f"non-finite feature in row {bad[0]} of the {side} graph")
+    return features, norms
 
-    if cfg.normalize_features:
-        features = np.asarray(features, dtype=np.float64)
-        norms = np.linalg.norm(features, axis=1)
-        bad = np.flatnonzero(~np.isfinite(norms))
-        # a finite row whose squares overflow has an infinite norm too
-        bad = bad[~np.isfinite(features[bad]).all(axis=1)]
-        if bad.size:
-            raise NumericError(f"non-finite feature in row {bad[0]} of the {side} graph")
-        h = _unit_rows(features, norms)
-    else:
-        h, features, norms = features, None, None
 
+def _forward_one(adj: sp.csr_array, features, norms, weights, cfg: EncoderConfig, lo, hi):
+    """Columns lo:hi of one graph through every layer: (output, (masks, propagated))."""
+    h = features[:, lo:hi] if norms is None else _unit_rows(features[:, lo:hi], norms)
     masks: list[np.ndarray] = []
     propagated: list[np.ndarray] | None = [] if cfg.use_weights else None
     for layer in range(cfg.n_layers):
@@ -171,8 +205,7 @@ def _forward_one(
             propagated.append(p)
             p = p @ weights[layer]
         if layer < cfg.n_layers - 1:
-            mask = p > 0.0
-            masks.append(mask)
+            masks.append(p > 0.0)
             # in place, as p is this layer's own product; a NaN stays NaN
             # and fails the finite check below
             h = np.maximum(p, 0.0, out=p)
@@ -180,7 +213,7 @@ def _forward_one(
             h = p
     if not np.all(np.isfinite(h)):
         raise NumericError("encoder produced non-finite embeddings")
-    return h, _GraphTape(features, norms, masks, propagated, adj)
+    return h, (masks, propagated)
 
 
 def forward(
@@ -198,42 +231,40 @@ def forward(
     if len(state.weights) != expected:
         raise ConfigError(f"state carries {len(state.weights)} layer weights, "
                           f"config expects {expected}")
-    (out_l, tape_l), (out_r, tape_r) = thread_map(
-        lambda graph: _forward_one(*graph, state.weights, cfg),
-        (("left", adj_left, state.features_left), ("right", adj_right, state.features_right)),
-        max(state.features_left.size, state.features_right.size),
-    )
-    tape = ForwardTape(cfg=cfg, left=tape_l, right=tape_r) if keep_tape else None
-    return out_l, out_r, tape
+    graphs = (("left", adj_left, state.features_left), ("right", adj_right, state.features_right))
+    size = max(state.features_left.size, state.features_right.size)
+    inputs = thread_map(lambda graph: _checked_input(*graph, cfg), graphs, size)
+    (out_l, out_r), blocks = _map_blocks(
+        lambda g, k, lo, hi: _forward_one(graphs[g][1], *inputs[g], state.weights, cfg, lo, hi),
+        (adj_left.shape[0], adj_right.shape[0]), cfg, size)
+    tape_l, tape_r = (_GraphTape(*inputs[g], [m for masks, _ in blocks[g] for m in masks],
+                                 blocks[g][0][1], graphs[g][1]) for g in (0, 1))
+    return out_l, out_r, ForwardTape(cfg, tape_l, tape_r) if keep_tape else None
 
 
-def _backward_one(
-    grad_out: np.ndarray, tape: _GraphTape, weights, grad_weights, cfg: EncoderConfig
-) -> np.ndarray:
-    if grad_out.shape != (tape.adj.shape[0], cfg.dim):
-        raise ValueError(
-            f"upstream gradient shape {grad_out.shape} does not match "
-            f"forward output ({tape.adj.shape[0]}, {cfg.dim})"
-        )
+def _backward_one(grad_out, tape: _GraphTape, weights, grad_weights, cfg: EncoderConfig, k=0):
+    """Block k of one graph's output gradient back through every layer."""
+    masks = tape.relu_masks[k * (cfg.n_layers - 1) :]
     adj_t = tape.adj.T  # a CSC view, no copy
     # an integer upstream gradient (the loss's) becomes a float copy that
     # the first product below frees; a float one is read, never written
     g = np.asarray(grad_out, dtype=np.float64)
     for layer in range(cfg.n_layers - 1, -1, -1):
         if layer < cfg.n_layers - 1:
-            np.multiply(g, tape.relu_masks[layer], out=g)  # g is the adj_t product below
+            np.multiply(g, masks[layer], out=g)  # g is the adj_t product below
         if cfg.use_weights:
             grad_weights[layer] += tape.propagated[layer].T @ g
             g = g @ weights[layer].T
         g = adj_t @ g
+    return g
 
+
+def _unnormalized(g: np.ndarray, tape: _GraphTape, cfg: EncoderConfig) -> np.ndarray:
     if tape.norms is None:
         return g
-    # through row normalization x -> xhat = x / |x|:
-    # g -> (g - (g . xhat) xhat) / |x|, in place (g is the adj_t product
-    # above), a block of rows at a time with xhat rebuilt as forward built
-    # it; each step is per row or per element, so the blocks cannot change
-    # a bit
+    # through row normalization x -> xhat = x / |x|: g -> (g - (g . xhat)
+    # xhat) / |x|, in place, a block of rows at a time with xhat rebuilt as
+    # forward built it; per row or per element, so no block changes a bit
     rows = max(1, NORM_BLOCK // cfg.dim)
     for lo in range(0, len(g), rows):
         block, norms = g[lo : lo + rows], tape.norms[lo : lo + rows]
@@ -243,11 +274,6 @@ def _backward_one(
         block /= np.where(norms > 0.0, norms, 1.0)[:, None]
         block[norms == 0.0] = 0.0
     return g
-
-
-# elements per row block of the normalization's backward: its rebuilt
-# unit rows, 256 KB in float64, stay in a core's L2 cache
-NORM_BLOCK = 1 << 15
 
 
 def backward(
@@ -263,7 +289,7 @@ def backward(
     The tape must come from a forward() call with the same config and
     state; the shared weight matrices accumulate gradient from both
     graphs. The upstream gradients are never written; integer ones (the
-    loss's) are converted to float64 copies of backward's own.
+    loss's) become float64 copies of backward's own, a block at a time.
 
     Each graph accumulates its weight gradient in a zeroed buffer of
     its own, and the shared gradient is left += right: the bits of
@@ -273,17 +299,21 @@ def backward(
         raise ValueError("backward requires the tape from forward(..., keep_tape=True)")
     if tape.cfg != cfg:
         raise ConfigError("tape was produced under a different encoder config")
+    graphs = ((grad_out_left, tape.left), (grad_out_right, tape.right))
+    for grad_out, graph_tape in graphs:
+        if grad_out.shape != (graph_tape.adj.shape[0], cfg.dim):
+            raise ValueError(f"upstream gradient shape {grad_out.shape} does not match "
+                             f"forward output ({graph_tape.adj.shape[0]}, {cfg.dim})")
 
-    def one_graph(graph):
-        grad_out, graph_tape = graph
+    def block(g, k, lo, hi):
         own = [np.zeros_like(w) for w in state.weights]
-        return _backward_one(grad_out, graph_tape, state.weights, own, cfg), own
+        return _backward_one(graphs[g][0][:, lo:hi], graphs[g][1], state.weights, own, cfg, k), own
 
-    (gl, own_l), (gr, own_r) = thread_map(
-        one_graph,
-        ((grad_out_left, tape.left), (grad_out_right, tape.right)),
-        max(grad_out_left.size, grad_out_right.size),
-    )
+    size = max(grad_out_left.size, grad_out_right.size)
+    (gl, gr), ((own_l, *_), (own_r, *_)) = _map_blocks(
+        block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg, size)
+    # the normalization's backward takes whole rows, so it waits for every block
+    gl, gr = thread_map(lambda x: _unnormalized(*x, cfg), ((gl, tape.left), (gr, tape.right)), size)
     for left, right in zip(own_l, own_r):
         left += right
     return EmbeddingState(features_left=gl, features_right=gr, weights=own_l)

@@ -1,10 +1,10 @@
 """One thread budget for the numeric kernels.
 
-Ranking blocks, margin-loss chunks, the encoder's two graphs and the
-optimizer's parameters are independent pieces of work whose results do
-not depend on how many threads compute them. thread_count() says how
-many threads that is: one per core of the process's CPU affinity, or,
-in a worker process of run_grid, that worker's share of the cores.
+Ranking blocks, margin-loss chunks, the encoder's column blocks of both
+graphs and the optimizer's parameters are independent items whose
+results do not depend on how many threads compute them. thread_count()
+says how many threads that is: one per core of the process's CPU
+affinity, or, in a worker process of run_grid, that worker's share.
 
 Those threads are what fill the cores, so BLAS runs on one thread of
 its own inside them: thread_map sets OpenBLAS's process-wide thread

@@ -1,11 +1,12 @@
 """Training on threads gives the bits of training on one.
 
-The loss blocks, the encoder's two graphs and the optimizer's
-parameters run on parallel.thread_count() threads. These tests run the
-same work at several patched core counts and require byte-identical
-results, and pin the weightless run to digests taken before training
-used threads. BLAS runs on one thread inside them, so weighted runs do
-not depend on the caller's BLAS threads or on the grid's workers either.
+The loss blocks, the encoder's column blocks of both graphs and the
+optimizer's parameters run on parallel.thread_count() threads. These
+tests run the same work at several patched core counts and block sizes
+and require byte-identical results, and pin the weightless run to
+digests taken before training used threads. BLAS runs on one thread
+inside them, so weighted runs do not depend on the caller's BLAS
+threads or on the grid's workers either.
 """
 import hashlib
 import json
@@ -76,6 +77,80 @@ def test_weightless_adam_training_independent_of_thread_count(each_core_count):
     assert digests == [
         "2d5c103aca5d32f0cb11f3a11513ac2991245f55929af71c72631d65ca889911"
     ] * 3
+
+
+def _block_digest(pair, enc, upstream) -> str:
+    """The forward outputs and backward gradients of a fresh state, then
+    a 5-epoch training run, hashed."""
+    adj = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
+    state = init_state(enc, pair.left.entity_count, pair.right.entity_count)
+    out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
+    grads = backward(*upstream, tape, enc, state)
+    tc = TrainConfig(optimizer="adam", learning_rate=0.5, n_negatives=100, n_epochs=5, seed=2)
+    h = hashlib.sha256(_train_digest(*train(pair, AdjacencyConfig(), enc, tc)).encode())
+    for a in (out_l, out_r, *grads.parameters()):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_column_blocks_change_no_bit(each_core_count, monkeypatch, n_layers, normalize):
+    # a weightless graph runs in column blocks of about COLUMN_BLOCK
+    # elements: blocks of 1 column, blocks of 5 with a last one of 1, and
+    # one block of exactly COLUMN_BLOCK give the bits of the default's one
+    # block, on 1, 2 and 8 cores
+    pair = _mid_pair()
+    n, dim = pair.left.entity_count, 16
+    assert pair.right.entity_count == n and n * dim <= encoder.COLUMN_BLOCK
+    enc = EncoderConfig(n_layers=n_layers, dim=dim, normalize_features=normalize, seed=1)
+    rng = np.random.default_rng(0)
+    upstream = [rng.integers(-60, 61, (n, dim)).astype(np.int16) for _ in range(2)]
+    reference = _block_digest(pair, enc, upstream)
+
+    cuts = []
+    forward_one = encoder._forward_one
+
+    def recording(*args):
+        cuts.append(args[-2:])  # the block's columns lo, hi
+        return forward_one(*args)
+
+    monkeypatch.setattr(encoder, "_forward_one", recording)
+    for block, edges in ((1, range(17)), (5 * n, (0, 5, 10, 15, 16)), (n * dim, (0, 16))):
+        monkeypatch.setattr(encoder, "COLUMN_BLOCK", block)
+        cuts.clear()
+        assert each_core_count(lambda cores: _block_digest(pair, enc, upstream)) == [reference] * 3
+        # both graphs, every forward of the 3 runs, in these blocks
+        expected = list(zip(edges[:-1], edges[1:]))
+        assert sorted(set(cuts)) == expected and len(cuts) % (2 * len(expected)) == 0
+
+
+def test_column_blocks_hold_no_whole_float_temporary(monkeypatch):
+    # weightless forward with its tape, then backward: the traced peak is
+    # the outputs, masks and gradients, plus a few blocks per thread; a
+    # float64 matrix of a whole graph beyond those breaks the bound
+    n, dim, width = 4000, 64, 8
+    pair = random_pair(np.random.default_rng(6), n=n, n_train=10, n_triples=4 * n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(encoder, "COLUMN_BLOCK", width * n)
+    enc = EncoderConfig(n_layers=2, dim=dim, seed=1)
+    adj = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
+    state = init_state(enc, n, n)
+    rng = np.random.default_rng(0)
+    upstream = [rng.integers(-60, 61, (n, dim)).astype(np.int16) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
+        grads = backward(*upstream, tape, enc, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = n * dim * 8
+    masks = sum(m.nbytes for t in (tape.left, tape.right) for m in t.relu_masks)
+    assert masks == 2 * n * dim and [m.shape for m in tape.left.relu_masks] == [(n, width)] * 8
+    kept = 2 * whole + masks + 2 * whole + 2 * n * 8  # outputs, masks, gradients, norms
+    blocks = 2 * 3 * n * width * 8  # three blocks per thread
+    assert peak - kept < blocks < whole
 
 
 def _weighted_sgd_digests(each_core_count) -> list[str]:

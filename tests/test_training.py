@@ -176,7 +176,7 @@ def _blocked_loss_reference(emb_l, emb_r, pos, neg, margin):
     [(333, 57, False), (2000, 20, False), (7, 3, False), (300, 1, False),
      (1, 70_000, False), (50, 0, False), (7, 3, True), (2000, 20, True)],
     ids=["ragged-last-block", "chunks-inside-blocks", "single-block", "one-negative",
-         "int32-accumulator", "no-negatives", "shared-positive-add-at",
+         "int32-accumulator", "no-negatives", "shared-positive-7-pairs",
          "shared-positive-selector"],
 )
 def test_loss_equals_blocked_reference_bit_for_bit(monkeypatch, cpus, m, k, shared):
