@@ -143,7 +143,7 @@ NORM_BLOCK = 1 << 15
 COLUMN_BLOCK = 1 << 19
 
 
-def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig, item_size: int):
+def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig):
     """fn(graph, k, lo, hi) -> (block, extra) for block k, columns lo:hi, of
     graph 0 (left) and 1 (right), in one thread_map: about COLUMN_BLOCK
     elements, or all columns where weights mix them. Returns both graphs'
@@ -162,7 +162,7 @@ def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig, item_size: int):
             whole[g][:, lo:hi] = block
         return extra
 
-    extras = thread_map(run, items, item_size)
+    extras = thread_map(run, items, sum(rows) * cfg.dim)
     return whole, [[e for item, e in zip(items, extras) if item[0] == g] for g in (0, 1)]
 
 
@@ -232,11 +232,11 @@ def forward(
         raise ConfigError(f"state carries {len(state.weights)} layer weights, "
                           f"config expects {expected}")
     graphs = (("left", adj_left, state.features_left), ("right", adj_right, state.features_right))
-    size = max(state.features_left.size, state.features_right.size)
-    inputs = thread_map(lambda graph: _checked_input(*graph, cfg), graphs, size)
+    inputs = thread_map(lambda graph: _checked_input(*graph, cfg), graphs,
+                        state.features_left.size + state.features_right.size)
     (out_l, out_r), blocks = _map_blocks(
         lambda g, k, lo, hi: _forward_one(graphs[g][1], *inputs[g], state.weights, cfg, lo, hi),
-        (adj_left.shape[0], adj_right.shape[0]), cfg, size)
+        (adj_left.shape[0], adj_right.shape[0]), cfg)
     tape_l, tape_r = (_GraphTape(*inputs[g], [m for masks, _ in blocks[g] for m in masks],
                                  blocks[g][0][1], graphs[g][1]) for g in (0, 1))
     return out_l, out_r, ForwardTape(cfg, tape_l, tape_r) if keep_tape else None
@@ -309,11 +309,11 @@ def backward(
         own = [np.zeros_like(w) for w in state.weights]
         return _backward_one(graphs[g][0][:, lo:hi], graphs[g][1], state.weights, own, cfg, k), own
 
-    size = max(grad_out_left.size, grad_out_right.size)
     (gl, gr), ((own_l, *_), (own_r, *_)) = _map_blocks(
-        block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg, size)
+        block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg)
     # the normalization's backward takes whole rows, so it waits for every block
-    gl, gr = thread_map(lambda x: _unnormalized(*x, cfg), ((gl, tape.left), (gr, tape.right)), size)
+    gl, gr = thread_map(lambda x: _unnormalized(*x, cfg), ((gl, tape.left), (gr, tape.right)),
+                        gl.size + gr.size)
     for left, right in zip(own_l, own_r):
         left += right
     return EmbeddingState(features_left=gl, features_right=gr, weights=own_l)

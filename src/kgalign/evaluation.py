@@ -230,7 +230,7 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
 
     # a block's arrays are freed when count_block returns, before its
     # thread computes the next
-    thread_map(count_block, range(0, n_rows, rows), rows * len(ids[1]))
+    thread_map(count_block, range(0, n_rows, rows), n_rows * len(ids[1]))
     # the column counts are summed in line order, then put back in pair order
     return (row_counts, column_counts[:, np.argsort(by_column)]) if columns else (row_counts,)
 

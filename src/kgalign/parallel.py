@@ -1,10 +1,13 @@
 """One thread budget for the numeric kernels.
 
 Ranking blocks, margin-loss chunks, the encoder's column blocks of both
-graphs and the optimizer's parameters are independent items whose
-results do not depend on how many threads compute them. thread_count()
-says how many threads that is: one per core of the process's CPU
-affinity, or, in a worker process of run_grid, that worker's share.
+graphs and the optimizer's parameter blocks are independent items whose
+results do not depend on how many threads compute them. thread_map
+alone shares a kernel's items out to the threads, by the array elements
+that all of them touch together, and hands each thread the scratch
+buffers the kernel asks for. thread_count() says how many threads there
+are: one per core of the process's CPU affinity, or, in a worker
+process of run_grid, that worker's share.
 
 Those threads are what fill the cores, so BLAS runs on one thread of
 its own inside them: thread_map sets OpenBLAS's process-wide thread
@@ -29,8 +32,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-# items that touch fewer array elements than this run on the calling
-# thread: a hop to a helper thread and back costs a few hundred
+# items that touch fewer array elements than this together run on the
+# calling thread: a hop to a helper thread and back costs a few hundred
 # microseconds, more than numpy spends on that many elements
 MIN_ITEM_SIZE = 1 << 16
 # the thread share of a run_grid worker process; None in any other process
@@ -134,42 +137,36 @@ def one_blas_thread():
                 _blas_calls[1](_blas_saved)
 
 
-def threads_for(n_items: int, item_size: int) -> int:
-    """Threads that thread_map gives n_items items whose largest works
-    on item_size array elements. Where the items are thread shares of
-    one larger work (the optimizer's blocks, the loss's chunks),
-    item_size is that whole work, so that how finely it is cut cannot
-    take its threads away."""
-    if item_size < MIN_ITEM_SIZE:
-        return 1
-    return max(1, min(thread_count(), n_items))
-
-
-def thread_map(fn, items, item_size: int) -> list:
+def thread_map(fn, items, work: int, scratch=None) -> list:
     """[fn(x) for x in items], on up to thread_count() threads.
 
-    item_size is the number of array elements the largest item works
-    on; below MIN_ITEM_SIZE the items run on the calling thread. Item i
-    runs on thread i % threads, where thread 0 is the calling thread and
-    the others are helpers started for this call: an item allocates in
-    its thread's malloc arena, and with every item on helpers (a plain
-    ThreadPoolExecutor.map) train-zh-en's peak RSS on a 2-core VM rose
-    from 438-443 to 500-508 MB over 3 alternating runs. One thread means
-    the plain loop and no pool. Every item has finished when an exception
-    raised by fn reaches the caller. On any number of threads, the
-    items run under one_blas_thread.
+    work is the number of array elements that all the items touch
+    together; below MIN_ITEM_SIZE the items run on the calling thread.
+    Item i runs on thread i % threads, where thread 0 is the calling
+    thread and the others are helpers started for this call: an item
+    allocates in its thread's malloc arena, and with every item on
+    helpers (a plain ThreadPoolExecutor.map) train-zh-en's peak RSS on a
+    2-core VM rose from 438-443 to 500-508 MB over 3 alternating runs.
+    scratch, when given, is called once per thread, on the calling
+    thread, and each item runs as fn(x, s) with its thread's s, so that
+    the helpers allocate nothing. One thread means the plain loop and no
+    pool. Every item has finished when an exception raised by fn reaches
+    the caller. On any number of threads, the items run under
+    one_blas_thread.
     """
     items = list(items)
-    threads = threads_for(len(items), item_size)
+    threads = 1 if work < MIN_ITEM_SIZE else max(1, min(thread_count(), len(items)))
+    spaces = [() if scratch is None else (scratch(),) for _ in range(threads)]
+    results = [None] * len(items)
+
+    def share(t):
+        for i in range(t, len(items), threads):
+            results[i] = fn(items[i], *spaces[t])
+
     with one_blas_thread():
-        if threads <= 1:
-            return [fn(x) for x in items]
-        results = [None] * len(items)
-
-        def share(t):
-            for i in range(t, len(items), threads):
-                results[i] = fn(items[i])
-
+        if threads == 1:
+            share(0)
+            return results
         with ThreadPoolExecutor(max_workers=threads - 1) as pool:
             futures = [pool.submit(share, t) for t in range(1, threads)]
             share(0)  # leaving the block waits for the helpers, also on an exception

@@ -712,8 +712,9 @@ def run_ablation(
     The first failed run ends the ablation with that run's exception.
     """
     n = n_seeds if n_seeds is not None else base.n_seeds
+    # only --seeds can be under 1: RunConfig rejects such a config's n_seeds
     if n < 1:
-        raise ConfigError("n_seeds must be at least 1")
+        raise ConfigError(f"--seeds must be at least 1, got {n}")
     if not base.evaluate_test:
         raise ConfigError("ablation runs must evaluate the test split")
     cells, configs = [], []

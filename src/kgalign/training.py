@@ -5,15 +5,16 @@ corruptions: hinge(pos_L1 + margin - neg_L1). Subgradient conventions:
 |x| has slope 0 at x = 0, and the hinge contributes nothing when exactly
 at its boundary. Negatives are resampled fresh every epoch.
 
-The loss's negatives, walked as sampled, and the optimizer's flat
-parameter blocks are shared out to the threads of the budget
-(parallel.thread_count). No result depends on the thread count: the
-loss gradient is integer-valued (sums of signs and hinge counts), added
-exactly by every loss thread into one integer accumulator under a lock
-and returned in its dtype, so the threads' order cannot change a bit;
-the float loss is summed per column block of the (positive, negative)
-hinge terms, in block order, on the calling thread; and the optimizer's
-update is elementwise. The training loop drops each array of an epoch
+The loss's chunks of negatives, walked as sampled, and the optimizer's
+flat parameter blocks are the items of parallel.thread_map, which shares
+them out to the threads of the budget and hands each thread the scratch
+buffers it reuses from item to item. No result depends on the thread
+count: the loss gradient is integer-valued (sums of signs and hinge
+counts), added exactly by every loss thread into one integer accumulator
+under a lock and returned in its dtype, so the threads' order cannot
+change a bit; the float loss is summed per column block of the
+(positive, negative) hinge terms, in block order, on the calling thread;
+and the optimizer's update is elementwise. The training loop drops each array of an epoch
 as soon as the epoch is done with it.
 """
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .encoder import (
 )
 from .errors import ConfigError, NumericError
 from .graphs import GraphPair, require_valid
-from .parallel import thread_map, threads_for
+from .parallel import thread_map
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -104,10 +105,10 @@ def optimizer_step(
 
     SGD: p -= lr * g. Adam: bias-corrected moment update with the usual
     constants (0.9, 0.999, 1e-8). Every parameter, with its gradient and
-    moments, is updated in flat blocks of OPT_BLOCK elements, thread t
-    taking blocks t, t + threads, ...; the update is elementwise, so the
-    blocks and threads cannot change a bit. Parameters must be
-    C-contiguous, so that their flat blocks are views.
+    moments, is updated in flat blocks of OPT_BLOCK elements, the items
+    of one thread_map; the update is elementwise, so the blocks and
+    threads cannot change a bit. Parameters must be C-contiguous, so
+    that their flat blocks are views.
     """
     if len(params) != len(grads):
         raise ValueError("params and grads must align")
@@ -143,19 +144,15 @@ def optimizer_step(
     else:
         step, moments, temporaries = sgd, (), 1
     flat = [[x.reshape(-1) for x in arrays] for arrays in zip(params, grads, *moments)]
-    blocks = [(i, lo) for i, p in enumerate(params) for lo in range(0, p.size, OPT_BLOCK)]
-    size = sum(p.size for p in params)
-    threads = threads_for(len(blocks), size)
-    # each thread's temporary blocks come from the calling thread, so the
-    # updating threads allocate nothing
-    scratch = [[np.empty(OPT_BLOCK) for _ in range(temporaries)] for _ in range(threads)]
+    blocks = [[x[lo : lo + OPT_BLOCK] for x in arrays]
+              for arrays in flat for lo in range(0, len(arrays[0]), OPT_BLOCK)]
 
-    def update(t):
-        for i, lo in blocks[t::threads]:
-            views = [x[lo : lo + OPT_BLOCK] for x in flat[i]]
-            step(*views, *(a[: len(views[0])] for a in scratch[t]))
+    def update(views, scratch):
+        step(*views, *(a[: len(views[0])] for a in scratch))
 
-    thread_map(update, range(threads), size)
+    # a thread's scratch is its temporary blocks
+    thread_map(update, blocks, sum(p.size for p in params),
+               scratch=lambda: [np.empty(OPT_BLOCK) for _ in range(temporaries)])
 
 
 # elements per block of optimizer_step: Adam's six arrays of one block,
@@ -252,7 +249,7 @@ def margin_rank_loss(
     pos_dist = np.abs(pos_diff).sum(axis=1)
 
     # the negatives are walked as sampled, row r belonging to positive
-    # r // k: thread t takes chunks t, t + threads, ... of `rows` rows
+    # r // k, in chunks of `rows` rows: the items of one thread_map
     stream = negatives.reshape(-1, 2)
     terms = np.repeat(pos_dist + margin, k)  # minus each row's distance below: its hinge term
     n, d = len(stream), emb_left.shape[1]
@@ -266,45 +263,39 @@ def margin_rank_loss(
                 for s, p, e in ((stream[:, 0], pl, emb_left), (stream[:, 1], pr, emb_right)))
     acc = np.int16 if named < 2**15 else np.int32
     rows = max(1, min(n, CHUNK_ELEMENTS // d))
-    # the items are thread shares, so the whole loss, not one chunk,
-    # decides how many threads it is worth
-    threads = threads_for(-(-n // rows), n * d)
     # made once per call: each negative row's two accumulator rows, in
     # range since the negatives are, and a selector of a whole chunk
     # (d loss / d left row = -sign, d loss / d right row = +sign)
     targets = np.add(stream, (0, n_left), dtype=np.int64)
     data, starts = _selector((-1, 1), rows, acc)
-    # each thread's two (rows, dim) float64 gather buffers and two
-    # integer sign buffers (1.3 MB in int16 at CHUNK_ELEMENTS), and its
-    # chunk's active targets, are allocated here on the calling thread;
-    # the threads add into one accumulator, one at a time
-    buffers = [(np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d), dtype=acc),
-                np.empty((rows, d), dtype=acc), np.empty((rows, 2), dtype=np.int64))
-               for _ in range(threads)]
     total = np.zeros((n_left + len(emb_right), d), dtype=acc)
     lock = threading.Lock()
 
-    def chunks_of(t):
-        diff, other, signs, picked, where = buffers[t]
-        for lo in range(t * rows, n, threads * rows):
-            nl, nr = stream[lo : lo + rows].T
-            chunk = terms[lo : lo + rows]
-            x, y = diff[: len(nl)], other[: len(nl)]
-            # mode="clip" lets take write into out without a copy; the
-            # indices were range-checked above
-            np.take(emb_left, nl, axis=0, out=x, mode="clip")
-            np.take(emb_right, nr, axis=0, out=y, mode="clip")
-            np.subtract(x, y, out=x)
-            chunk -= np.abs(x, out=y).sum(axis=1)
-            active = np.flatnonzero(chunk > 0.0)
-            a = len(active)
-            s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
-            s = np.take(s, active, axis=0, out=picked[:a], mode="clip")
-            to = np.take(targets[lo : lo + rows], active, axis=0, out=where[:a], mode="clip")
-            with lock:
-                _add_rows(total, to, s, data, starts)
+    def add_chunk(lo, buffers):
+        diff, other, signs, picked, where = buffers
+        nl, nr = stream[lo : lo + rows].T
+        chunk = terms[lo : lo + rows]
+        x, y = diff[: len(nl)], other[: len(nl)]
+        # mode="clip" lets take write into out without a copy; the
+        # indices were range-checked above
+        np.take(emb_left, nl, axis=0, out=x, mode="clip")
+        np.take(emb_right, nr, axis=0, out=y, mode="clip")
+        np.subtract(x, y, out=x)
+        chunk -= np.abs(x, out=y).sum(axis=1)
+        active = np.flatnonzero(chunk > 0.0)
+        a = len(active)
+        s = np.subtract(x > 0.0, x < 0.0, dtype=acc, out=signs[: len(nl)])
+        s = np.take(s, active, axis=0, out=picked[:a], mode="clip")
+        to = np.take(targets[lo : lo + rows], active, axis=0, out=where[:a], mode="clip")
+        with lock:
+            _add_rows(total, to, s, data, starts)
 
-    thread_map(chunks_of, range(threads), n * d)
+    # a thread's two (rows, dim) float64 gather buffers and two integer sign
+    # buffers (1.3 MB in int16 at CHUNK_ELEMENTS), and its chunk's active
+    # targets; the threads add into one accumulator, one at a time
+    thread_map(add_chunk, range(0, n, rows), n * d, scratch=lambda: (
+        np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d), dtype=acc),
+        np.empty((rows, d), dtype=acc), np.empty((rows, 2), dtype=np.int64)))
     # the loss is summed per column block of roughly 16k terms, in block
     # order, each block's terms taken positive by positive
     by_positive = terms.reshape(m, k)

@@ -679,7 +679,8 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, jape_style_dir, c
 
 
 @pytest.mark.parametrize("extra, argv, message", [
-    ("", ["--seeds", "0"], "n_seeds must be at least 1"),
+    ("", ["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    ("", ["--seeds", "-1"], "--seeds must be at least 1, got -1"),
     ("evaluate_test = false\n", [], "ablation runs must evaluate the test split"),
     # a typo of ablate.datasets once tabulated the base dataset alone
     ("ablate.dataset = toy:cycle-8-4, toy:cycle-10-5\n", [],
@@ -694,7 +695,7 @@ def test_failed_ablate_ends_stderr_with_error_record(tmp_path, jape_style_dir, c
      "['dbp15k-full', 'dbp15k-jape', 'wk3l-15k', 'wk3l-120k', 'dwy100k'], got 'nope'"),
     ("ablate.datasets = toy:cycle-8-4, cycle-6-3\n", [],
      "{config}:13: ablate.datasets entries look like family:subset, got 'cycle-6-3'"),
-], ids=["no-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0", "toy-subset-out-of-range",
+], ids=["no-seeds", "negative-seeds", "no-test-split", "unknown-ablate-key", "val-fraction-0", "toy-subset-out-of-range",
         "unknown-family", "entry-without-family"])
 def test_ablate_rejects_before_any_run(tmp_path, capsys, extra, argv, message):
     config = tmp_path / "ablate.cfg"

@@ -1,10 +1,11 @@
 """Training on threads gives the bits of training on one.
 
-The loss blocks, the encoder's column blocks of both graphs and the
-optimizer's parameters run on parallel.thread_count() threads. These
-tests run the same work at several patched core counts and block sizes
-and require byte-identical results, and pin the weightless run to
-digests taken before training used threads. BLAS runs on one thread
+The loss's chunks of negatives, the encoder's column blocks of both
+graphs and the optimizer's parameter blocks are the items of
+parallel.thread_map, which shares them out to parallel.thread_count()
+threads. These tests run the same work at several patched core counts
+and block sizes and require byte-identical results, and pin the
+weightless run to digests taken before training used threads. BLAS runs on one thread
 inside them, so weighted runs do not depend on the caller's BLAS
 threads or on the grid's workers either.
 """
@@ -256,12 +257,13 @@ def test_loss_gradient_is_integer_valued_and_order_free(monkeypatch):
     pos = pair.alignment.train_pairs
     neg = sample_negatives(pos, len(out_l), len(out_r), 100, np.random.default_rng(0))
 
-    monkeypatch.setattr(training, "threads_for", lambda n_items, item_size: 1)
+    # the chunks of negatives in order, on one thread's buffers
+    monkeypatch.setattr(training, "thread_map", lambda fn, items, work, scratch:
+                        [fn(x, s) for s in [scratch()] for x in items])
     serial = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
-    # one "thread" per chunk of negatives, the chunks visited last to first
-    monkeypatch.setattr(training, "threads_for", lambda n_items, item_size: n_items)
-    monkeypatch.setattr(training, "thread_map",
-                        lambda fn, items, item_size: [fn(x) for x in reversed(list(items))][::-1])
+    # one "thread" per chunk, the chunks visited last to first
+    monkeypatch.setattr(training, "thread_map", lambda fn, items, work, scratch:
+                        [fn(x, scratch()) for x in reversed(list(items))][::-1])
     reverse = margin_rank_loss(out_l, out_r, pos, neg, 3.0)
 
     assert serial[0] == reverse[0]
@@ -316,33 +318,24 @@ def test_loss_without_the_sparse_kernel(each_core_count, monkeypatch):
 def test_loss_runs_on_every_core_with_chunks_under_the_item_size(monkeypatch, elements):
     # MIN_ITEM_SIZE as shipped: each chunk is under it, but the 40,000 x
     # 16 elements of the stream are almost ten times over it, so the loss
-    # is worth a thread per core. The loss's thread_map items are its
-    # threads' shares
+    # is worth a thread per core: one pool of cores - 1 helpers
     out_l, out_r, pos, neg = _varied_loss_inputs()
     monkeypatch.setattr(training, "CHUNK_ELEMENTS", elements)
     n, d = neg.size // 2, out_l.shape[1]
     assert elements // d * d < parallel.MIN_ITEM_SIZE < n * d // 8
-    items, pools = [], []
-
-    def counting_map(fn, shares, item_size):
-        shares = list(shares)
-        items.append(len(shares))
-        return parallel.thread_map(fn, shares, item_size)
+    pools = []
 
     class RecordingPool(parallel.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(training, "thread_map", counting_map)
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
     results = []
     for cores in (1, 2, 8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: set(range(cores)))
-        items.clear()
         pools.clear()
         results.append(margin_rank_loss(out_l, out_r, pos, neg, 3.0))
-        assert items == [cores]
         assert pools == ([cores - 1] if cores > 1 else [])
     for other in results[1:]:
         assert other[0] == results[0][0]
@@ -398,6 +391,32 @@ def test_small_items_stay_on_the_calling_thread(monkeypatch):
     assert pools == [4]  # five items on the calling thread and four helpers
     assert ran_on[0] == threading.get_ident()  # item 0 runs on the calling thread
 
+    # a scratch is made once per thread, on the calling thread, and item
+    # i runs with thread i % threads's: here scratch t is the t-th made
+    made = []
+
+    def scratch():
+        made.append(threading.get_ident())
+        return len(made) - 1
+
+    def record_scratch(x, s):
+        ran_on[x] = threading.get_ident()
+        return s
+
+    ran_on.clear()
+    got = parallel.thread_map(record_scratch, range(20), parallel.MIN_ITEM_SIZE, scratch=scratch)
+    assert got == [i % 8 for i in range(20)] and pools == [4, 7]
+    assert made == [threading.get_ident()] * 8
+    # the pool may run two helper shares on one of its threads
+    assert all(ran_on[i] == ran_on[i % 8] for i in range(20))
+    assert [ran_on[i] == threading.get_ident() for i in range(8)] == [True] + [False] * 7
+    # small items: the calling thread, with one scratch
+    made.clear()
+    ran_on.clear()
+    assert parallel.thread_map(record_scratch, range(5), small, scratch=scratch) == [0] * 5
+    assert made == [threading.get_ident()] and set(ran_on.values()) == {threading.get_ident()}
+    assert pools == [4, 7]
+
 
 def test_loss_holds_one_gradient_accumulator_on_any_core_count(each_core_count, monkeypatch):
     # every loss thread adds into one integer accumulator of both sides'
@@ -411,12 +430,16 @@ def test_loss_holds_one_gradient_accumulator_on_any_core_count(each_core_count, 
     # chunks of 256 rows: 157 of the 40,000 rows, so 8 cores run 8 threads
     monkeypatch.setattr(training, "CHUNK_ELEMENTS", 256 * d)
     buffers = 256 * d * (8 + 8 + 2 + 2)  # two float64 and two int16 buffers
-    threads = []
+    threads = []  # per loss, the threads that got buffers
 
-    def counting_map(fn, items, item_size):
-        items = list(items)
-        threads.append(len(items))
-        return parallel.thread_map(fn, items, item_size)
+    def counting_map(fn, items, work, scratch):
+        threads.append(0)
+
+        def counted():
+            threads[-1] += 1
+            return scratch()
+
+        return parallel.thread_map(fn, items, work, scratch=counted)
 
     monkeypatch.setattr(training, "thread_map", counting_map)
 
