@@ -122,7 +122,7 @@ class _GraphTape:
     # norms, from which backward rebuilds the normalized rows; else None
     features: np.ndarray | None
     norms: np.ndarray | None
-    relu_masks: list[np.ndarray]  # bool, per non-final layer of each block in turn
+    relu_masks: list[np.ndarray]  # np.packbits bits, per non-final layer of each block
     propagated: list[np.ndarray] | None  # A_hat @ H_i per layer, weighted runs only
     adj: sp.csr_array
 
@@ -143,15 +143,15 @@ NORM_BLOCK = 1 << 15
 COLUMN_BLOCK = 1 << 19
 
 
-def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig):
+def _map_blocks(fn, rows: tuple[int, int], cfg: EncoderConfig, dtype):
     """fn(graph, k, lo, hi) -> (block, extra) for block k, columns lo:hi, of
     graph 0 (left) and 1 (right), in one thread_map: about COLUMN_BLOCK
     elements, or all columns where weights mix them. Returns both graphs'
-    matrices, with the blocks copied in, and per graph its blocks' extras."""
+    dtype matrices, with the blocks copied in, and per graph its blocks' extras."""
     widths = [cfg.dim if cfg.use_weights else max(1, COLUMN_BLOCK // max(n, 1)) for n in rows]
     items = [(g, lo // w, lo, min(lo + w, cfg.dim))
              for g, w in enumerate(widths) for lo in range(0, cfg.dim, w)]
-    whole = [np.empty((n, cfg.dim)) if w < cfg.dim else None for n, w in zip(rows, widths)]
+    whole = [np.empty((n, cfg.dim), dtype) if w < cfg.dim else None for n, w in zip(rows, widths)]
 
     def run(item):
         g, _, lo, hi = item
@@ -182,7 +182,6 @@ def _checked_input(side: str, adj: sp.csr_array, features: np.ndarray, cfg: Enco
         raise ValueError(f"features have width {features.shape[1]}, config says {cfg.dim}")
     if not cfg.normalize_features:
         return features, None
-    features = np.asarray(features, dtype=np.float64)
     step = max(1, NORM_BLOCK // cfg.dim)
     norms = np.concatenate([np.sqrt(np.add.reduce(rows * rows, axis=1))
                             for rows in np.split(features, range(step, len(features), step))])
@@ -205,7 +204,7 @@ def _forward_one(adj: sp.csr_array, features, norms, weights, cfg: EncoderConfig
             propagated.append(p)
             p = p @ weights[layer]
         if layer < cfg.n_layers - 1:
-            masks.append(p > 0.0)
+            masks.append(np.packbits(p > 0.0))  # flat, so only a block's last byte pads
             # in place, as p is this layer's own product; a NaN stays NaN
             # and fails the finite check below
             h = np.maximum(p, 0.0, out=p)
@@ -236,22 +235,22 @@ def forward(
                         state.features_left.size + state.features_right.size)
     (out_l, out_r), blocks = _map_blocks(
         lambda g, k, lo, hi: _forward_one(graphs[g][1], *inputs[g], state.weights, cfg, lo, hi),
-        (adj_left.shape[0], adj_right.shape[0]), cfg)
+        (adj_left.shape[0], adj_right.shape[0]), cfg, state.features_left.dtype)
     tape_l, tape_r = (_GraphTape(*inputs[g], [m for masks, _ in blocks[g] for m in masks],
                                  blocks[g][0][1], graphs[g][1]) for g in (0, 1))
     return out_l, out_r, ForwardTape(cfg, tape_l, tape_r) if keep_tape else None
 
 
-def _backward_one(grad_out, tape: _GraphTape, weights, grad_weights, cfg: EncoderConfig, k=0):
+def _backward_one(grad_out, tape, weights, grad_weights, cfg: EncoderConfig, k=0, dtype=None):
     """Block k of one graph's output gradient back through every layer."""
     masks = tape.relu_masks[k * (cfg.n_layers - 1) :]
     adj_t = tape.adj.T  # a CSC view, no copy
-    # an integer upstream gradient (the loss's) becomes a float copy that
-    # the first product below frees; a float one is read, never written
-    g = np.asarray(grad_out, dtype=np.float64)
+    # an integer upstream gradient (the loss's) becomes a copy in dtype, the
+    # features', that the first product below frees; a float one is read only
+    g = np.asarray(grad_out, dtype)
     for layer in range(cfg.n_layers - 1, -1, -1):
-        if layer < cfg.n_layers - 1:
-            np.multiply(g, masks[layer], out=g)  # g is the adj_t product below
+        if layer < cfg.n_layers - 1:  # g is the adj_t product below
+            g *= np.unpackbits(masks[layer], count=g.size).reshape(g.shape).view(bool)
         if cfg.use_weights:
             grad_weights[layer] += tape.propagated[layer].T @ g
             g = g @ weights[layer].T
@@ -289,7 +288,7 @@ def backward(
     The tape must come from a forward() call with the same config and
     state; the shared weight matrices accumulate gradient from both
     graphs. The upstream gradients are never written; integer ones (the
-    loss's) become float64 copies of backward's own, a block at a time.
+    loss's) become copies in the features' dtype, a block at a time.
 
     Each graph accumulates its weight gradient in a zeroed buffer of
     its own, and the shared gradient is left += right: the bits of
@@ -300,6 +299,7 @@ def backward(
     if tape.cfg != cfg:
         raise ConfigError("tape was produced under a different encoder config")
     graphs = ((grad_out_left, tape.left), (grad_out_right, tape.right))
+    dtype = state.features_left.dtype
     for grad_out, graph_tape in graphs:
         if grad_out.shape != (graph_tape.adj.shape[0], cfg.dim):
             raise ValueError(f"upstream gradient shape {grad_out.shape} does not match "
@@ -307,10 +307,11 @@ def backward(
 
     def block(g, k, lo, hi):
         own = [np.zeros_like(w) for w in state.weights]
-        return _backward_one(graphs[g][0][:, lo:hi], graphs[g][1], state.weights, own, cfg, k), own
+        return _backward_one(graphs[g][0][:, lo:hi], graphs[g][1], state.weights, own, cfg, k,
+                             dtype), own
 
     (gl, gr), ((own_l, *_), (own_r, *_)) = _map_blocks(
-        block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg)
+        block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg, dtype)
     # the normalization's backward takes whole rows, so it waits for every block
     gl, gr = thread_map(lambda x: _unnormalized(*x, cfg), ((gl, tape.left), (gr, tape.right)),
                         gl.size + gr.size)

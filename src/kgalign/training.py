@@ -10,12 +10,12 @@ flat parameter blocks are the items of parallel.thread_map, which shares
 them out to the threads of the budget and hands each thread the scratch
 buffers it reuses from item to item. No result depends on the thread
 count: the loss gradient is integer-valued (sums of signs and hinge
-counts), added exactly by every loss thread into one integer accumulator
-under a lock and returned in its dtype, so the threads' order cannot
-change a bit; the float loss is summed per column block of the
-(positive, negative) hinge terms, in block order, on the calling thread;
-and the optimizer's update is elementwise. The training loop drops each array of an epoch
-as soon as the epoch is done with it.
+counts), added exactly by every loss thread into one accumulator of the
+narrowest integer type that holds it, under a lock, so the threads' order
+cannot change a bit; the float loss is summed in float64 per column block
+of the (positive, negative) hinge terms, in block order, on the calling
+thread; and the optimizer's update is elementwise. Float buffers take the
+embeddings' dtype. The training loop drops each array of an epoch once done.
 """
 from __future__ import annotations
 
@@ -150,9 +150,9 @@ def optimizer_step(
     def update(views, scratch):
         step(*views, *(a[: len(views[0])] for a in scratch))
 
-    # a thread's scratch is its temporary blocks
-    thread_map(update, blocks, sum(p.size for p in params),
-               scratch=lambda: [np.empty(OPT_BLOCK) for _ in range(temporaries)])
+    # a thread's scratch is its temporary blocks, in the parameters' dtype
+    thread_map(update, blocks, sum(p.size for p in params), scratch=lambda: [
+        np.empty(OPT_BLOCK, np.result_type(*params)) for _ in range(temporaries)])
 
 
 # elements per block of optimizer_step: Adam's six arrays of one block,
@@ -232,9 +232,10 @@ def margin_rank_loss(
     positives: (m, 2) index pairs; negatives: (m, k, 2), row i holding
     the corruptions of positive i. Returns (loss, grad_left, grad_right)
     with gradients shaped like the embedding matrices. The gradients are
-    integer-valued and come as int16 or int32 (views of the one array
-    every loss thread adds into), which backward() takes as they are. No
-    input is written.
+    integer-valued, in the narrowest signed type that holds them (views of
+    the one array every loss thread adds into), which backward() takes as
+    they are. The gathers keep the embeddings' dtype; the loss is float64.
+    No input is written.
     """
     m, k = negatives.shape[0], negatives.shape[1]
     if positives.shape[0] != m:
@@ -256,12 +257,12 @@ def margin_rank_loss(
     n_left = len(emb_left)
     # The gradient, hinge signs plus each positive's signs times its
     # active count, is summed in one integer accumulator of both sides'
-    # rows, left rows first and right rows after: int16 while no entity's
-    # negative rows plus k per positive naming it reach 2**15, which
-    # bounds every entry and every partial sum, else int32.
+    # rows, left rows first and right rows after, of the narrowest signed
+    # type whose maximum is the most any entity is named or more: its rows
+    # of negatives plus k per positive, which bound every entry and partial sum
     named = max((np.bincount(s, minlength=len(e)) + k * np.bincount(p, minlength=len(e))).max()
                 for s, p, e in ((stream[:, 0], pl, emb_left), (stream[:, 1], pr, emb_right)))
-    acc = np.int16 if named < 2**15 else np.int32
+    acc = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= named)
     rows = max(1, min(n, CHUNK_ELEMENTS // d))
     # made once per call: each negative row's two accumulator rows, in
     # range since the negatives are, and a selector of a whole chunk
@@ -290,20 +291,20 @@ def margin_rank_loss(
         with lock:
             _add_rows(total, to, s, data, starts)
 
-    # a thread's two (rows, dim) float64 gather buffers and two integer sign
-    # buffers (1.3 MB in int16 at CHUNK_ELEMENTS), and its chunk's active
+    # a thread's two (rows, dim) gather buffers in the embeddings' dtype, two
+    # integer sign buffers (see CHUNK_ELEMENTS), and its chunk's active
     # targets; the threads add into one accumulator, one at a time
     thread_map(add_chunk, range(0, n, rows), n * d, scratch=lambda: (
-        np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d), dtype=acc),
-        np.empty((rows, d), dtype=acc), np.empty((rows, 2), dtype=np.int64)))
+        *(np.empty((rows, d), t) for t in (emb_left.dtype, emb_left.dtype, acc, acc)),
+        np.empty((rows, 2), dtype=np.int64)))
     # the loss is summed per column block of roughly 16k terms, in block
-    # order, each block's terms taken positive by positive
+    # order, each block's terms taken positive by positive, summed in float64
     by_positive = terms.reshape(m, k)
     block_k = max(1, min(k, 16384 // max(m, 1)))
     loss = 0.0
     for j in range(0, k, block_k):
         block = by_positive[:, j : j + block_k]
-        loss += block[block > 0.0].sum()
+        loss += block[block > 0.0].sum(dtype=np.float64)
 
     pos_sign = np.subtract(pos_diff > 0.0, pos_diff < 0.0, dtype=acc)
     pos_sign *= np.count_nonzero(by_positive > 0.0, axis=1).astype(acc)[:, None]
@@ -315,8 +316,8 @@ def margin_rank_loss(
 
 # elements of the negatives gathered at a time by margin_rank_loss, 327
 # rows at dim 200, 1,024 at dim 64 and 2,048 at dim 32: a thread's two
-# float64 gather buffers and two int16 sign buffers, 1.3 MB, stay in a
-# core's 2 MB L2 cache (at 1 << 18 they took 5.2 MB). See BENCH_35.json
+# float64 gather buffers and two sign buffers, 1.2 MB in int8 (1.3 in
+# int16), stay in a core's 2 MB L2 cache (at 1 << 18, 5.2 MB). See BENCH_35.json
 CHUNK_ELEMENTS = 1 << 16
 
 

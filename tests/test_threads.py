@@ -129,7 +129,9 @@ def test_column_blocks_change_no_bit(each_core_count, monkeypatch, n_layers, nor
 def test_column_blocks_hold_no_whole_float_temporary(monkeypatch):
     # weightless forward with its tape, then backward: the traced peak is
     # the outputs, masks and gradients, plus a few blocks per thread; a
-    # float64 matrix of a whole graph beyond those breaks the bound
+    # float64 matrix of a whole graph beyond those breaks the bound. The
+    # masks are bits, a byte per 8 entries of each block: 64,000 bytes
+    # in all, against 512,000 as bool
     n, dim, width = 4000, 64, 8
     pair = random_pair(np.random.default_rng(6), n=n, n_train=10, n_triples=4 * n)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -148,7 +150,8 @@ def test_column_blocks_hold_no_whole_float_temporary(monkeypatch):
         tracemalloc.stop()
     whole = n * dim * 8
     masks = sum(m.nbytes for t in (tape.left, tape.right) for m in t.relu_masks)
-    assert masks == 2 * n * dim and [m.shape for m in tape.left.relu_masks] == [(n, width)] * 8
+    assert masks == 2 * n * dim // 8 == 64_000
+    assert [(m.dtype, m.shape) for m in tape.left.relu_masks] == [(np.uint8, (n,))] * 8
     kept = 2 * whole + masks + 2 * whole + 2 * n * 8  # outputs, masks, gradients, norms
     blocks = 2 * 3 * n * width * 8  # three blocks per thread
     assert peak - kept < blocks < whole
