@@ -37,7 +37,7 @@ from .encoder import EmbeddingState, EncoderConfig, forward
 from .errors import ConfigError, KgalignError
 from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, MetricsReport, ScoreConfig, evaluate, text_table
 from .graphs import GraphPair, Role, require_valid
-from .parallel import _pin_malloc_thresholds, set_process_share, thread_count
+from .parallel import set_process_share, thread_count
 from .presets import ABLATION_CELLS, tuned_hyperparameters
 from .training import TrainConfig, advance, loss_trace_tsv, start
 
@@ -123,6 +123,9 @@ def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
 
 
 _CELL_KEYS = ("encoder.use_weights", "encoder.init")  # what an ablation cell sets
+# what every grid run sets: it keeps no state and is not tested; run_grid
+# turns both on for each cell's best
+_GRID_RUN_KEYS = {"save_state": False, "evaluate_test": False}
 
 
 def with_cell(cfg: RunConfig, use_weights: bool, init_preset: str) -> RunConfig:
@@ -211,19 +214,10 @@ _shared: dict | None = None
 
 
 def _init_worker(share: int) -> None:
-    """Pool initializer: the worker's thread share, its allocator
-    thresholds when it has one thread, and inputs shared by its runs
-    until the pool shuts down.
-
-    A worker with more threads runs kernels on helper threads, each
-    allocating in its own malloc arena, and pinned thresholds keep
-    those arenas full: a zh-en-scale grid's two-thread workers peaked
-    17% higher.
-    """
+    """Pool initializer: the worker's thread share, and inputs shared by
+    its runs until the pool shuts down."""
     global _shared
     set_process_share(share)
-    if share == 1:
-        _pin_malloc_thresholds()
     _shared = {}
 
 
@@ -476,36 +470,28 @@ def evaluate_run(run_dir: Path, policy: str | None = None, split: Role = Role.TE
 
 def enumerate_grid(base: RunConfig, axes: dict[str, list] | None = None) -> list[RunConfig]:
     """All run configs of the search: Cartesian product of the axes,
-    repeated for every ablation cell."""
-    axes = dict(axes if axes is not None else DEFAULT_GRID_AXES)
+    repeated for every ablation cell. An axis that is empty, repeats a
+    value once typed (1 and 1.0 on a float key), or sets a key that each
+    cell or every grid run sets itself is refused before any is built."""
+    axes = axes if axes is not None else DEFAULT_GRID_AXES
     for key, values in axes.items():
         if not values:
             raise ConfigError(f"grid axis {key!r} is empty")
+        if len({apply_overrides(base, {key: v}).run_hash() for v in values}) < len(values):
+            raise ConfigError(f"grid axis {key!r} repeats a value: {values}")
+        if key in _CELL_KEYS:
+            raise ConfigError(
+                f"grid axis {key!r} sets a key of the ablation cells, so two cells run one config")
+        if key in _GRID_RUN_KEYS:
+            raise ConfigError(f"grid axis {key!r} sets a key that every grid run sets to false; "
+                              "grid_best.json gives each cell's best with it true")
     keys = sorted(axes)
-    # each config's position on every axis
-    combos = list(product(*(range(len(axes[k])) for k in keys)))
-    configs = []
-    for use_weights, init_preset in ABLATION_CELLS:
-        cell_cfg = with_cell(base, use_weights, init_preset)
-        for combo in combos:
-            overrides = {k: axes[k][p] for k, p in zip(keys, combo)}
-            overrides["save_state"] = False
-            overrides["evaluate_test"] = False
-            configs.append(apply_overrides(cell_cfg, overrides))
-    # a run hash twice trains one run directory twice: from an axis value
-    # equal once typed (1 and 1.0 on a float field), or a cell key's axis
-    first: dict[str, int] = {}
-    for i, cfg in enumerate(configs):
-        j = first.setdefault(cfg.run_hash(), i)
-        if j == i:
-            continue
-        for key, p, q in zip(keys, combos[i % len(combos)], combos[j % len(combos)]):
-            if p != q:
-                raise ConfigError(f"grid axis {key!r} repeats a value: {axes[key]}")
-        key = next(k for k in keys if k in _CELL_KEYS)
-        raise ConfigError(
-            f"grid axis {key!r} sets a key of the ablation cells, so two cells run one config")
-    return configs
+    return [
+        apply_overrides(base, {**dict(zip(_CELL_KEYS, cell)), **dict(zip(keys, values)),
+                               **_GRID_RUN_KEYS})
+        for cell in ABLATION_CELLS
+        for values in product(*(axes[k] for k in keys))
+    ]
 
 
 def _outcome(cfg: RunConfig, runs_root: Path):
@@ -654,7 +640,7 @@ def run_grid(
                 best[cell] = (h1, cfg)
 
     best_cfgs = {
-        cell: apply_overrides(cfg, {"save_state": True, "evaluate_test": True})
+        cell: apply_overrides(cfg, dict.fromkeys(_GRID_RUN_KEYS, True))
         for cell, (_, cfg) in best.items()
     }
     best_flat = {

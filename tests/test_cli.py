@@ -225,11 +225,17 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
          "of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-8-8'"),
         ("dataset.subset = cycle-2-1",
          "of family 'toy' needs at least 3 nodes and 1 to nodes - 1 seeds, got 'cycle-2-1'"),
+        ("encoder.n_layers = 5", "must be in 1..4"),
+        ("training.optimizer = rmsprop", "must be adam or sgd"),
+        ("training.n_negatives = 0", "must be at least 1"),
+        ("training.n_epochs = -1", "must be non-negative"),
+        ("dataset.subset = ring-8", "of family 'toy' must look like cycle-<nodes>-<seeds>"),
     ],
     ids=["dim", "beta", "policy", "n-seeds", "attribute-margin", "margin-nan", "learning-rate-inf",
          "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan",
          "train-fraction-above-1", "val-fraction-0", "val-fraction-nan", "seed-negative",
-         "split-seed-negative", "toy-seeds-all-nodes", "toy-two-nodes"],
+         "split-seed-negative", "toy-seeds-all-nodes", "toy-two-nodes", "n-layers", "optimizer",
+         "n-negatives", "n-epochs-negative", "toy-subset-shape"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
@@ -241,6 +247,17 @@ def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, mess
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert err["message"].startswith(f"{config}:{len(kept) + 1}: {key} {message}")
+    assert not runs.exists()
+
+
+def test_train_empty_value_names_its_line(tmp_path, capsys):
+    config = tmp_path / "empty.cfg"
+    config.write_text(TOY_CONFIG + "encoder.dim =\n", encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["train", str(config), "--runs-root", str(runs)]) == 2
+    line = len(TOY_CONFIG.splitlines()) + 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": f"{config}:{line}: empty key or value"}
     assert not runs.exists()
 
 
@@ -521,10 +538,19 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
         ("grid.encoder.init = 1, unit\n", [], "grid axis 'encoder.init' sets a key of the ablation"),
         ("grid.encoder.use_weights = true\n", [],
          "grid axis 'encoder.use_weights' sets a key of the ablation"),
+        # every grid run sets these to false: the first once read as a
+        # repeated value, and the others trained every run with it false
+        ("grid.save_state = true, false\n", [],
+         "grid axis 'save_state' sets a key that every grid run sets to false"),
+        ("grid.save_state = true\n", [],
+         "grid axis 'save_state' sets a key that every grid run sets to false"),
+        ("grid.evaluate_test = false\n", [],
+         "grid axis 'evaluate_test' sets a key that every grid run sets to false"),
     ],
     ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
          "out-of-range-axis", "val-fraction-axis", "negative-seed-axis", "unknown-axis",
-         "cell-key-axis", "one-valued-cell-key-axis"],
+         "cell-key-axis", "one-valued-cell-key-axis", "save-state-axis",
+         "one-valued-save-state-axis", "evaluate-test-axis"],
 )
 def test_grid_arguments_that_cannot_be_right_exit_2_before_any_run(
     tmp_path, capsys, axis, flags, complaint

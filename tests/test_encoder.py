@@ -222,6 +222,17 @@ def test_tape_config_mismatch_errors():
         backward(np.zeros_like(out_l), np.zeros_like(out_r), tape, other, state)
 
 
+def test_backward_needs_the_tape_and_matching_upstream_shapes():
+    adj = sp.eye_array(2, format="csr")
+    cfg = EncoderConfig(n_layers=1, dim=2, seed=9)
+    state = init_state(cfg, 2, 2)
+    out_l, out_r, tape = forward(adj, adj, state, cfg, keep_tape=True)
+    with pytest.raises(ValueError, match=r"keep_tape=True"):
+        backward(np.zeros_like(out_l), np.zeros_like(out_r), None, cfg, state)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) does not match forward output \(2, 2\)"):
+        backward(np.zeros((2, 3)), np.zeros_like(out_r), tape, cfg, state)
+
+
 def test_state_weights_config_consistency():
     adj = sp.eye_array(2, format="csr")
     cfg_w = EncoderConfig(n_layers=1, dim=2, use_weights=True, seed=0)

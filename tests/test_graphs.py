@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgalign.datasets import toy_cycle_pair
 from kgalign.errors import GraphValidationError
 from kgalign.graphs import (
     AlignmentSet,
@@ -82,6 +83,20 @@ def test_require_valid_raises_with_detail():
     align = AlignmentSet.from_records([(0, 0, Role.TRAIN)])
     with pytest.raises(GraphValidationError, match="tail"):
         require_valid(GraphPair(left, right, align))
+
+
+def test_alignment_index_out_of_range_reported():
+    toy = toy_cycle_pair(8, 4)
+    pairs = toy.alignment.pairs[:3].copy()
+    pairs[1, 0], pairs[2, 1] = 8, -1
+    bad = GraphPair(toy.left, toy.right, AlignmentSet(pairs, toy.alignment.roles[:3]))
+    assert validate_pair(bad) == [
+        "alignment pair #1 left index 8 out of range",
+        "alignment pair #2 right index -1 out of range",
+    ]
+    with pytest.raises(GraphValidationError,
+                       match=r"pair #1 left index 8 out of range; .*pair #2 right index -1 "):
+        require_valid(bad)
 
 
 @pytest.mark.parametrize(
