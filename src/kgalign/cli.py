@@ -95,12 +95,14 @@ def cmd_grid(args) -> int:
         if key.startswith("grid.")
     }
     base = RunConfig.from_flat(flat, source=args.config)
-    result = run_grid(
-        base,
-        Path(args.runs_root),
-        axes=axes or None,
-        workers=args.workers,
-    )
+    try:
+        result = run_grid(base, Path(args.runs_root), axes=axes or None, workers=args.workers)
+    except ConfigError as exc:
+        # an axis refusal names its axis; the prefix names the axis's line
+        axis = [key for key in axes if str(exc).startswith(f"grid axis {key!r} ")]
+        if not axis:
+            raise
+        raise ConfigError(f"{args.config}:{flat.lines['grid.' + axis[0]]}: {exc}") from None
     print(f"grid finished: {result.n_runs} runs, {result.n_failures} failures")
     print(f"leaderboard: {result.leaderboard_path}")
     for (weights, init), cfg in sorted(result.best_per_cell.items()):

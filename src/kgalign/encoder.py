@@ -118,9 +118,8 @@ def _draw_weights(cfg: EncoderConfig, rng: np.random.Generator) -> list[np.ndarr
 
 @dataclass
 class _GraphTape:
-    # when normalizing, the features themselves (not a copy) and their row
-    # norms, from which backward rebuilds the normalized rows; else None
-    features: np.ndarray | None
+    # when normalizing, the features' row norms, from which backward
+    # rebuilds the normalized rows with the state's features; else None
     norms: np.ndarray | None
     relu_masks: list[np.ndarray]  # np.packbits bits, per non-final layer of each block
     propagated: list[np.ndarray] | None  # A_hat @ H_i per layer, weighted runs only
@@ -130,6 +129,7 @@ class _GraphTape:
 @dataclass
 class ForwardTape:
     cfg: EncoderConfig
+    state: EmbeddingState  # the state forward read, not a copy
     left: _GraphTape
     right: _GraphTape
 
@@ -236,12 +236,12 @@ def forward(
     (out_l, out_r), blocks = _map_blocks(
         lambda g, k, lo, hi: _forward_one(graphs[g][1], *inputs[g], state.weights, cfg, lo, hi),
         (adj_left.shape[0], adj_right.shape[0]), cfg, state.features_left.dtype)
-    tape_l, tape_r = (_GraphTape(*inputs[g], [m for masks, _ in blocks[g] for m in masks],
+    tape_l, tape_r = (_GraphTape(inputs[g][1], [m for masks, _ in blocks[g] for m in masks],
                                  blocks[g][0][1], graphs[g][1]) for g in (0, 1))
-    return out_l, out_r, ForwardTape(cfg, tape_l, tape_r) if keep_tape else None
+    return out_l, out_r, ForwardTape(cfg, state, tape_l, tape_r) if keep_tape else None
 
 
-def _backward_one(grad_out, tape, weights, grad_weights, cfg: EncoderConfig, k=0, dtype=None):
+def _backward_one(grad_out, tape, weights, grad_weights, cfg: EncoderConfig, k, dtype):
     """Block k of one graph's output gradient back through every layer."""
     masks = tape.relu_masks[k * (cfg.n_layers - 1) :]
     adj_t = tape.adj.T  # a CSC view, no copy
@@ -258,7 +258,7 @@ def _backward_one(grad_out, tape, weights, grad_weights, cfg: EncoderConfig, k=0
     return g
 
 
-def _unnormalized(g: np.ndarray, tape: _GraphTape, cfg: EncoderConfig) -> np.ndarray:
+def _unnormalized(g: np.ndarray, tape: _GraphTape, features, cfg: EncoderConfig) -> np.ndarray:
     if tape.norms is None:
         return g
     # through row normalization x -> xhat = x / |x|: g -> (g - (g . xhat)
@@ -267,7 +267,7 @@ def _unnormalized(g: np.ndarray, tape: _GraphTape, cfg: EncoderConfig) -> np.nda
     rows = max(1, NORM_BLOCK // cfg.dim)
     for lo in range(0, len(g), rows):
         block, norms = g[lo : lo + rows], tape.norms[lo : lo + rows]
-        xhat = _unit_rows(tape.features[lo : lo + rows], norms)
+        xhat = _unit_rows(features[lo : lo + rows], norms)
         xhat *= np.einsum("ij,ij->i", block, xhat)[:, None]
         block -= xhat
         block /= np.where(norms > 0.0, norms, 1.0)[:, None]
@@ -279,16 +279,14 @@ def backward(
     grad_out_left: np.ndarray,
     grad_out_right: np.ndarray,
     tape: ForwardTape,
-    cfg: EncoderConfig,
-    state: EmbeddingState,
 ) -> EmbeddingState:
     """Exact reverse-mode gradients of forward() wrt all parameters, in
     the parameter layout of the state.
 
-    The tape must come from a forward() call with the same config and
-    state; the shared weight matrices accumulate gradient from both
-    graphs. The upstream gradients are never written; integer ones (the
-    loss's) become copies in the features' dtype, a block at a time.
+    The config and the state are those the tape's forward() call read;
+    the shared weight matrices accumulate gradient from both graphs. The
+    upstream gradients are never written; integer ones (the loss's)
+    become copies in the features' dtype, a block at a time.
 
     Each graph accumulates its weight gradient in a zeroed buffer of
     its own, and the shared gradient is left += right: the bits of
@@ -296,8 +294,7 @@ def backward(
     """
     if tape is None:
         raise ValueError("backward requires the tape from forward(..., keep_tape=True)")
-    if tape.cfg != cfg:
-        raise ConfigError("tape was produced under a different encoder config")
+    cfg, state = tape.cfg, tape.state
     graphs = ((grad_out_left, tape.left), (grad_out_right, tape.right))
     dtype = state.features_left.dtype
     for grad_out, graph_tape in graphs:
@@ -313,8 +310,9 @@ def backward(
     (gl, gr), ((own_l, *_), (own_r, *_)) = _map_blocks(
         block, (tape.left.adj.shape[0], tape.right.adj.shape[0]), cfg, dtype)
     # the normalization's backward takes whole rows, so it waits for every block
-    gl, gr = thread_map(lambda x: _unnormalized(*x, cfg), ((gl, tape.left), (gr, tape.right)),
-                        gl.size + gr.size)
+    features = (state.features_left, state.features_right)
+    gl, gr = thread_map(lambda x: _unnormalized(*x, cfg),
+                        zip((gl, gr), (tape.left, tape.right), features), gl.size + gr.size)
     for left, right in zip(own_l, own_r):
         left += right
     return EmbeddingState(features_left=gl, features_right=gr, weights=own_l)

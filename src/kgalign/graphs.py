@@ -132,20 +132,9 @@ class GraphPair:
     attributes_right: AttributeTable | None = None
 
 
-def _check_graph(g: KnowledgeGraph, side: str, out: list[str]) -> None:
-    t = g.triples
-    if t.shape[0] == 0:
-        return
-    bad_head = (t[:, 0] < 0) | (t[:, 0] >= g.entity_count)
-    bad_rel = (t[:, 1] < 0) | (t[:, 1] >= g.relation_count)
-    bad_tail = (t[:, 2] < 0) | (t[:, 2] >= g.entity_count)
-    for name, mask, col in (("head", bad_head, 0), ("relation", bad_rel, 1), ("tail", bad_tail, 2)):
-        for i in np.flatnonzero(mask)[:20]:
-            h, r, tl = t[i]
-            out.append(
-                f"{side} graph: triple #{i} ({h}, {r}, {tl}) has out-of-range {name} "
-                f"index {t[i, col]}"
-            )
+def _outside(values: np.ndarray, bound: int) -> np.ndarray:
+    """Positions of the first 20 values outside 0..bound-1."""
+    return np.flatnonzero((values < 0) | (values >= bound))[:20]
 
 
 def validate_pair(pair: GraphPair) -> list[str]:
@@ -156,22 +145,21 @@ def validate_pair(pair: GraphPair) -> list[str]:
     per check are reported.
     """
     out: list[str] = []
-    _check_graph(pair.left, "left", out)
-    _check_graph(pair.right, "right", out)
+    for side, g in (("left", pair.left), ("right", pair.right)):
+        t = g.triples
+        bounds = (g.entity_count, g.relation_count, g.entity_count)
+        for col, (name, bound) in enumerate(zip(("head", "relation", "tail"), bounds)):
+            out += [f"{side} graph: triple #{i} ({t[i, 0]}, {t[i, 1]}, {t[i, 2]}) has "
+                    f"out-of-range {name} index {t[i, col]}" for i in _outside(t[:, col], bound)]
 
-    a = pair.alignment
-    if len(a) > 0:
-        lefts, rights = a.pairs[:, 0], a.pairs[:, 1]
-        if lefts.min() < 0 or lefts.max() >= pair.left.entity_count:
-            for i in np.flatnonzero((lefts < 0) | (lefts >= pair.left.entity_count))[:20]:
-                out.append(f"alignment pair #{i} left index {lefts[i]} out of range")
-        if rights.min() < 0 or rights.max() >= pair.right.entity_count:
-            for i in np.flatnonzero((rights < 0) | (rights >= pair.right.entity_count))[:20]:
-                out.append(f"alignment pair #{i} right index {rights[i]} out of range")
-        for name, col in (("left", lefts), ("right", rights)):
-            vals, counts = np.unique(col, return_counts=True)
-            for v in vals[counts > 1][:20]:
-                out.append(f"alignment: {name} entity {v} appears in more than one pair")
+    pairs = pair.alignment.pairs
+    for col, (name, g) in enumerate((("left", pair.left), ("right", pair.right))):
+        out += [f"alignment pair #{i} {name} index {pairs[i, col]} out of range"
+                for i in _outside(pairs[:, col], g.entity_count)]
+    for col, name in enumerate(("left", "right")):
+        vals, counts = np.unique(pairs[:, col], return_counts=True)
+        out += [f"alignment: {name} entity {v} appears in more than one pair"
+                for v in vals[counts > 1][:20]]
 
     for side, attrs, g in (
         ("left", pair.attributes_left, pair.left),

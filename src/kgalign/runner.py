@@ -128,10 +128,6 @@ _CELL_KEYS = ("encoder.use_weights", "encoder.init")  # what an ablation cell se
 _GRID_RUN_KEYS = {"save_state": False, "evaluate_test": False}
 
 
-def with_cell(cfg: RunConfig, use_weights: bool, init_preset: str) -> RunConfig:
-    return apply_overrides(cfg, dict(zip(_CELL_KEYS, (use_weights, init_preset))))
-
-
 @dataclass
 class RunResult:
     config: RunConfig
@@ -705,13 +701,14 @@ def run_ablation(
         raise ConfigError("ablation runs must evaluate the test split")
     cells, configs = [], []
     for desc in datasets:
-        ds_base = apply_overrides(base, config_to_flat(desc, "dataset."))
         for use_weights, init_preset in ABLATION_CELLS:
-            cfg = with_cell(ds_base, use_weights, init_preset)
+            overrides = {**config_to_flat(desc, "dataset."),
+                         **dict(zip(_CELL_KEYS, (use_weights, init_preset)))}
             if use_tuned and not desc.is_toy:
-                cfg = apply_overrides(cfg, tuned_hyperparameters(
+                overrides.update(tuned_hyperparameters(
                     desc.family, desc.subset, use_weights, init_preset))
-            seed_cfgs = [apply_overrides(cfg, {"seed": base.seed + s}) for s in range(n)]
+            seed_cfgs = [apply_overrides(base, {**overrides, "seed": base.seed + s})
+                         for s in range(n)]
             configs += seed_cfgs
             cells.append({"use_weights": use_weights, "init_preset": init_preset,
                           "dataset": desc.key(), "n_seeds": n,

@@ -300,14 +300,15 @@ def margin_rank_loss(
     # the loss is summed per column block of roughly 16k terms, in block
     # order, each block's terms taken positive by positive, summed in float64
     by_positive = terms.reshape(m, k)
+    hinged = by_positive > 0.0
     block_k = max(1, min(k, 16384 // max(m, 1)))
     loss = 0.0
     for j in range(0, k, block_k):
-        block = by_positive[:, j : j + block_k]
-        loss += block[block > 0.0].sum(dtype=np.float64)
+        cols = slice(j, j + block_k)
+        loss += by_positive[:, cols][hinged[:, cols]].sum(dtype=np.float64)
 
     pos_sign = np.subtract(pos_diff > 0.0, pos_diff < 0.0, dtype=acc)
-    pos_sign *= np.count_nonzero(by_positive > 0.0, axis=1).astype(acc)[:, None]
+    pos_sign *= np.count_nonzero(hinged, axis=1).astype(acc)[:, None]
     # through the same kernel, with a two-line selector (+ left row, - right row)
     _add_rows(total, np.add(positives, (0, n_left), dtype=np.int64), pos_sign,
               *_selector((1, -1), m, acc))
@@ -398,7 +399,7 @@ def advance(traj: Trajectory, n_epochs: int) -> Trajectory:
         # each array is dropped once the epoch is done with it, so no stage
         # holds what an earlier one left (at zh-en, ~250 MB in all)
         del out_l, out_r, negatives
-        grads = backward(g_l, g_r, tape, enc_cfg, state)
+        grads = backward(g_l, g_r, tape)
         del g_l, g_r, tape
         optimizer_step(params, grads.parameters(), traj.optimizer, train_cfg,
                        context=f"epoch {epoch}")

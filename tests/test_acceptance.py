@@ -118,7 +118,7 @@ def test_criterion_2_end_to_end_gradients():
 
                 out_l, out_r, tape = forward(*adjs, state, enc, keep_tape=True)
                 loss, gl, gr = margin_rank_loss(out_l, out_r, pos, neg, margin)
-                grads = backward(gl, gr, tape, enc, state)
+                grads = backward(gl, gr, tape)
 
                 def objective():
                     o_l, o_r, _ = forward(*adjs, state, enc)

@@ -212,6 +212,7 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
         ("encoder.init = -1.0", "std must be positive and finite"),
         ("adjacency.clamp_floor = -1.0", "must lie in (0, 1]"),
         ("attribute_margin = nan", "must be non-negative and finite"),
+        ("attribute_margin = abc", "must be float | None, got 'abc'"),
         # datasets.split rejects these too, but only once the dataset is
         # loaded, after the run directory is written
         ("train_fraction = 1.5", "must lie strictly between 0 and 1, got 1.5"),
@@ -233,9 +234,9 @@ def test_train_badly_typed_value_exit_code(tmp_path, capsys):
     ],
     ids=["dim", "beta", "policy", "n-seeds", "attribute-margin", "margin-nan", "learning-rate-inf",
          "init-zero", "init-negative", "clamp-floor-negative", "attribute-margin-nan",
-         "train-fraction-above-1", "val-fraction-0", "val-fraction-nan", "seed-negative",
-         "split-seed-negative", "toy-seeds-all-nodes", "toy-two-nodes", "n-layers", "optimizer",
-         "n-negatives", "n-epochs-negative", "toy-subset-shape"],
+         "attribute-margin-text", "train-fraction-above-1", "val-fraction-0", "val-fraction-nan",
+         "seed-negative", "split-seed-negative", "toy-seeds-all-nodes", "toy-two-nodes", "n-layers",
+         "optimizer", "n-negatives", "n-epochs-negative", "toy-subset-shape"],
 )
 def test_train_out_of_range_value_names_config_file(tmp_path, capsys, line, message):
     key = line.split(" = ")[0]
@@ -522,8 +523,10 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
 @pytest.mark.parametrize(
     "axis, flags, complaint",
     [
-        ("grid.training.learning_rate = 0.5, 0.50\n", ["--workers", "2"], "repeats a value"),
-        ("grid.training.learning_rate = 1, 1.0\n", [], "repeats a value"),
+        ("grid.training.learning_rate = 0.5, 0.50\n", ["--workers", "2"],
+         "{config}:15: grid axis 'training.learning_rate' repeats a value"),
+        ("grid.training.learning_rate = 1, 1.0\n", [],
+         "{config}:15: grid axis 'training.learning_rate' repeats a value"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "-4"], "workers must be at least 1"),
         ("grid.training.n_epochs = 10, 40\n", ["--workers", "0"], "workers must be at least 1"),
         # a bad axis value names the axis's line
@@ -535,17 +538,19 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
          "{config}:15: val_fraction must lie strictly between 0 and 1, got 0.0"),
         ("grid.seed = 1, -1\n", [], "{config}:15: seed must be non-negative, got -1"),
         ("grid.typo = 1, 2\n", [], "{config}: unknown config keys ['grid.typo']"),
-        ("grid.encoder.init = 1, unit\n", [], "grid axis 'encoder.init' sets a key of the ablation"),
+        # an axis refused as a whole names its file and its line too
+        ("grid.encoder.init = 1, unit\n", [],
+         "{config}:15: grid axis 'encoder.init' sets a key of the ablation"),
         ("grid.encoder.use_weights = true\n", [],
-         "grid axis 'encoder.use_weights' sets a key of the ablation"),
+         "{config}:15: grid axis 'encoder.use_weights' sets a key of the ablation"),
         # every grid run sets these to false: the first once read as a
         # repeated value, and the others trained every run with it false
         ("grid.save_state = true, false\n", [],
-         "grid axis 'save_state' sets a key that every grid run sets to false"),
+         "{config}:15: grid axis 'save_state' sets a key that every grid run sets to false"),
         ("grid.save_state = true\n", [],
-         "grid axis 'save_state' sets a key that every grid run sets to false"),
+         "{config}:15: grid axis 'save_state' sets a key that every grid run sets to false"),
         ("grid.evaluate_test = false\n", [],
-         "grid axis 'evaluate_test' sets a key that every grid run sets to false"),
+         "{config}:15: grid axis 'evaluate_test' sets a key that every grid run sets to false"),
     ],
     ids=["equal-values", "equal-once-typed", "negative-workers", "no-workers", "badly-typed-axis",
          "out-of-range-axis", "val-fraction-axis", "negative-seed-axis", "unknown-axis",

@@ -462,6 +462,15 @@ def test_split_fraction_bounds():
         split(_alignment(10), val_fraction_of_train=0.0)
 
 
+def test_split_that_leaves_no_training_pairs_errors():
+    # one unsplit pair: round(0.3 * 1) = 0 pairs in the train pool
+    with pytest.raises(ConfigError, match="^train_fraction leaves no training pairs$"):
+        split(_alignment(1))
+    # one non-test pair, which round(0.9 * 1) = 1 makes a validation pair
+    with pytest.raises(ConfigError, match="^split leaves no training pairs$"):
+        split(_alignment(2, with_test=1), val_fraction_of_train=0.9)
+
+
 def test_split_empty_alignment_errors():
     from kgalign.graphs import AlignmentSet
 

@@ -170,6 +170,25 @@ def test_evaluate_empty_split_errors():
         evaluate(emb_l, emb_r, pair, ScoreConfig(), split=Role.VALIDATION)
 
 
+def test_evaluate_rejects_an_unknown_policy_and_a_blend_without_attributes():
+    pair, emb_l, emb_r = _pair_with_embeddings()
+    with pytest.raises(ConfigError, match="^unknown candidate policy 'nearest'$"):
+        evaluate(emb_l, emb_r, pair, ScoreConfig(), policy="nearest")
+    with pytest.raises(ConfigError, match="^beta < 1 requires attribute embeddings$"):
+        evaluate(emb_l, emb_r, pair, ScoreConfig(beta=0.5), attr_emb_left=emb_l)
+
+
+def test_all_entities_truth_outside_the_candidates_errors():
+    # evaluate does not call validate_pair: a test pair naming right
+    # entity 6 of 6 has no candidate column to rank
+    pair, emb_l, emb_r = _pair_with_embeddings()
+    records = [(0, 6, Role.TEST), *zip(*pair.alignment.pairs.T, pair.alignment.roles)]
+    bad = GraphPair(pair.left, pair.right, AlignmentSet.from_records(records))
+    assert "alignment pair #0 right index 6 out of range" in validate_pair(bad)
+    with pytest.raises(ValueError, match="^truth entity 6 missing from candidate set$"):
+        evaluate(emb_l, emb_r, bad, ScoreConfig(), policy="all-entities")
+
+
 def test_tie_diagnostics_present_when_requested():
     pair, emb_l, emb_r = _pair_with_embeddings()
     report = evaluate(emb_l, emb_r, pair, ScoreConfig(), tie_diagnostics=True)

@@ -86,7 +86,7 @@ def _block_digest(pair, enc, upstream) -> str:
     adj = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
     state = init_state(enc, pair.left.entity_count, pair.right.entity_count)
     out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
-    grads = backward(*upstream, tape, enc, state)
+    grads = backward(*upstream, tape)
     tc = TrainConfig(optimizer="adam", learning_rate=0.5, n_negatives=100, n_epochs=5, seed=2)
     h = hashlib.sha256(_train_digest(*train(pair, AdjacencyConfig(), enc, tc)).encode())
     for a in (out_l, out_r, *grads.parameters()):
@@ -144,7 +144,7 @@ def test_column_blocks_hold_no_whole_float_temporary(monkeypatch):
     tracemalloc.start()
     try:
         out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
-        grads = backward(*upstream, tape, enc, state)
+        grads = backward(*upstream, tape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,7 +538,7 @@ def test_weighted_forward_and_backward_run_on_one_blas_thread(blas_at_two, monke
     adj = tuple(build_adjacency(g, AdjacencyConfig()) for g in (pair.left, pair.right))
     state = init_state(enc, pair.left.entity_count, pair.right.entity_count)
     out_l, out_r, tape = forward(*adj, state, enc, keep_tape=True)
-    backward(np.ones_like(out_l), np.ones_like(out_r), tape, enc, state)
+    backward(np.ones_like(out_l), np.ones_like(out_r), tape)
     assert seen == [("_forward_one", 1)] * 2 + [("_backward_one", 1)] * 2
     assert get() == 2
 

@@ -283,7 +283,7 @@ def test_float32_epoch_stays_float32():
     loss64, g64_l, g64_r = margin_rank_loss(*out64, pos, neg, 3.0)
     assert np.array_equal(g_l, g64_l) and np.array_equal(g_r, g64_r) and g_l.any()
     assert type(loss) is float and loss == pytest.approx(loss64, rel=1e-5)
-    grads = backward(g_l, g_r, tape, enc, state32)
+    grads = backward(g_l, g_r, tape)
     assert [g.dtype for g in grads.parameters()] == [np.float32] * 2
     params = state32.parameters()
     before = [p.copy() for p in params]
@@ -483,7 +483,7 @@ def test_disconnected_unsampled_entities_get_zero_gradient():
     neg = np.array([[[2, 1]], [[3, 1]]])  # avoids entity 5 everywhere
     out_l, out_r, tape = forward(adj_l, adj_r, state, enc, keep_tape=True)
     loss, gl, gr = margin_rank_loss(out_l, out_r, pos, neg, margin=3.0)
-    grads = backward(gl, gr, tape, enc, state)
+    grads = backward(gl, gr, tape)
     assert np.all(grads.features_left[5] == 0.0)
     assert np.all(grads.features_right[5] == 0.0)
 
