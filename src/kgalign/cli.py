@@ -11,12 +11,13 @@ import json
 import sys
 from pathlib import Path
 
-from .configfile import read_config_file
+from .configfile import format_value, read_config_file
 from .datasets import DatasetDescriptor, statistics_for
 from .errors import ConfigError, KgalignError
 from .evaluation import CANDIDATE_POLICIES, DIRECTIONS, text_table
 from .graphs import Role
 from .runner import (
+    DEFAULT_GRID_AXES,
     RunConfig,
     ablation_table,
     evaluate_run,
@@ -106,12 +107,9 @@ def cmd_grid(args) -> int:
     print(f"grid finished: {result.n_runs} runs, {result.n_failures} failures")
     print(f"leaderboard: {result.leaderboard_path}")
     for (weights, init), cfg in sorted(result.best_per_cell.items()):
-        print(
-            f"best weights={'yes' if weights else 'no'} init={init}: "
-            f"opt={cfg.training.optimizer} lr={cfg.training.learning_rate} "
-            f"layers={cfg.encoder.n_layers} neg={cfg.training.n_negatives} "
-            f"epochs={cfg.training.n_epochs} ({cfg.run_hash()})"
-        )
+        flat = cfg.to_flat()
+        values = " ".join(f"{k}={format_value(flat[k])}" for k in sorted(axes or DEFAULT_GRID_AXES))
+        print(f"best weights={'yes' if weights else 'no'} init={init}: {values} ({cfg.run_hash()})")
     return 0
 
 

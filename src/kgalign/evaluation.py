@@ -5,7 +5,10 @@ with an attribute-embedding distance. Ranking follows the closed-world
 protocol: by default only entities that occur in the evaluated split's
 alignment are admitted as candidates. Ties are broken deterministically
 by ascending candidate entity index; an optional diagnostic exposes how
-much tie placement could move the mean rank.
+much tie placement could move the mean rank. Each line of a ranking
+holds one pair: a split with an entity outside its graph or in two pairs
+is refused, as is a non-finite embedding row, under which every truth
+would rank first.
 
 Under test-only, both directions share one distance matrix, the split's
 left entities by its right entities: left to right is counted along its
@@ -15,9 +18,9 @@ along its rows. Either way the matrix is built in blocks of at most
 about BLOCK_ELEMENTS distances (8 MiB), whatever the numbers of queries
 and candidates, and of at most a thread's share of its rows, so that a
 small matrix still has a block for every thread. The threads add into
-one running count of the columns. A
-block is counted in its own layout, along axis 1 for its rows and along
-axis 0 for its columns, so no count reads a transposed copy.
+one running count of the columns. A block is counted in its own layout,
+along axis 1 for its rows and along axis 0 for its columns, so no count
+reads a transposed copy.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError
+from .errors import ConfigError, GraphValidationError, NumericError
 from .graphs import GraphPair, Role
 from .parallel import thread_count, thread_map
 
@@ -188,19 +191,14 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     one running count under a lock; a pair's row counts come from one
     block and its column counts are integers summed over blocks, so
     neither the block size nor the thread count can change a bit. Each
-    direction of a block is counted at once, its pairs in line order.
-    Every line holds a pair, so a block with as many pairs as lines is
-    counted as it is; otherwise each line is gathered once per pair it
-    holds.
+    line holds one pair, so each direction of a block is counted at once,
+    as it is.
     """
-    missing = np.setdiff1d(pairs[:, 1], ids[1])
-    if missing.size:
-        raise ValueError(f"truth entity {missing[0]} missing from candidate set")
     pos = [np.searchsorted(i, p) for i, p in zip(ids, pairs.T)]
     # ids are sorted unique, so as many ids as rows name every row: read in place
     emb = [e if len(i) == len(e) else e[i] for e, i in zip(emb, ids)]
     attr = [a if a is None or len(i) == len(a) else a[i] for a, i in zip(attr, ids)]
-    n_pairs, n_rows = len(pairs), len(ids[0])
+    n_pairs = len(pairs)  # one row each
 
     # off the diagonals of 16 x 16 blocks: 16 distances per pair in all
     d_t = np.concatenate([
@@ -213,26 +211,22 @@ def _rank_counts(emb, attr, ids, pairs, cfg, columns):
     lock = threading.Lock()
     # a block is at most a thread's share of the rows, so that a matrix
     # smaller than one budget still gives every thread a block
-    rows = max(1, min(BLOCK_ELEMENTS // len(ids[1]), -(-n_rows // thread_count())))
+    rows = max(1, min(BLOCK_ELEMENTS // len(ids[1]), -(-n_pairs // thread_count())))
 
     def count_block(lo):
-        hi = min(lo + rows, n_rows)
-        dist = _distances(emb, attr, slice(lo, hi), slice(None), cfg)
-        s, e = np.searchsorted(pos[0], (lo, hi), sorter=by_row)
-        p = by_row[s:e]
-        sub = dist if e - s == hi - lo else dist[pos[0][p] - lo]
-        row_counts[:, p] = _count(sub, d_t[p], pos[1][p], axis=1)
+        dist = _distances(emb, attr, slice(lo, lo + rows), slice(None), cfg)
+        p = by_row[lo:lo + rows]
+        row_counts[:, p] = _count(dist, d_t[p], pos[1][p], axis=1)
         if columns:
-            sub = dist if n_pairs == dist.shape[1] else dist[:, pos[1][by_column]]
-            counts = _count(sub, d_t[by_column], pos[0][by_column] - lo, axis=0)
+            counts = _count(dist, d_t[by_column], pos[0][by_column] - lo, axis=0)
             with lock:
                 np.add(column_counts, counts, out=column_counts)
 
     # a block's arrays are freed when count_block returns, before its
     # thread computes the next
-    thread_map(count_block, range(0, n_rows, rows), n_rows * len(ids[1]))
+    thread_map(count_block, range(0, n_pairs, rows), n_pairs * len(ids[1]))
     # the column counts are summed in line order, then put back in pair order
-    return (row_counts, column_counts[:, np.argsort(by_column)]) if columns else (row_counts,)
+    return (row_counts, column_counts[:, pos[1]]) if columns else (row_counts,)
 
 
 def evaluate(
@@ -250,7 +244,9 @@ def evaluate(
 
     Under the 'test-only' policy the candidate set is restricted to the
     entities appearing in that split's alignment; 'all-entities' ranks
-    against every entity of the opposite graph.
+    against every entity of the opposite graph. A split with an entity
+    out of range or in two pairs is a GraphValidationError, and a
+    non-finite embedding row a NumericError.
     """
     if policy not in CANDIDATE_POLICIES:
         raise ConfigError(f"unknown candidate policy {policy!r}")
@@ -260,18 +256,31 @@ def evaluate(
     if eval_pairs.shape[0] == 0:
         raise ConfigError(f"no pairs with role {Role(split).value!r} to evaluate")
 
-    embs = (emb_left, emb_right)
-    attrs = (attr_emb_left, attr_emb_right)
+    # a pair out of range, or an entity in two pairs, has no line of its own
+    ids = [np.unique(eval_pairs[:, side]) for side in (0, 1)]
+    graphs = (pair.left, pair.right)
+    for side, (name, i, g) in enumerate(zip(("left", "right"), ids, graphs)):
+        where = f"{Role(split).value} split: {name} entity"
+        if i[0] < 0 or i[-1] >= g.entity_count:
+            raise GraphValidationError(f"{where} {i[0] if i[0] < 0 else i[-1]} out of range "
+                                       f"0..{g.entity_count - 1}")
+        if len(i) < len(eval_pairs):
+            values, counts = np.unique(eval_pairs[:, side], return_counts=True)
+            raise GraphValidationError(f"{where} {values[counts > 1][0]} sits in more than one pair")
+    embs, attrs = (emb_left, emb_right), (attr_emb_left, attr_emb_right)
+    # a non-finite distance is neither below nor equal to the truth's
+    for name, m in zip(("left", "right", "left attribute", "right attribute"), (*embs, *attrs)):
+        finite = m is None or np.isfinite(m).all(axis=1)
+        if not np.all(finite):
+            raise NumericError(f"{name} embeddings: row {np.argmin(finite)} is not finite")
     if policy == "test-only":
         # one matrix: left to right along its rows, right to left along its columns
-        ids = [np.unique(eval_pairs[:, side]) for side in (0, 1)]
         counts = _rank_counts(embs, attrs, ids, eval_pairs, cfg, columns=True)
     else:
         # the two query sets differ, so each direction has a matrix of its own
-        graphs = (pair.left, pair.right)
         counts = [
             _rank_counts((embs[q], embs[c]), (attrs[q], attrs[c]),
-                         (np.unique(eval_pairs[:, q]), np.arange(graphs[c].entity_count)),
+                         (ids[q], np.arange(graphs[c].entity_count)),
                          eval_pairs[:, [q, c]], cfg, columns=False)[0]
             for q, c in ((0, 1), (1, 0))
         ]
@@ -291,11 +300,5 @@ def evaluate(
         mrr=(lr.mrr + rl.mrr) / 2.0,
         n_test=lr.n_test,
     )
-    return MetricsReport(
-        candidate_policy=policy,
-        split=Role(split).value,
-        left_to_right=lr,
-        right_to_left=rl,
-        mean=mean,
-        tie_diagnostics=diag if tie_diagnostics else None,
-    )
+    return MetricsReport(policy, Role(split).value, lr, rl, mean,
+                         diag if tie_diagnostics else None)

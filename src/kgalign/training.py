@@ -26,12 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-try:
-    # the kernel behind csc @ dense, which adds into an existing array:
-    # y[i] += a[i, j] * x[j], entry by entry in storage order
-    from scipy.sparse._sparsetools import csc_matvecs
-except ImportError:  # a private module; np.add.at gives the same sums
-    csc_matvecs = None
+# a private module's kernel, the one behind csc @ dense, which adds into
+# an existing array: y[i] += a[i, j] * x[j], entry by entry in storage order
+from scipy.sparse._sparsetools import csc_matvecs
 
 from .adjacency import AdjacencyConfig, build_adjacency
 from .configfile import FLAT_KEY
@@ -208,14 +205,10 @@ def _add_rows(out, targets, rows, data, starts) -> None:
 
     The CSC selector whose column t holds data's scales at rows
     targets[t] is multiplied into out in place by the compiled sparse
-    kernel: much faster than np.add.at, and with no temporary the size
-    of out. Without the kernel, np.add.at adds the lines.
+    kernel: much faster than numpy's ufunc.at, and with no temporary the
+    size of out.
     """
     m, lines = targets.shape
-    if csc_matvecs is None:
-        for i in range(lines):
-            np.add.at(out, targets[:, i], data[i] * rows)
-        return
     csc_matvecs(out.shape[0], m, out.shape[1], starts[: m + 1], targets.ravel(),
                 data[: lines * m], rows.ravel(), out.ravel())
 

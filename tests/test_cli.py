@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import kgalign
+from kgalign import cli, runner
 from kgalign.cli import main
+from kgalign.configfile import format_value
 
 from conftest import jape_chain
 
@@ -518,6 +520,27 @@ def test_grid_axis_of_text_is_taken_as_written(tmp_path, capsys):
         if line.startswith("dataset.root ")
     ]
     assert sorted(roots) == ["dataset.root = 2024"] * 4 + ["dataset.root = 2025"] * 4
+
+
+@pytest.mark.parametrize("axes, keys", [
+    ("grid.training.n_epochs = 10, 40\ngrid.training.margin = 1, 3",
+     ["training.margin", "training.n_epochs"]),
+    ("", ["training.n_epochs"]),
+], ids=["own-axes", "default-axes"])
+def test_grid_best_lines_name_the_grid_axes(tmp_path, capsys, monkeypatch, axes, keys):
+    # a config with no grid axis searches the built-in ones, here cut to one
+    monkeypatch.setattr(runner, "DEFAULT_GRID_AXES", {"training.n_epochs": [10, 40]})
+    monkeypatch.setattr(cli, "DEFAULT_GRID_AXES", runner.DEFAULT_GRID_AXES)
+    runs = tmp_path / "runs"
+    assert main(["grid", str(_grid_config(tmp_path, axes)), "--runs-root", str(runs)]) == 0
+    best = json.loads((runs / "grid_best.json").read_text(encoding="utf-8"))
+    # each cell's best, by the values of the grid's axes, keys sorted
+    assert capsys.readouterr().out.splitlines()[2:] == sorted(
+        f"best weights={'yes' if cfg['encoder.use_weights'] else 'no'} init={cfg['encoder.init']}: "
+        + " ".join(f"{key}={format_value(cfg[key])}" for key in keys)
+        + f" ({runner.RunConfig.from_flat(cfg).run_hash()})"
+        for cfg in best.values()
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from kgalign import evaluation, parallel
-from kgalign.errors import ConfigError
+from kgalign.errors import ConfigError, GraphValidationError, NumericError
 from kgalign.evaluation import (
     DirectionMetrics,
     MetricsReport,
@@ -178,15 +178,46 @@ def test_evaluate_rejects_an_unknown_policy_and_a_blend_without_attributes():
         evaluate(emb_l, emb_r, pair, ScoreConfig(beta=0.5), attr_emb_left=emb_l)
 
 
-def test_all_entities_truth_outside_the_candidates_errors():
-    # evaluate does not call validate_pair: a test pair naming right
-    # entity 6 of 6 has no candidate column to rank
+@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
+@pytest.mark.parametrize("test_pairs, message", [
+    ([(0, 0), (1, 1), (2, 2), (3, -1)], "right entity -1 out of range 0..5"),
+    ([(0, 0), (1, 1), (2, 2), (3, 6)], "right entity 6 out of range 0..5"),
+    ([(0, 0), (1, 1), (2, 2), (3, 3), (0, 4)], "left entity 0 sits in more than one pair"),
+    ([(0, 0), (1, 1), (2, 2), (3, 3), (4, 2)], "right entity 2 sits in more than one pair"),
+], ids=["right-minus-one", "right-six", "left-twice", "right-twice"])
+def test_evaluate_refuses_a_split_without_a_line_per_pair(policy, test_pairs, message):
+    # a pair out of range has no line of the matrix, and an entity in two
+    # pairs shares one; validate_pair flags the split, and evaluate
+    # refuses it under both policies, as a run's require_valid does
     pair, emb_l, emb_r = _pair_with_embeddings()
-    records = [(0, 6, Role.TEST), *zip(*pair.alignment.pairs.T, pair.alignment.roles)]
+    records = [(l, r, Role.TEST) for l, r in test_pairs] + [(4, 4, Role.TRAIN), (5, 5, Role.TRAIN)]
     bad = GraphPair(pair.left, pair.right, AlignmentSet.from_records(records))
-    assert "alignment pair #0 right index 6 out of range" in validate_pair(bad)
-    with pytest.raises(ValueError, match="^truth entity 6 missing from candidate set$"):
-        evaluate(emb_l, emb_r, bad, ScoreConfig(), policy="all-entities")
+    assert validate_pair(bad)
+    with pytest.raises(GraphValidationError, match=f"^test split: {message}$"):
+        evaluate(emb_l, emb_r, bad, ScoreConfig(), policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["test-only", "all-entities"])
+@pytest.mark.parametrize("side, row, message", [
+    ("left", slice(None), "left embeddings: row 0"),
+    ("right", 3, "right embeddings: row 3"),
+    ("left attribute", 5, "left attribute embeddings: row 5"),
+    ("right attribute", 1, "right attribute embeddings: row 1"),
+], ids=["left", "right", "left-attribute", "right-attribute"])
+def test_evaluate_refuses_non_finite_embeddings(policy, side, row, message):
+    # NaN is neither below nor equal to a truth's distance, so every
+    # truth would rank first; a clean copy ranks as usual
+    pair, emb_l, emb_r = _pair_with_embeddings()
+    matrices = {"left": emb_l, "right": emb_r, "left attribute": emb_l.copy(),
+                "right attribute": emb_r.copy()}
+    args = (pair, ScoreConfig(beta=0.5))
+    kwargs = {"policy": policy, "attr_emb_left": matrices["left attribute"],
+              "attr_emb_right": matrices["right attribute"]}
+    clean = evaluate(emb_l.copy(), emb_r.copy(), *args, **kwargs)
+    assert clean.mean.hits_at[1] < 100.0
+    matrices[side][row] = np.nan if side == "left" else np.inf
+    with pytest.raises(NumericError, match=f"^{message} is not finite$"):
+        evaluate(emb_l, emb_r, *args, **kwargs)
 
 
 def test_tie_diagnostics_present_when_requested():
@@ -484,71 +515,15 @@ def test_evaluate_float_data_matches_full_row_reference():
     )
 
 
-def _extra_twice(test, train):
-    return [
-        (test[0, 0], train[0, 1]),  # a left entity in two test pairs
-        (train[1, 0], test[700, 1]),  # a right entity in two test pairs
-        tuple(test[1200]),  # one pair twice
-    ]
-
-
-def _extra_thrice(test, train):
-    """A left entity in three test pairs and a right entity in three,
-    each with partners on lines of two 512-row blocks."""
-    extra = [
-        (test[0, 0], train[3, 1]), (test[0, 0], train[5, 1]),
-        (train[0, 0], test[700, 1]), (train[2, 0], test[700, 1]),
-    ]
-    pairs = np.vstack([test, extra])
-    for side, entity in ((0, test[0, 0]), (1, test[700, 1])):
-        partners = pairs[pairs[:, side] == entity, 1 - side]
-        lines = np.searchsorted(np.unique(pairs[:, 1 - side]), partners)
-        assert len(partners) == 3 and len(np.unique(lines // 512)) == 2
-    return extra
-
-
-def _with_extra_test_pairs(pair, extra_pairs):
-    test, train = pair.alignment.by_role(Role.TEST), pair.alignment.train_pairs
-    extra = extra_pairs(test, train)
-    alignment = AlignmentSet(
-        np.vstack([pair.alignment.pairs, extra]), [*pair.alignment.roles, *[Role.TEST] * len(extra)]
-    )
-    return GraphPair(pair.left, pair.right, alignment)
-
-
-@pytest.mark.parametrize("policy, extra_pairs", [
-    pytest.param(policy, extra, id=policy + suffix)
-    for extra, suffix in ((_extra_twice, ""), (_extra_thrice, "-thrice"))
-    for policy in ("test-only", "all-entities")
-])
-def test_evaluate_unvalidated_split_matches_oracle(policy, extra_pairs):
-    """evaluate does not call validate_pair, so an entity may sit in
-    several test pairs; each pair is still ranked on its own."""
-    pair, emb, attr = _tied_pair()
-    pair = _with_extra_test_pairs(pair, extra_pairs)
-    violations = validate_pair(pair)
-    for side in ("left", "right"):
-        assert any(f"{side} entity" in v and "more than one pair" in v for v in violations)
-    cfg = ScoreConfig(beta=0.75)
-    report = evaluate(
-        *emb, pair, cfg, policy=policy,
-        attr_emb_left=attr[0], attr_emb_right=attr[1], tie_diagnostics=True,
-    )
-    _assert_matches_oracle(report, pair, emb, attr, cfg, policy)
-
-
-@pytest.mark.parametrize("data", ["tied", "tied-unvalidated", "float"])
+@pytest.mark.parametrize("data", ["tied", "float"])
 def test_evaluate_report_independent_of_block_size(monkeypatch, data):
     """Blocks of one row, of three and of 150 or so, on 1, 2 and 8
     threads, give the bytes of a ranking in one block under both
-    policies, tie diagnostics included; also with an entity in three
-    test pairs per side, whose lines fall in several blocks."""
+    policies, tie diagnostics included."""
     if data == "float":
         (pair, emb, attr), cfg = _float_pair(), ScoreConfig(beta=0.7)
     else:
         (pair, emb, attr), cfg = _tied_pair(), ScoreConfig(beta=0.75)
-        if data == "tied-unvalidated":
-            pair = _with_extra_test_pairs(pair, _extra_thrice)
     monkeypatch.setattr(parallel, "MIN_ITEM_SIZE", 0)
 
     def report(policy, budget, cpus):

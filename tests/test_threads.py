@@ -302,21 +302,6 @@ def test_loss_independent_of_chunk_size_and_cores(each_core_count, monkeypatch):
             assert got.dtype == np.int16 and np.array_equal(got, first)
 
 
-def test_loss_without_the_sparse_kernel(each_core_count, monkeypatch):
-    # scipy's kernel lives in a private module; where it is missing,
-    # np.add.at adds the loss's signs, to the kernel path's bits
-    out_l, out_r, pos, neg = _varied_loss_inputs()
-    with_kernel = each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
-    monkeypatch.setattr(training, "csc_matvecs", None)
-    without = each_core_count(lambda cores: margin_rank_loss(out_l, out_r, pos, neg, 3.0))
-    loss, grad_l, grad_r = with_kernel[0]
-    assert grad_l.any() and grad_r.any()
-    for other in with_kernel + without:
-        assert other[0] == loss
-        for got, first in zip(other[1:], (grad_l, grad_r)):
-            assert got.dtype == first.dtype and np.array_equal(got, first)
-
-
 @pytest.mark.parametrize("elements", [1 << 12, parallel.MIN_ITEM_SIZE - 1])
 def test_loss_runs_on_every_core_with_chunks_under_the_item_size(monkeypatch, elements):
     # MIN_ITEM_SIZE as shipped: each chunk is under it, but the 40,000 x
