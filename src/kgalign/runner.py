@@ -356,15 +356,24 @@ def write_atomic(path: Path, content) -> None:
     so a reader sees the old file or the whole new one, never a part.
 
     content is text, or a function that writes the file's bytes to the
-    binary file object it is given.
+    binary file object it is given. When path already holds exactly the
+    text's bytes, nothing is written: no temporary file, no rename, and
+    the file keeps its mtime (a rename over an existing file waits on
+    the filesystem's flush, tens of ms on ext4). Callable content is
+    always written.
     """
+    if not callable(content):
+        data = content.encode("utf-8")
+        try:
+            if path.stat().st_size == len(data) and path.read_bytes() == data:
+                return
+        except OSError:  # missing or unreadable: write it
+            pass
+        content = lambda f: f.write(data)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            if callable(content):
-                content(f)
-            else:
-                f.write(content.encode("utf-8"))
+            content(f)
         os.replace(tmp, path)
     except BaseException:  # a full disk or Ctrl-C leaves no temp file behind
         tmp.unlink(missing_ok=True)
@@ -618,7 +627,9 @@ def run_grid(
     n_failures = 0
     leaderboard = runs_root / "leaderboard.tsv"
     # the ledger is append-only while the grid runs, written by this
-    # process alone
+    # process alone; a new file each pass, since truncating the old one
+    # waits tens of ms on ext4
+    leaderboard.unlink(missing_ok=True)
     with leaderboard.open("w", encoding="utf-8") as ledger:
         ledger.write("run_hash\tuse_weights\tinit\tvalidation_h1\terror\n")
         for cfg, outcome in _execute("grid", configs, runs_root, workers):

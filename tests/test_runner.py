@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import re
 import shutil
 import warnings
@@ -322,8 +323,6 @@ def test_run_single_validates_the_pair_once(tmp_path, monkeypatch):
 
 def _record_renames(monkeypatch) -> list[str]:
     """Names of the files moved into place by os.replace from now on."""
-    import os
-
     renamed, real_replace = [], os.replace
 
     def replace(src, dst):
@@ -386,6 +385,112 @@ def test_write_atomic_failure_keeps_old_file_and_no_temp(tmp_path, exc):
         write_atomic(target, writer)
     assert target.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+
+
+def _identity(path: Path) -> tuple[int, int]:
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns
+
+
+def test_write_atomic_of_the_bytes_already_there_writes_nothing(tmp_path, monkeypatch):
+    target = tmp_path / "config.txt"
+    write_atomic(target, "seed = 0\nnamé = ü\n")
+    before = _identity(target)
+    renamed = _record_renames(monkeypatch)
+    write_atomic(target, "seed = 0\nnamé = ü\n")
+    assert renamed == []
+    assert _identity(target) == before
+    assert target.read_text(encoding="utf-8") == "seed = 0\nnamé = ü\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.txt"]
+
+
+@pytest.mark.parametrize("old", [b"seed = 1\n", b"seed = ", None],
+                         ids=["same-length", "truncated-prefix", "missing"])
+def test_write_atomic_replaces_other_bytes(tmp_path, monkeypatch, old):
+    target = tmp_path / "config.txt"
+    if old is not None:
+        target.write_bytes(old)
+        before = _identity(target)
+    renamed = _record_renames(monkeypatch)
+    write_atomic(target, "seed = 0\n")
+    assert renamed == ["config.txt"]
+    assert target.read_bytes() == b"seed = 0\n"
+    if old is not None:
+        # the old file is still there while the temporary sibling is made
+        assert _identity(target)[0] != before[0]
+
+
+def test_write_atomic_always_replaces_callable_content(tmp_path, monkeypatch):
+    target = tmp_path / "state.npz"
+    target.write_bytes(b"same")
+    before = _identity(target)
+    renamed = _record_renames(monkeypatch)
+    write_atomic(target, lambda f: f.write(b"same"))
+    assert renamed == ["state.npz"]
+    assert target.read_bytes() == b"same"
+    assert _identity(target)[0] != before[0]
+
+
+def test_evaluate_again_renames_nothing(tmp_path, capsys, monkeypatch):
+    from kgalign.cli import main
+
+    run_dir = run_single(toy_config(), tmp_path).run_dir
+    assert main(["evaluate", str(run_dir)]) == 0
+    path = run_dir / "evaluation-test-only-test.json"
+    text, before = path.read_bytes(), _identity(path)
+    renamed = _record_renames(monkeypatch)
+    assert main(["evaluate", str(run_dir)]) == 0
+    assert renamed == []
+    assert path.read_bytes() == text
+    assert _identity(path) == before
+    # other bytes: the report gains its tie diagnostics
+    assert main(["evaluate", str(run_dir), "--tie-diagnostics"]) == 0
+    assert renamed == [path.name]
+    assert "tie_diagnostics" in json.loads(path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+
+
+def test_resumed_grid_renames_nothing_and_writes_a_new_ledger(tmp_path, monkeypatch):
+    base = toy_config(**{"train_fraction": 0.5, "val_fraction": 0.5, "training.n_epochs": 5})
+    axes = {"training.learning_rate": [0.1, 0.5]}
+    root = tmp_path / "grid"
+    assert run_grid(base, root, axes).n_failures == 0
+    ledger, first = root / "leaderboard.tsv", tmp_path / "first-leaderboard.tsv"
+    # a second link keeps the first ledger's inode in use, so the new
+    # ledger cannot be given its number
+    os.link(ledger, first)
+    best = _identity(root / "grid_best.json")
+    renamed = _record_renames(monkeypatch)
+    assert run_grid(base, root, axes).n_failures == 0
+    assert renamed == []
+    assert ledger.read_bytes() == first.read_bytes()
+    assert ledger.stat().st_ino != first.stat().st_ino
+    assert _identity(root / "grid_best.json") == best
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into read-only directories")
+def test_evaluate_rescores_a_read_only_run(tmp_path, capsys):
+    from kgalign.cli import main
+
+    run_dir = run_single(toy_config(), tmp_path).run_dir
+    assert main(["evaluate", str(run_dir)]) == 0
+    path = run_dir / "evaluation-test-only-test.json"
+    text = path.read_bytes()
+    run_dir.chmod(0o555)
+    tmp_path.chmod(0o555)
+    try:
+        assert main(["evaluate", str(run_dir)]) == 0
+        # an output that is not there yet still needs a writable directory
+        with pytest.raises(PermissionError):
+            evaluate_run(run_dir, policy="all-entities")
+    finally:
+        tmp_path.chmod(0o755)
+        run_dir.chmod(0o755)
+    assert path.read_bytes() == text
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "config.txt", "evaluation-test-only-test.json", "loss_trace.tsv", "report.json",
+        "state.npz"]
+    capsys.readouterr()
 
 
 def test_run_single_recomputes_report_of_another_run(tmp_path):
