@@ -628,7 +628,9 @@ def run_grid(
     leaderboard = runs_root / "leaderboard.tsv"
     # the ledger is append-only while the grid runs, written by this
     # process alone; a new file each pass, since truncating the old one
-    # waits tens of ms on ext4
+    # waits tens of ms on ext4. The price: `tail -f` stays on the old
+    # file (`tail -F` follows the name), and a crash soon after a pass
+    # can leave the new ledger empty; running the grid again rebuilds it
     leaderboard.unlink(missing_ok=True)
     with leaderboard.open("w", encoding="utf-8") as ledger:
         ledger.write("run_hash\tuse_weights\tinit\tvalidation_h1\terror\n")
